@@ -58,8 +58,6 @@ from .run_io import (
     parse_qrels,
     parse_run,
     parse_topics,
-    restrict_qrels,
-    restrict_run,
 )
 from .stats import TTestResult, t_cdf, t_test_unpaired
 
@@ -104,8 +102,6 @@ __all__ = [
     "persistence_cell",
     "persistence_table",
     "relative_improvement",
-    "restrict_qrels",
-    "restrict_run",
     "result_delta",
     "score_run",
     "t_cdf",

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -36,7 +37,15 @@ from typing import Sequence
 
 from .corpus_diff import diff_collections, format_diff, load_manifest, snapshot_from_dir
 from .errors import DataError, DiagnosticWarning, EvaluationError, ParseError, UsageError
-from .measures import MeasureId, arp, format_scores, parse_measure, score_run, scores_to_json
+from .measures import (
+    MeasureId,
+    TopicScoreVector,
+    arp,
+    format_scores,
+    parse_measure,
+    score_run,
+    scores_to_json,
+)
 from .persistence import EEPair, PersistenceCell, persistence_cell, topic_deltas
 from .report import (
     DEFAULT_ER_EXCLUSION,
@@ -59,6 +68,7 @@ from .run_io import (
     load_qrels,
     load_run,
     load_topics,
+    read_input,
 )
 from .stats import VARIANTS
 
@@ -119,10 +129,12 @@ class JobConfig:
                     f"run tag {run.tag!r} declared twice for environment {run.ee_label!r}"
                 )
             seen_runs.add(key)
-        for pair in self.pairs:
+        for index, pair in enumerate(self.pairs):
             for label in (pair.base_label, pair.target_label):
                 if label not in declared:
                     raise UsageError(f"pair {pair.key} references undeclared environment {label!r}")
+            if pair in self.pairs[:index]:
+                raise UsageError(f"pair {pair.key} is declared twice")
         if not self.pairs:
             raise UsageError("manifest declares no environment pairs")
         if not self.measures:
@@ -134,8 +146,7 @@ class JobConfig:
             raise UsageError(f"unknown t-test variant {self.t_variant!r}")
         if self.series_mode not in ("raw", "pivot-delta"):
             raise UsageError(f"unknown series mode {self.series_mode!r}")
-        if self.er_exclude <= 0:
-            raise UsageError("--er-exclude must be positive")
+        _check_er_exclude(self.er_exclude)
         # Pivot availability is a data property of the job, not a usage bug.
         pair_labels = {p.base_label for p in self.pairs} | {p.target_label for p in self.pairs}
         for label in sorted(pair_labels):
@@ -143,6 +154,12 @@ class JobConfig:
                 raise DataError(
                     f"pivot {self.pivot!r} has no run in environment {label!r}"
                 )
+
+
+def _check_er_exclude(threshold: float) -> float:
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise UsageError(f"--er-exclude must be positive and finite, got {threshold}")
+    return threshold
 
 
 def _parse_measure_list(text: str) -> list[MeasureId]:
@@ -178,9 +195,7 @@ def _parse_pair_list(text: str) -> list[EEPair]:
 def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
     """Read the JSON manifest and apply command-line overrides."""
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}", path=str(path)) from exc
+        raw = json.loads(read_input(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path=str(path)) from exc
     base_dir = path.parent
@@ -220,7 +235,9 @@ def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
             strict_topics=bool(options.get("strict_topics", True)),
             series_mode=str(options.get("series", "raw")),
         )
-    except (KeyError, IndexError, TypeError, ValueError, DataError) as exc:
+    except (
+        AttributeError, KeyError, IndexError, OverflowError, TypeError, ValueError, DataError
+    ) as exc:
         raise UsageError(f"malformed manifest {path}: {exc}") from exc
 
     if args.pivot is not None:
@@ -333,7 +350,21 @@ def cmd_persist(args: argparse.Namespace) -> int:
     )
     cells: list[PersistenceCell] = []
     series_blobs: list[tuple[str, str]] = []
+    # Each (tag, environment, measure, topic set) is scored once. The
+    # pivot's vectors serve every system; a system's are dropped after it.
+    pivot_vectors: dict[tuple, TopicScoreVector] = {}
     for system in system_tags:
+        system_vectors: dict[tuple, TopicScoreVector] = {}
+
+        def vector(
+            tag: str, env: _Environment, measure: MeasureId, topics: TopicSet
+        ) -> TopicScoreVector:
+            cache = pivot_vectors if tag == config.pivot else system_vectors
+            key = (tag, env.spec.label, measure, topics)
+            if key not in cache:
+                cache[key] = score_run(env.runs[tag], env.qrels, measure, topics, env.spec.label)
+            return cache[key]
+
         for pair in config.pairs:
             base_env = environments[pair.base_label]
             target_env = environments[pair.target_label]
@@ -341,32 +372,44 @@ def cmd_persist(args: argparse.Namespace) -> int:
                 raise DataError(
                     f"system {system!r} has no run in environment pair {pair.key}"
                 )
+            # Cells score each environment on the core topics or, when not
+            # strict, on its own; series use the topics both environments
+            # share, so both series modes stay defined.
             if config.strict_topics:
-                topics_base = core
-                topics_target: TopicSet | None = None
+                topics_base = topics_target = shared = core
             else:
-                topics_base = base_env.topics
-                topics_target = target_env.topics
+                topics_base, topics_target = base_env.topics, target_env.topics
                 if not topics_base or not topics_target:
                     raise DataError(f"environment in pair {pair.key} has no topics")
+                shared = topics_base & topics_target
+                if not shared:
+                    raise DataError(
+                        f"no shared topics between {pair.base_label!r} and {pair.target_label!r}"
+                    )
+            name_tail = f"{_safe_name(pair.base_label)}-{_safe_name(pair.target_label)}.csv"
             for measure in config.measures:
-                cell = persistence_cell(
-                    base_env.runs[system],
-                    target_env.runs[system],
-                    base_env.runs[config.pivot],
-                    target_env.runs[config.pivot],
-                    base_env.qrels,
-                    target_env.qrels,
-                    measure,
-                    topics_base,
-                    pair,
-                    topics_target=topics_target,
-                    t_variant=config.t_variant,
+                cells.append(
+                    persistence_cell(
+                        vector(system, base_env, measure, topics_base),
+                        vector(system, target_env, measure, topics_target),
+                        vector(config.pivot, base_env, measure, topics_base),
+                        vector(config.pivot, target_env, measure, topics_target),
+                        t_variant=config.t_variant,
+                    )
                 )
-                cells.append(cell)
-                series_blobs.append(
-                    _series_for(config, environments, core, system, pair, measure)
-                )
+                sys_base = vector(system, base_env, measure, shared)
+                sys_target = vector(system, target_env, measure, shared)
+                if config.series_mode == "raw":
+                    series = topic_delta_series(sys_base, sys_target)
+                else:
+                    series = pivot_delta_series(
+                        topic_deltas(sys_base, vector(config.pivot, base_env, measure, shared)),
+                        topic_deltas(sys_target, vector(config.pivot, target_env, measure, shared)),
+                        system,
+                        measure,
+                    )
+                name = f"{_safe_name(system)}.{measure.key}.{name_tail}"
+                series_blobs.append((name, series_csv(series)))
 
     ee_order = [spec.label for spec in config.environments]
     table = persistence_table(cells, ee_order=ee_order)
@@ -382,48 +425,6 @@ def cmd_persist(args: argparse.Namespace) -> int:
     for name in sorted(written):
         print(f"wrote {name}")
     return EXIT_OK
-
-
-def _series_for(
-    config: JobConfig,
-    environments: dict[str, _Environment],
-    core: TopicSet,
-    system: str,
-    pair: EEPair,
-    measure: MeasureId,
-) -> tuple[str, str]:
-    """Build one per-topic delta series CSV; shared topics of the two
-    environments are used so both modes stay defined under non-strict
-    topic handling."""
-    base_env = environments[pair.base_label]
-    target_env = environments[pair.target_label]
-    if config.strict_topics:
-        topics = core
-    else:
-        topics = base_env.topics & target_env.topics
-    if not topics:
-        raise DataError(f"no shared topics between {pair.base_label!r} and {pair.target_label!r}")
-    sys_base = score_run(base_env.runs[system], base_env.qrels, measure, topics, pair.base_label)
-    sys_target = score_run(
-        target_env.runs[system], target_env.qrels, measure, topics, pair.target_label
-    )
-    if config.series_mode == "raw":
-        series = topic_delta_series(sys_base, sys_target)
-    else:
-        piv_base = score_run(
-            base_env.runs[config.pivot], base_env.qrels, measure, topics, pair.base_label
-        )
-        piv_target = score_run(
-            target_env.runs[config.pivot], target_env.qrels, measure, topics, pair.target_label
-        )
-        series = pivot_delta_series(
-            topic_deltas(sys_base, piv_base),
-            topic_deltas(sys_target, piv_target),
-            system,
-            measure,
-        )
-    name = f"{_safe_name(system)}.{measure.key}.{_safe_name(pair.base_label)}-{_safe_name(pair.target_label)}.csv"
-    return name, series_csv(series)
 
 
 def cmd_corpus_diff(args: argparse.Namespace) -> int:
@@ -451,14 +452,9 @@ def cmd_corpus_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    path = Path(args.cells)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}", path=str(path)) from exc
-    table = table_from_json(text)
-    threshold = args.er_exclude if args.er_exclude is not None else DEFAULT_ER_EXCLUSION
-    points = er_dri_points(table.cells, threshold)
+    table = table_from_json(read_input(Path(args.cells)))
+    threshold = DEFAULT_ER_EXCLUSION if args.er_exclude is None else args.er_exclude
+    points = er_dri_points(table.cells, _check_er_exclude(threshold))
     out_dir = _default_output(Path(args.output) if args.output else None)
     written: list[str] = []
     _write(out_dir / "table.txt", render_table_text(table), written, out_dir)

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import DataError, ParseError
+from .run_io import read_input
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,7 @@ def parse_manifest(text: str | Iterable[str], label: str, *, path: str | None = 
 
 
 def load_manifest(path: str | Path, label: str | None = None) -> CorpusSnapshot:
-    file_path = Path(path)
-    try:
-        text = file_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}", path=str(path)) from exc
-    return parse_manifest(text, label or file_path.name, path=str(path))
+    return parse_manifest(read_input(path), label or Path(path).name, path=str(path))
 
 
 def snapshot_from_dir(path: str | Path, label: str | None = None) -> CorpusSnapshot:

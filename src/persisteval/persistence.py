@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import AbstractSet, Mapping
 
 from .errors import DataError
-from .measures import ARPValue, MeasureId, TopicScoreVector, arp, score_run
-from .run_io import Qrels, Run, TopicSet
+from .measures import ARPValue, MeasureId, TopicScoreVector, arp, parse_measure
 from .stats import t_test_unpaired
 
 
@@ -102,6 +101,16 @@ def delta_ri(ri_base: float | None, ri_target: float | None) -> float | None:
     return ri_base - ri_target
 
 
+def check_same_topics(a: AbstractSet[str], b: AbstractSet[str], a_name: str, b_name: str) -> None:
+    """Raise a DataError naming the topics only one of two sets holds."""
+    only_a, only_b = a - b, b - a
+    if only_a or only_b:
+        raise DataError(
+            f"topic sets differ: only in {a_name} {sorted(only_a)}, "
+            f"only in {b_name} {sorted(only_b)}"
+        )
+
+
 def topic_deltas(system: TopicScoreVector, pivot: TopicScoreVector) -> TopicDeltaVector:
     """Per-topic system-minus-pivot differences within one EE. Both vectors
     must come from the same EE and measure and cover the same topics."""
@@ -113,14 +122,7 @@ def topic_deltas(system: TopicScoreVector, pivot: TopicScoreVector) -> TopicDelt
         raise DataError(
             f"environment mismatch: {system.ee_label!r} vs {pivot.ee_label!r}"
         )
-    only_system = system.topics - pivot.topics
-    only_pivot = pivot.topics - system.topics
-    if only_system or only_pivot:
-        raise DataError(
-            "topic sets differ: "
-            f"only in system vector {sorted(only_system)}, "
-            f"only in pivot vector {sorted(only_pivot)}"
-        )
+    check_same_topics(system.topics, pivot.topics, "system vector", "pivot vector")
     deltas = {t: system.scores[t] - pivot.scores[t] for t in sorted(system.scores)}
     return TopicDeltaVector(ee_label=system.ee_label, deltas=deltas)
 
@@ -171,46 +173,40 @@ class PersistenceCell:
 
 
 def persistence_cell(
-    system_base: Run,
-    system_target: Run,
-    pivot_base: Run,
-    pivot_target: Run,
-    qrels_base: Qrels,
-    qrels_target: Qrels,
-    measure: MeasureId,
-    topics: TopicSet,
-    pair: EEPair,
+    sys_base: TopicScoreVector,
+    sys_target: TopicScoreVector,
+    piv_base: TopicScoreVector,
+    piv_target: TopicScoreVector,
     *,
-    topics_target: TopicSet | None = None,
     t_variant: str = "student_pooled",
     allow_self_pivot: bool = False,
 ) -> PersistenceCell:
-    """Compute one persistence cell.
+    """Compute one persistence cell from the system's and the pivot's score
+    vectors in the base and the target EE.
 
-    Both EEs are scored over ``topics`` unless ``topics_target`` supplies a
-    separate topic set for the target EE (the non-strict mode, where each
+    The measure and the EE pair are those of the vectors. Within each EE
+    the system and pivot vectors must cover the same topics; the base and
+    target topic sets may differ (the non-strict mode, where each
     environment is evaluated on its own available topics).
     """
-    if system_base.run_tag != system_target.run_tag:
+    if sys_base.run_tag != sys_target.run_tag:
         raise DataError(
             f"system run tags differ across environments: "
-            f"{system_base.run_tag!r} vs {system_target.run_tag!r}"
+            f"{sys_base.run_tag!r} vs {sys_target.run_tag!r}"
         )
-    if pivot_base.run_tag != pivot_target.run_tag:
+    if piv_base.run_tag != piv_target.run_tag:
         raise DataError(
             f"pivot run tags differ across environments: "
-            f"{pivot_base.run_tag!r} vs {pivot_target.run_tag!r}"
+            f"{piv_base.run_tag!r} vs {piv_target.run_tag!r}"
         )
-    system_tag, pivot_tag = system_base.run_tag, pivot_base.run_tag
+    if sys_base.measure != sys_target.measure:
+        raise DataError(
+            f"measure mismatch: {sys_base.measure.name} vs {sys_target.measure.name}"
+        )
+    system_tag, pivot_tag = sys_base.run_tag, piv_base.run_tag
     if system_tag == pivot_tag and not allow_self_pivot:
         raise DataError(f"system and pivot share the tag {system_tag!r}")
-    base_topics = topics
-    target_topics = topics if topics_target is None else topics_target
-
-    sys_base = score_run(system_base, qrels_base, measure, base_topics, pair.base_label)
-    sys_target = score_run(system_target, qrels_target, measure, target_topics, pair.target_label)
-    piv_base = score_run(pivot_base, qrels_base, measure, base_topics, pair.base_label)
-    piv_target = score_run(pivot_target, qrels_target, measure, target_topics, pair.target_label)
+    pair = EEPair(sys_base.ee_label, sys_target.ee_label)
 
     arp_sys_base, arp_sys_target = arp(sys_base), arp(sys_target)
     arp_piv_base, arp_piv_target = arp(piv_base), arp(piv_target)
@@ -242,7 +238,7 @@ def persistence_cell(
     return PersistenceCell(
         system_tag=system_tag,
         pivot_tag=pivot_tag,
-        measure=measure,
+        measure=sys_base.measure,
         pair=pair,
         arp_base=arp_sys_base,
         arp_target=arp_sys_target,
@@ -308,7 +304,6 @@ def cell_to_dict(cell: PersistenceCell) -> dict:
 
 def cell_from_dict(data: Mapping) -> PersistenceCell:
     """Rebuild a cell from its JSON form (inverse of cell_to_dict)."""
-    from .measures import parse_measure
 
     def _arp(entry: Mapping) -> ARPValue:
         return ARPValue(value=float(entry["value"]), n_topics=int(entry["n_topics"]))

@@ -22,6 +22,8 @@ Rendering is deterministic: the same cells produce byte-identical output.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -34,6 +36,7 @@ from .persistence import (
     TopicDeltaVector,
     cell_from_dict,
     cell_to_dict,
+    check_same_topics,
     result_delta,
 )
 
@@ -182,8 +185,10 @@ def persistence_table(
         (c.system_tag, c.measure.name, c.pair.target_label): c for c in ordered_cells
     }
     by_base: dict[tuple[str, str, str], PersistenceCell] = {}
+    pivot_base_label: dict[tuple[str, str], str] = {}  # (measure name, target) -> base
     for c in ordered_cells:
         by_base.setdefault((c.system_tag, c.measure.name, c.pair.base_label), c)
+        pivot_base_label.setdefault((c.measure.name, c.pair.target_label), c.pair.base_label)
 
     rows: list[TableRow] = []
     for ee in order:
@@ -195,19 +200,9 @@ def persistence_table(
                 continue
             rd: float | None = 0.0
             undefined: set[str] = set()
-            base_of_pair = next(
-                (
-                    c
-                    for c in ordered_cells
-                    if c.measure == measure and c.pair.target_label == ee
-                ),
-                None,
-            )
-            if base_of_pair is not None:
-                rd = result_delta(
-                    pivot_arps[(measure.name, base_of_pair.pair.base_label)],
-                    pivot_arps[key],
-                )
+            base_label = pivot_base_label.get(key)
+            if base_label is not None:
+                rd = result_delta(pivot_arps[(measure.name, base_label)], pivot_arps[key])
                 if rd is None:
                     undefined.add("result_delta")
             row_cells[measure.name] = TableCell(
@@ -330,29 +325,39 @@ def _csv_value(value: float | None) -> str:
     return repr(value)
 
 
+def _csv(header: str, rows: Iterable[Sequence[str]]) -> str:
+    """CSV text with a header line, quoting fields that hold a comma, a
+    quote or a line break."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 def render_table_csv(table: PersistenceTable) -> str:
     """One row per system x EE x measure, full precision."""
-    lines = ["system,ee,measure,arp,result_delta,delta_ri,effect_ratio,p_value,significant"]
+    rows = []
     for row in table.rows:
         for measure in table.measures:
             cell = row.cells[measure.name]
             significant = "" if cell.significant is None else str(cell.significant).lower()
-            lines.append(
-                ",".join(
-                    [
-                        row.system_tag,
-                        row.ee_label,
-                        measure.name,
-                        _csv_value(cell.arp),
-                        _csv_value(cell.result_delta),
-                        _csv_value(cell.delta_ri),
-                        _csv_value(cell.effect_ratio),
-                        _csv_value(cell.p_value),
-                        significant,
-                    ]
-                )
+            rows.append(
+                [
+                    row.system_tag,
+                    row.ee_label,
+                    measure.name,
+                    _csv_value(cell.arp),
+                    _csv_value(cell.result_delta),
+                    _csv_value(cell.delta_ri),
+                    _csv_value(cell.effect_ratio),
+                    _csv_value(cell.p_value),
+                    significant,
+                ]
             )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        "system,ee,measure,arp,result_delta,delta_ri,effect_ratio,p_value,significant", rows
+    )
 
 
 def table_to_json(table: PersistenceTable) -> str:
@@ -406,22 +411,21 @@ def er_dri_points(
 
 
 def scatter_csv(points: Iterable[ScatterPoint]) -> str:
-    lines = ["system,measure,base_ee,target_ee,effect_ratio,delta_ri,excluded"]
-    for point in points:
-        lines.append(
-            ",".join(
-                [
-                    point.system_tag,
-                    point.measure.name,
-                    point.pair.base_label,
-                    point.pair.target_label,
-                    _csv_value(point.x),
-                    _csv_value(point.y),
-                    str(point.excluded).lower(),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        "system,measure,base_ee,target_ee,effect_ratio,delta_ri,excluded",
+        (
+            [
+                point.system_tag,
+                point.measure.name,
+                point.pair.base_label,
+                point.pair.target_label,
+                _csv_value(point.x),
+                _csv_value(point.y),
+                str(point.excluded).lower(),
+            ]
+            for point in points
+        ),
+    )
 
 
 def _sorted_series(deltas: Mapping[str, float]) -> tuple[tuple[str, float], ...]:
@@ -437,13 +441,7 @@ def topic_delta_series(
         raise DataError(f"run tags differ: {base.run_tag!r} vs {target.run_tag!r}")
     if base.measure != target.measure:
         raise DataError(f"measures differ: {base.measure.name} vs {target.measure.name}")
-    only_base = base.topics - target.topics
-    only_target = target.topics - base.topics
-    if only_base or only_target:
-        raise DataError(
-            f"topic sets differ: only in base {sorted(only_base)}, "
-            f"only in target {sorted(only_target)}"
-        )
+    check_same_topics(base.topics, target.topics, "base", "target")
     deltas = {t: target.scores[t] - base.scores[t] for t in base.scores}
     return TopicDeltaSeries(
         system_tag=base.run_tag,
@@ -461,13 +459,7 @@ def pivot_delta_series(
 ) -> TopicDeltaSeries:
     """Series of the change in per-topic improvement over the pivot: the
     target EE's system-minus-pivot delta minus the base EE's, per topic."""
-    only_base = set(base_deltas.deltas) - set(target_deltas.deltas)
-    only_target = set(target_deltas.deltas) - set(base_deltas.deltas)
-    if only_base or only_target:
-        raise DataError(
-            f"topic sets differ: only in base {sorted(only_base)}, "
-            f"only in target {sorted(only_target)}"
-        )
+    check_same_topics(base_deltas.deltas.keys(), target_deltas.deltas.keys(), "base", "target")
     deltas = {
         t: target_deltas.deltas[t] - base_deltas.deltas[t] for t in base_deltas.deltas
     }
@@ -480,18 +472,17 @@ def pivot_delta_series(
 
 
 def series_csv(series: TopicDeltaSeries) -> str:
-    lines = ["system,measure,base_ee,target_ee,topic,delta"]
-    for topic, delta in series.entries:
-        lines.append(
-            ",".join(
-                [
-                    series.system_tag,
-                    series.measure.name,
-                    series.pair.base_label,
-                    series.pair.target_label,
-                    topic,
-                    repr(delta),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        "system,measure,base_ee,target_ee,topic,delta",
+        (
+            [
+                series.system_tag,
+                series.measure.name,
+                series.pair.base_label,
+                series.pair.target_label,
+                topic,
+                repr(delta),
+            ]
+            for topic, delta in series.entries
+        ),
+    )

@@ -1,4 +1,4 @@
-"""Parsing, validation, and restriction of TREC-format inputs.
+"""Reading, parsing, and validation of TREC-format inputs.
 
 Three line-oriented file formats are handled:
 
@@ -207,8 +207,8 @@ def parse_qrels(text: str | Iterable[str], *, path: str | None = None) -> Qrels:
         try:
             grade = int(grade_text)
         except ValueError:
-            raise DataError(
-                f"non-integer relevance grade {grade_text!r} (line {number})"
+            raise ParseError(
+                f"non-integer relevance grade {grade_text!r}", line=number, path=path
             ) from None
         if grade not in GRADES:
             raise DataError(
@@ -245,23 +245,33 @@ def parse_topics(text: str | Iterable[str], *, path: str | None = None) -> Topic
     return frozenset(topics)
 
 
-def _read(path: str | Path) -> str:
+def read_input(path: str | Path) -> str:
+    """Read a UTF-8 input file. An unreadable file, or one that is not
+    valid UTF-8, is a ParseError naming the path (and the line of the first
+    undecodable byte)."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}", path=str(path)) from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"invalid UTF-8 byte at offset {exc.start}", line=line, path=str(path)
+        ) from None
 
 
 def load_run(path: str | Path, expected_tag: str | None = None) -> Run:
-    return parse_run(_read(path), expected_tag, path=str(path))
+    return parse_run(read_input(path), expected_tag, path=str(path))
 
 
 def load_qrels(path: str | Path) -> Qrels:
-    return parse_qrels(_read(path), path=str(path))
+    return parse_qrels(read_input(path), path=str(path))
 
 
 def load_topics(path: str | Path) -> TopicSet:
-    return parse_topics(_read(path), path=str(path))
+    return parse_topics(read_input(path), path=str(path))
 
 
 def core_topics(sets: Sequence[TopicSet]) -> TopicSet:
@@ -278,37 +288,3 @@ def core_topics(sets: Sequence[TopicSet]) -> TopicSet:
     if not core:
         warnings.warn("topic intersection is empty", DiagnosticWarning, stacklevel=2)
     return core
-
-
-def restrict_run(run: Run, topics: TopicSet) -> Run:
-    """Keep only the topics in ``topics``; may yield an empty Run."""
-    kept = {t: ranking for t, ranking in run.rankings.items() if t in topics}
-    return Run(run_tag=run.run_tag, rankings={t: kept[t] for t in sorted(kept)})
-
-
-def restrict_qrels(qrels: Qrels, topics: TopicSet) -> Qrels:
-    kept = {key: grade for key, grade in qrels.judgments.items() if key[0] in topics}
-    return Qrels(judgments=kept)
-
-
-def format_run(run: Run) -> str:
-    """Serialize a Run back to the 6-column format, topics in sorted order,
-    ranks renumbered from 1. Scores use their shortest exact representation
-    so that parse(format(run)) == run."""
-    lines = []
-    for topic in sorted(run.rankings):
-        for rank, (doc, score) in enumerate(run.rankings[topic], start=1):
-            lines.append(f"{topic} Q0 {doc} {rank} {score!r} {run.run_tag}")
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def format_qrels(qrels: Qrels) -> str:
-    lines = [
-        f"{topic} 0 {doc} {grade}"
-        for (topic, doc), grade in sorted(qrels.judgments.items())
-    ]
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def format_topics(topics: TopicSet) -> str:
-    return "\n".join(sorted(topics)) + "\n" if topics else ""

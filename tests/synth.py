@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import random
 
-from persisteval.measures import parse_measure
-from persisteval.persistence import EEPair, PersistenceCell, persistence_cell
+from persisteval.measures import parse_measure, score_run
+from persisteval.persistence import PersistenceCell, persistence_cell
 from persisteval.run_io import Run, parse_qrels
 
 
@@ -32,6 +32,11 @@ def synthetic_environment(seed, tags=("pivot", "sys"), n_topics=8):
     return qrels, runs, frozenset(topics)
 
 
+def score_tags(runs, qrels, measure, topics, label, tags=("sys", "pivot")):
+    """One score vector per tag, in the order of ``tags``."""
+    return tuple(score_run(runs[tag], qrels, measure, topics, label) for tag in tags)
+
+
 def synthetic_cells(
     seed=100,
     systems=("alpha", "beta"),
@@ -51,17 +56,11 @@ def synthetic_cells(
         for target_label in labels[1:]:
             qrels_target, runs_target, _ = environments[target_label]
             for measure_name in measures:
-                cells.append(
-                    persistence_cell(
-                        runs_base[system],
-                        runs_target[system],
-                        runs_base["pivot"],
-                        runs_target["pivot"],
-                        qrels_base,
-                        qrels_target,
-                        parse_measure(measure_name),
-                        topics,
-                        EEPair(base_label, target_label),
-                    )
+                measure = parse_measure(measure_name)
+                tags = (system, "pivot")
+                sys_base, piv_base = score_tags(runs_base, qrels_base, measure, topics, base_label, tags)
+                sys_target, piv_target = score_tags(
+                    runs_target, qrels_target, measure, topics, target_label, tags
                 )
+                cells.append(persistence_cell(sys_base, sys_target, piv_base, piv_target))
     return cells

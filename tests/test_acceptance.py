@@ -23,7 +23,6 @@ import pytest
 from persisteval.corpus_diff import CorpusSnapshot, diff_collections
 from persisteval.measures import bpref, ndcg, p_at_k, parse_measure, score_run
 from persisteval.persistence import (
-    EEPair,
     TopicDeltaVector,
     delta_ri,
     effect_ratio,
@@ -191,10 +190,10 @@ def test_4_self_replication_identity():
         qrels, runs = load_fixture_environment("t1")
         topics = fixture_core_topics()
         for measure_name in ("p@10", "ndcg", "bpref"):
-            cell = persistence_cell(
-                runs["alpha"], runs["alpha"], runs["baseline"], runs["baseline"],
-                qrels, qrels, parse_measure(measure_name), topics, EEPair("t1", "t1"),
-            )
+            measure = parse_measure(measure_name)
+            system = score_run(runs["alpha"], qrels, measure, topics, "t1")
+            pivot = score_run(runs["baseline"], qrels, measure, topics, "t1")
+            cell = persistence_cell(system, system, pivot, pivot)
             assert cell.result_delta == 0.0
             assert cell.delta_ri == 0.0
             assert cell.effect_ratio == 1.0

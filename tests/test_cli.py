@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from persisteval import cli
 from persisteval.cli import EXIT_DATA, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
 FIXTURE = Path(__file__).parent / "fixtures" / "two_ee"
@@ -71,6 +74,25 @@ class TestScoreCommand:
             "score", bad, FIXTURE / "qrels.t1.txt", "--measures", "p@10", "--output", tmp_path
         )
         assert code == EXIT_PARSE
+
+    def test_non_utf8_run_exits_2_with_path(self, tmp_path, capsys):
+        bad = tmp_path / "bad.run"
+        bad.write_bytes(b"q1 Q0 d\xff1 1 1.0 tag\n")
+        code = run_cli(
+            "score", bad, FIXTURE / "qrels.t1.txt", "--measures", "p@10", "--output", tmp_path
+        )
+        assert code == EXIT_PARSE
+        assert f"{bad}:1:" in capsys.readouterr().err
+
+    def test_non_integer_grade_exits_2_with_path(self, tmp_path, capsys):
+        bad = tmp_path / "qrels.txt"
+        bad.write_text("q01 0 d001 1\nq01 0 d002 high\n", encoding="utf-8")
+        code = run_cli(
+            "score", FIXTURE / "runs" / "alpha.t1.run", bad,
+            "--measures", "p@10", "--output", tmp_path,
+        )
+        assert code == EXIT_PARSE
+        assert f"{bad}:2:" in capsys.readouterr().err
 
     def test_empty_topic_list_exits_3(self, tmp_path):
         empty = tmp_path / "topics.txt"
@@ -209,6 +231,84 @@ class TestPersistCommand:
         scatter = (tmp_path / "scatter.csv").read_text().splitlines()[1:]
         assert all(line.endswith("true") for line in scatter)
 
+    def test_scores_each_vector_once(self, tmp_path, monkeypatch):
+        calls = []
+        score_run = cli.score_run
+
+        def recording_score_run(run, qrels, measure, topics, ee_label=""):
+            calls.append((id(run), id(qrels), measure, topics, ee_label))
+            return score_run(run, qrels, measure, topics, ee_label)
+
+        monkeypatch.setattr(cli, "score_run", recording_score_run)
+        code = run_cli(
+            "persist", "--config", FIXTURE / "job.json", "--no-strict-topics",
+            "--series", "pivot-delta", "--output", tmp_path,
+        )
+        assert code == EXIT_OK
+        assert calls
+        assert len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+    def test_bad_er_exclude_exits_1(self, tmp_path, threshold):
+        code = run_cli(
+            "persist", "--config", FIXTURE / "job.json",
+            "--er-exclude", threshold, "--output", tmp_path,
+        )
+        assert code == EXIT_USAGE
+
+    def test_repeated_pair_exits_1_before_scoring(self, tmp_path, monkeypatch, capsys):
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scored before the usage check")
+
+        monkeypatch.setattr(cli, "score_run", no_scoring)
+        code = run_cli(
+            "persist", "--config", FIXTURE / "job.json",
+            "--pairs", "t1:t2,t1:t2", "--output", tmp_path,
+        )
+        assert code == EXIT_USAGE
+        assert "t1-t2" in capsys.readouterr().err
+
+    def test_non_utf8_manifest_exits_2(self, tmp_path, capsys):
+        job = tmp_path / "job.json"
+        job.write_bytes(b'{"pivot": "b\xffase"}')
+        assert run_cli("persist", "--config", job, "--output", tmp_path) == EXIT_PARSE
+        assert str(job) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "manifest", ["[]", '"job"', '{"options": 1}', '{"options": {"er_exclude": 1%s}}' % ("0" * 400)]
+    )
+    def test_malformed_manifest_structure_exits_1(self, tmp_path, manifest):
+        job = tmp_path / "job.json"
+        job.write_text(manifest, encoding="utf-8")
+        assert run_cli("persist", "--config", job, "--output", tmp_path) == EXIT_USAGE
+
+    def test_csv_fields_with_commas_read_back(self, tmp_path):
+        job_dir = tmp_path / "job"
+        shutil.copytree(FIXTURE, job_dir)
+        for run_file in job_dir.glob("runs/alpha.*.run"):
+            lines = run_file.read_text(encoding="utf-8").splitlines()
+            run_file.write_text(
+                "".join(line.rsplit(" ", 1)[0] + " a,b\n" for line in lines), encoding="utf-8"
+            )
+        config = json.loads((job_dir / "job.json").read_text())
+        for run in config["runs"]:
+            if run["tag"] == "alpha":
+                run["tag"] = "a,b"
+        (job_dir / "job.json").write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("persist", "--config", job_dir / "job.json", "--output", out) == EXIT_OK
+
+        def read(name):
+            with (out / name).open(newline="", encoding="utf-8") as handle:
+                return list(csv.reader(handle))
+
+        for name, width in (
+            ("table.csv", 9), ("scatter.csv", 7), ("series/a_b.ndcg.t1-t2.csv", 6)
+        ):
+            rows = read(name)
+            assert all(len(row) == width for row in rows)
+            assert "a,b" in {row[0] for row in rows}
+
 
 class TestCorpusDiffCommand:
     def test_manifest_diff(self, capsys):
@@ -235,6 +335,12 @@ class TestCorpusDiffCommand:
         bad = tmp_path / "bad.tsv"
         bad.write_text("url-without-length\n", encoding="utf-8")
         assert run_cli("corpus-diff", bad, bad) == EXIT_PARSE
+
+    def test_non_utf8_manifest_exits_2_with_path(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"h\xffx\t12\n")
+        assert run_cli("corpus-diff", bad, FIXTURE / "manifest.t1.tsv") == EXIT_PARSE
+        assert f"{bad}:1:" in capsys.readouterr().err
 
     def test_verbose_and_json_output(self, tmp_path, capsys):
         code = run_cli(
@@ -272,6 +378,20 @@ class TestReportCommand:
         bad = tmp_path / "cells.json"
         bad.write_text('{"cells": [{"bogus": 1}], "ee_order": []}', encoding="utf-8")
         assert run_cli("report", bad, "--output", tmp_path) == EXIT_DATA
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+    def test_bad_er_exclude_exits_1(self, tmp_path, threshold):
+        run_cli("persist", "--config", FIXTURE / "job.json", "--output", tmp_path / "persist")
+        code = run_cli(
+            "report", tmp_path / "persist" / "cells.json",
+            "--er-exclude", threshold, "--output", tmp_path / "report",
+        )
+        assert code == EXIT_USAGE
+
+    def test_non_utf8_cells_exits_2(self, tmp_path):
+        bad = tmp_path / "cells.json"
+        bad.write_bytes(b'{"cells": "\xff"}')
+        assert run_cli("report", bad, "--output", tmp_path) == EXIT_PARSE
 
     def test_missing_cells_file_exits_2(self, tmp_path):
         assert run_cli("report", tmp_path / "nope.json", "--output", tmp_path) == EXIT_PARSE

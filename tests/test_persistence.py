@@ -21,7 +21,7 @@ from persisteval.persistence import (
     topic_deltas,
 )
 from oracles import oracle_mean, oracle_pooled_t, oracle_two_sided_p
-from synth import synthetic_environment
+from synth import score_tags, synthetic_environment
 
 
 class TestResultDelta:
@@ -145,11 +145,8 @@ class TestEffectRatio:
 class TestPersistenceCell:
     def test_self_replication_identity(self):
         qrels, runs, topics = synthetic_environment(7)
-        pair = EEPair("E1", "E1")
-        cell = persistence_cell(
-            runs["sys"], runs["sys"], runs["pivot"], runs["pivot"],
-            qrels, qrels, NDCG, topics, pair,
-        )
+        system, pivot = score_tags(runs, qrels, NDCG, topics, "E1")
+        cell = persistence_cell(system, system, pivot, pivot)
         assert cell.result_delta == 0.0
         assert cell.delta_ri == 0.0
         assert cell.effect_ratio == 1.0
@@ -159,12 +156,9 @@ class TestPersistenceCell:
     def test_matches_end_to_end_oracle(self):
         qrels_base, runs_base, topics = synthetic_environment(23)
         qrels_target, runs_target, _ = synthetic_environment(24)
-        pair = EEPair("E1", "E2")
-        cell = persistence_cell(
-            runs_base["sys"], runs_target["sys"],
-            runs_base["pivot"], runs_target["pivot"],
-            qrels_base, qrels_target, P_AT_10, topics, pair,
-        )
+        sys_b, piv_b = score_tags(runs_base, qrels_base, P_AT_10, topics, "E1")
+        sys_t, piv_t = score_tags(runs_target, qrels_target, P_AT_10, topics, "E2")
+        cell = persistence_cell(sys_b, sys_t, piv_b, piv_t)
         # Everything below re-derives the cell with plain loops.
         def oracle_scores(run, qrels):
             from oracles import oracle_p_at_k
@@ -201,17 +195,11 @@ class TestPersistenceCell:
     def test_result_delta_is_pivot_independent(self):
         qrels_base, runs_base, topics = synthetic_environment(31, tags=("pivot", "alt", "sys"))
         qrels_target, runs_target, _ = synthetic_environment(32, tags=("pivot", "alt", "sys"))
-        pair = EEPair("E1", "E2")
-        kwargs = dict(qrels_base=qrels_base, qrels_target=qrels_target,
-                      measure=BPREF, topics=topics, pair=pair)
-        with_pivot = persistence_cell(
-            runs_base["sys"], runs_target["sys"], runs_base["pivot"], runs_target["pivot"],
-            **kwargs,
-        )
-        with_alt = persistence_cell(
-            runs_base["sys"], runs_target["sys"], runs_base["alt"], runs_target["alt"],
-            **kwargs,
-        )
+        tags = ("sys", "pivot", "alt")
+        sys_b, piv_b, alt_b = score_tags(runs_base, qrels_base, BPREF, topics, "E1", tags)
+        sys_t, piv_t, alt_t = score_tags(runs_target, qrels_target, BPREF, topics, "E2", tags)
+        with_pivot = persistence_cell(sys_b, sys_t, piv_b, piv_t)
+        with_alt = persistence_cell(sys_b, sys_t, alt_b, alt_t)
         assert with_pivot.result_delta == with_alt.result_delta
         # The pivot-relative quantities are expected to move with the pivot;
         # no equality is asserted for delta_ri or effect_ratio here.
@@ -219,14 +207,12 @@ class TestPersistenceCell:
     def test_topic_permutation_invariance(self):
         qrels_base, runs_base, topics = synthetic_environment(41)
         qrels_target, runs_target, _ = synthetic_environment(42)
-        pair = EEPair("E1", "E2")
 
         def build(topic_iterable):
-            return persistence_cell(
-                runs_base["sys"], runs_target["sys"],
-                runs_base["pivot"], runs_target["pivot"],
-                qrels_base, qrels_target, NDCG, frozenset(topic_iterable), pair,
-            )
+            topics = frozenset(topic_iterable)
+            sys_b, piv_b = score_tags(runs_base, qrels_base, NDCG, topics, "E1")
+            sys_t, piv_t = score_tags(runs_target, qrels_target, NDCG, topics, "E2")
+            return persistence_cell(sys_b, sys_t, piv_b, piv_t)
 
         ordering = sorted(topics)
         shuffled = list(reversed(ordering))
@@ -234,55 +220,78 @@ class TestPersistenceCell:
 
     def test_self_pivot_rejected(self):
         qrels, runs, topics = synthetic_environment(51)
-        pair = EEPair("E1", "E2")
+        (base,) = score_tags(runs, qrels, NDCG, topics, "E1", ("sys",))
+        (target,) = score_tags(runs, qrels, NDCG, topics, "E2", ("sys",))
         with pytest.raises(DataError):
-            persistence_cell(
-                runs["sys"], runs["sys"], runs["sys"], runs["sys"],
-                qrels, qrels, NDCG, topics, pair,
-            )
+            persistence_cell(base, target, base, target)
 
     def test_self_pivot_allowed_when_requested(self):
         qrels, runs, topics = synthetic_environment(52)
-        pair = EEPair("E1", "E1")
-        cell = persistence_cell(
-            runs["sys"], runs["sys"], runs["sys"], runs["sys"],
-            qrels, qrels, NDCG, topics, pair, allow_self_pivot=True,
-        )
+        (system,) = score_tags(runs, qrels, NDCG, topics, "E1", ("sys",))
+        cell = persistence_cell(system, system, system, system, allow_self_pivot=True)
         # Deltas against itself are all zero, so the effect ratio is undefined.
         assert cell.effect_ratio is None
         assert any("effect_ratio" in flag for flag in cell.undefined_flags)
 
     def test_mismatched_tags_rejected(self):
         qrels, runs, topics = synthetic_environment(53, tags=("pivot", "sys", "other"))
+        sys_b, piv_b = score_tags(runs, qrels, NDCG, topics, "E1")
+        other_t, piv_t = score_tags(runs, qrels, NDCG, topics, "E2", ("other", "pivot"))
         with pytest.raises(DataError):
-            persistence_cell(
-                runs["sys"], runs["other"], runs["pivot"], runs["pivot"],
-                qrels, qrels, NDCG, topics, EEPair("E1", "E2"),
-            )
+            persistence_cell(sys_b, other_t, piv_b, piv_t)
 
     def test_separate_target_topics(self):
         qrels_base, runs_base, topics = synthetic_environment(61, n_topics=8)
         qrels_target, runs_target, _ = synthetic_environment(62, n_topics=8)
         smaller = frozenset(sorted(topics)[:5])
-        cell = persistence_cell(
-            runs_base["sys"], runs_target["sys"],
-            runs_base["pivot"], runs_target["pivot"],
-            qrels_base, qrels_target, P_AT_10, topics, EEPair("E1", "E2"),
-            topics_target=smaller,
-        )
+        sys_b = score_run(runs_base["sys"], qrels_base, P_AT_10, topics, "E1")
+        piv_b = score_run(runs_base["pivot"], qrels_base, P_AT_10, topics, "E1")
+        sys_t = score_run(runs_target["sys"], qrels_target, P_AT_10, smaller, "E2")
+        piv_t = score_run(runs_target["pivot"], qrels_target, P_AT_10, smaller, "E2")
+        cell = persistence_cell(sys_b, sys_t, piv_b, piv_t)
         assert cell.arp_base.n_topics == 8
         assert cell.arp_target.n_topics == 5
+
+    def test_measure_and_pair_come_from_vectors(self):
+        qrels_base, runs_base, topics = synthetic_environment(63)
+        qrels_target, runs_target, _ = synthetic_environment(64)
+        sys_b, piv_b = score_tags(runs_base, qrels_base, BPREF, topics, "E1")
+        sys_t, piv_t = score_tags(runs_target, qrels_target, BPREF, topics, "E2")
+        cell = persistence_cell(sys_b, sys_t, piv_b, piv_t)
+        assert cell.measure == BPREF
+        assert cell.pair == EEPair("E1", "E2")
+
+    def test_system_measure_mismatch_rejected(self):
+        qrels, runs, topics = synthetic_environment(65)
+        sys_b, piv_b = score_tags(runs, qrels, NDCG, topics, "E1")
+        sys_t, piv_t = score_tags(runs, qrels, BPREF, topics, "E2")
+        with pytest.raises(DataError, match="measure mismatch"):
+            persistence_cell(sys_b, sys_t, piv_b, piv_t)
+
+    def test_pivot_environment_mismatch_rejected(self):
+        qrels, runs, topics = synthetic_environment(66)
+        sys_b, _ = score_tags(runs, qrels, NDCG, topics, "E1")
+        sys_t, piv_t = score_tags(runs, qrels, NDCG, topics, "E2")
+        with pytest.raises(DataError, match="environment mismatch"):
+            persistence_cell(sys_b, sys_t, piv_t, piv_t)
+
+    def test_topic_set_mismatch_within_environment_rejected(self):
+        qrels, runs, topics = synthetic_environment(67)
+        fewer = frozenset(sorted(topics)[1:])
+        sys_b = score_run(runs["sys"], qrels, NDCG, topics, "E1")
+        piv_b = score_run(runs["pivot"], qrels, NDCG, fewer, "E1")
+        sys_t, piv_t = score_tags(runs, qrels, NDCG, topics, "E2")
+        with pytest.raises(DataError, match="topic sets differ"):
+            persistence_cell(sys_b, sys_t, piv_b, piv_t)
 
 
 class TestCellSerialization:
     def test_round_trip(self):
         qrels_base, runs_base, topics = synthetic_environment(71)
         qrels_target, runs_target, _ = synthetic_environment(72)
-        cell = persistence_cell(
-            runs_base["sys"], runs_target["sys"],
-            runs_base["pivot"], runs_target["pivot"],
-            qrels_base, qrels_target, BPREF, topics, EEPair("E1", "E2"),
-        )
+        sys_b, piv_b = score_tags(runs_base, qrels_base, BPREF, topics, "E1")
+        sys_t, piv_t = score_tags(runs_target, qrels_target, BPREF, topics, "E2")
+        cell = persistence_cell(sys_b, sys_t, piv_b, piv_t)
         data = cell_to_dict(cell)
         assert cell_from_dict(data) == cell
         assert data["measure"] == "bpref"
@@ -290,10 +299,8 @@ class TestCellSerialization:
 
     def test_undefined_serializes_as_null_with_reason(self):
         qrels, runs, topics = synthetic_environment(73)
-        cell = persistence_cell(
-            runs["sys"], runs["sys"], runs["sys"], runs["sys"],
-            qrels, qrels, NDCG, topics, EEPair("E1", "E1"), allow_self_pivot=True,
-        )
+        (system,) = score_tags(runs, qrels, NDCG, topics, "E1", ("sys",))
+        cell = persistence_cell(system, system, system, system, allow_self_pivot=True)
         data = cell_to_dict(cell)
         assert data["effect_ratio"] is None
         assert any("effect_ratio" in flag for flag in data["undefined_flags"])
@@ -308,11 +315,9 @@ class TestCellSerialization:
 
         qrels_base, runs_base, topics = synthetic_environment(74)
         qrels_target, runs_target, _ = synthetic_environment(75)
-        cell = persistence_cell(
-            runs_base["sys"], runs_target["sys"],
-            runs_base["pivot"], runs_target["pivot"],
-            qrels_base, qrels_target, NDCG, topics, EEPair("E1", "E2"),
-        )
+        sys_b, piv_b = score_tags(runs_base, qrels_base, NDCG, topics, "E1")
+        sys_t, piv_t = score_tags(runs_target, qrels_target, NDCG, topics, "E2")
+        cell = persistence_cell(sys_b, sys_t, piv_b, piv_t)
         degenerate = dataclasses.replace(cell, t_statistic=math.inf, degenerate_t=True)
         first = cell_to_dict(degenerate)
         assert first["t_statistic"] is None

@@ -26,7 +26,7 @@ from persisteval.report import (
 )
 
 from reference_table import ARP, E5_P10_LT_EFFECT_RATIO
-from synth import synthetic_cells, synthetic_environment
+from synth import score_tags, synthetic_cells, synthetic_environment
 
 
 @pytest.fixture(scope="module")
@@ -104,10 +104,8 @@ class TestTableConstruction:
 
     def test_self_replication_row_renders_ideal(self):
         qrels, runs, topics = synthetic_environment(5)
-        cell = persistence_cell(
-            runs["sys"], runs["sys"], runs["pivot"], runs["pivot"],
-            qrels, qrels, P_AT_10, topics, EEPair("t1", "t1"),
-        )
+        system, pivot = score_tags(runs, qrels, P_AT_10, topics, "t1")
+        cell = persistence_cell(system, system, pivot, pivot)
         built = persistence_table([cell])
         row = next(r for r in built.rows if r.system_tag == "sys")
         rendered = row.cells["P@10"]

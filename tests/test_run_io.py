@@ -1,24 +1,29 @@
 from __future__ import annotations
 
+import tempfile
+import warnings
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from persisteval.errors import DataError, DiagnosticWarning, ParseError
+from persisteval.corpus_diff import load_manifest, parse_manifest
+from persisteval.errors import DataError, DiagnosticWarning, EvaluationError, ParseError
 from persisteval.run_io import (
     MAX_DEPTH,
     Run,
     RunRecord,
     core_topics,
-    format_qrels,
-    format_run,
     iter_run_records,
+    load_qrels,
+    load_run,
+    load_topics,
     parse_qrels,
     parse_run,
     parse_topics,
-    restrict_qrels,
-    restrict_run,
 )
+from trec_format import format_qrels, format_run
 
 tokens = st.text(alphabet="abcdefghij0123456789", min_size=1, max_size=6)
 scores = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -119,8 +124,9 @@ class TestParseQrels:
             parse_qrels("q1 0 d7 -1")
 
     def test_non_integer_grade(self):
-        with pytest.raises(DataError):
-            parse_qrels("q1 0 d7 x")
+        with pytest.raises(ParseError) as excinfo:
+            parse_qrels("q1 0 d7 1\nq1 0 d8 x", path="q.txt")
+        assert excinfo.value.line == 2 and excinfo.value.path == "q.txt"
 
     def test_conflicting_duplicate(self):
         with pytest.raises(DataError):
@@ -169,32 +175,10 @@ class TestCoreTopics:
     @given(st.lists(st.frozensets(tokens, max_size=6), min_size=1, max_size=5))
     def test_commutative_and_associative(self, sets):
         expected = frozenset(sets[0]).intersection(*sets[1:]) if len(sets) > 1 else sets[0]
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DiagnosticWarning)
             assert core_topics(sets) == expected
             assert core_topics(list(reversed(sets))) == expected
-
-
-class TestRestrict:
-    def test_run_restriction(self):
-        run = parse_run("q1 Q0 d1 1 1.0 A\nq2 Q0 d2 1 1.0 A")
-        restricted = restrict_run(run, frozenset({"q2", "q3"}))
-        assert restricted.topics == {"q2"}
-        assert restricted.run_tag == "A"
-
-    def test_restrict_to_nothing(self):
-        run = parse_run("q1 Q0 d1 1 1.0 A")
-        assert restrict_run(run, frozenset()).rankings == {}
-
-    def test_qrels_restriction(self):
-        qrels = parse_qrels("q1 0 d1 1\nq2 0 d2 2")
-        assert restrict_qrels(qrels, frozenset({"q2"})).judgments == {("q2", "d2"): 2}
-
-    @given(runs_strategy(), st.frozensets(tokens, max_size=6), st.frozensets(tokens, max_size=6))
-    def test_composition(self, run, t1, t2):
-        assert restrict_run(restrict_run(run, t1), t2) == restrict_run(run, t1 & t2)
 
 
 class TestRoundTrip:
@@ -210,3 +194,38 @@ class TestRoundTrip:
     def test_qrels_round_trip(self):
         qrels = parse_qrels("q2 0 d1 1\nq1 0 d2 0\nq1 0 d3 2")
         assert parse_qrels(format_qrels(qrels)) == qrels
+
+
+class TestInputBoundary:
+    """Every input gives a value or an EvaluationError, never another
+    exception (and so never a traceback from the command line)."""
+
+    @given(st.text(max_size=200))
+    def test_parsers_on_arbitrary_text(self, text):
+        for parse in (parse_run, parse_qrels, parse_topics, lambda t: parse_manifest(t, "m")):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DiagnosticWarning)
+                    parse(text)
+            except EvaluationError:
+                pass
+
+    @given(st.binary(max_size=200))
+    def test_loaders_on_arbitrary_bytes(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.txt"
+            path.write_bytes(data)
+            for load in (load_run, load_qrels, load_topics, load_manifest):
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", DiagnosticWarning)
+                        load(path)
+                except EvaluationError:
+                    pass
+
+    def test_non_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.run"
+        path.write_bytes(b"q1 Q0 d1 1 1.0 tag\nq1 Q0 d\xff2 2 0.5 tag\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_run(path)
+        assert excinfo.value.path == str(path) and excinfo.value.line == 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -176,3 +177,19 @@ class TestTTest:
             oracle_two_sided_p(result.t_statistic, result.degrees_of_freedom), abs=1e-8
         )
         assert two_sided_p(result.t_statistic, result.degrees_of_freedom) == result.p_value
+
+
+class TestScipyOracle:
+    """scipy is a test-only oracle; the package itself never imports it."""
+
+    @pytest.mark.parametrize("variant, equal_var", [("student_pooled", True), ("welch", False)])
+    def test_matches_ttest_ind(self, variant, equal_var):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = random.Random(20200725)
+        for _ in range(300):
+            a = [rng.random() for _ in range(rng.randint(2, 40))]
+            b = [rng.random() * rng.choice([0.5, 1.0, 2.0]) for _ in range(rng.randint(2, 40))]
+            ours = t_test_unpaired(a, b, variant)
+            reference = scipy_stats.ttest_ind(a, b, equal_var=equal_var)
+            assert ours.t_statistic == pytest.approx(float(reference.statistic), rel=1e-9, abs=1e-12)
+            assert abs(ours.p_value - float(reference.pvalue)) <= 1e-10
