@@ -51,10 +51,8 @@ from .report import (
 from .run_io import (
     Qrels,
     Run,
-    RunRecord,
     TopicSet,
     core_topics,
-    iter_run_records,
     parse_qrels,
     parse_run,
     parse_topics,
@@ -77,7 +75,6 @@ __all__ = [
     "PersistenceTable",
     "Qrels",
     "Run",
-    "RunRecord",
     "ScatterPoint",
     "TTestResult",
     "TopicDeltaSeries",
@@ -92,7 +89,6 @@ __all__ = [
     "diff_collections",
     "effect_ratio",
     "er_dri_points",
-    "iter_run_records",
     "ndcg",
     "p_at_k",
     "parse_measure",

@@ -197,7 +197,7 @@ def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
     try:
         raw = json.loads(read_input(path))
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", path=str(path)) from exc
+        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno, path=str(path)) from exc
     base_dir = path.parent
 
     def _resolve(p: str) -> Path:
@@ -285,8 +285,6 @@ def cmd_score(args: argparse.Namespace) -> int:
         topics = load_topics(Path(args.topics))
     else:
         topics = run.topics | qrels.topics
-    if not topics:
-        raise DataError("no topics to score (empty run and qrels)")
     out_dir = _default_output(Path(args.output) if args.output else None)
     written: list[str] = []
     arp_payload: dict[str, dict] = {}
@@ -329,10 +327,7 @@ def _load_environments(config: JobConfig) -> dict[str, _Environment]:
         if env.spec.topics_path is not None:
             env.topics = load_topics(env.spec.topics_path)
         else:
-            inferred: TopicSet = env.qrels.topics
-            for run in env.runs.values():
-                inferred |= run.topics
-            env.topics = inferred
+            env.topics = env.qrels.topics.union(*(run.topics for run in env.runs.values()))
     return environments
 
 
@@ -452,7 +447,7 @@ def cmd_corpus_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    table = table_from_json(read_input(Path(args.cells)))
+    table = table_from_json(read_input(args.cells), path=args.cells)
     threshold = DEFAULT_ER_EXCLUSION if args.er_exclude is None else args.er_exclude
     points = er_dri_points(table.cells, _check_er_exclude(threshold))
     out_dir = _default_output(Path(args.output) if args.output else None)
@@ -541,10 +536,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        except DataError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        except EvaluationError as exc:
+        except EvaluationError as exc:  # DataError and any other data fault
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
 

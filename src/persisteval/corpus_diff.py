@@ -80,9 +80,9 @@ def parse_manifest(text: str | Iterable[str], label: str, *, path: str | None = 
         except ValueError:
             raise ParseError(f"non-integer length {length_text!r}", line=number, path=path) from None
         if length < 0:
-            raise DataError(f"negative length {length} for url {url!r} (line {number})")
+            raise DataError(f"negative length {length} for url {url!r}", line=number, path=path)
         if url in docs:
-            raise DataError(f"duplicate url {url!r} (line {number})")
+            raise DataError(f"duplicate url {url!r}", line=number, path=path)
         docs[url] = length
     return CorpusSnapshot(label=label, docs=docs)
 

@@ -9,11 +9,8 @@ from __future__ import annotations
 
 
 class EvaluationError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class ParseError(EvaluationError):
-    """A malformed input file or line (wrong field count, bad number, ...)."""
+    """Base class for all toolkit errors. An error about a file names its
+    path and line in a ``path:line:`` prefix of the message."""
 
     def __init__(self, message: str, *, line: int | None = None, path: str | None = None):
         self.line = line
@@ -24,6 +21,10 @@ class ParseError(EvaluationError):
         if line is not None:
             prefix += f"{line}:"
         super().__init__(f"{prefix} {message}" if prefix else message)
+
+
+class ParseError(EvaluationError):
+    """A malformed input file or line (wrong field count, bad number, ...)."""
 
 
 class DataError(EvaluationError):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -372,16 +373,16 @@ def table_to_json(table: PersistenceTable) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def table_from_json(text: str) -> PersistenceTable:
+def table_from_json(text: str, *, path: str | None = None) -> PersistenceTable:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno, path=path) from exc
     try:
         cells = [cell_from_dict(entry) for entry in payload["cells"]]
         ee_order = [str(label) for label in payload["ee_order"]]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"malformed table JSON: {exc}") from exc
+    except (KeyError, TypeError, DataError) as exc:
+        raise DataError(f"malformed table JSON: {exc}", path=path) from exc
     return persistence_table(cells, ee_order)
 
 
@@ -391,8 +392,10 @@ def er_dri_points(
 ) -> tuple[ScatterPoint, ...]:
     """One scatter point per cell; outliers with |ER| above the threshold
     (or undefined coordinates) are flagged excluded rather than dropped."""
-    if exclusion_threshold <= 0:
-        raise DataError(f"exclusion threshold must be positive, got {exclusion_threshold}")
+    if not (math.isfinite(exclusion_threshold) and exclusion_threshold > 0):
+        raise DataError(
+            f"exclusion threshold must be positive and finite, got {exclusion_threshold}"
+        )
     points = []
     for cell in sorted(cells, key=_cell_sort_key):
         x, y = cell.effect_ratio, cell.delta_ri

@@ -10,11 +10,12 @@ Three line-oriented file formats are handled:
   with ``#`` are ignored.
 
 Parsed values are immutable after construction and safe to share across
-threads. Rankings are always held in canonical order: score descending,
-then doc id descending. The rank column of a run file is validated but
-otherwise ignored, so scores are reproducible regardless of input line
-order. Per-topic rankings deeper than MAX_DEPTH documents are truncated
-with a warning.
+threads. A run holds each topic's ranked doc ids in canonical order: score
+descending, then doc id descending. Scores only set that order and are not
+kept; the rank column of a run file is validated but otherwise ignored, so
+scores are reproducible regardless of input line order. Per-topic rankings
+deeper than MAX_DEPTH documents are truncated with a warning. Qrels hold one
+map, topic -> doc -> grade.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, DiagnosticWarning, ParseError
 
@@ -34,17 +35,6 @@ MAX_DEPTH = 1000
 GRADES = (0, 1, 2)
 
 TopicSet = frozenset[str]
-
-
-class RunRecord(NamedTuple):
-    """One line of a run file. ``iteration`` is carried along but unused."""
-
-    topic_id: str
-    iteration: str
-    doc_id: str
-    rank: int
-    score: float
-    run_tag: str
 
 
 def _iter_lines(text: str | Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -57,38 +47,34 @@ def _iter_lines(text: str | Iterable[str]) -> Iterator[tuple[int, str]]:
             yield number, line
 
 
-def canonical_order(items: Iterable[tuple[str, float]]) -> tuple[tuple[str, float], ...]:
-    """Sort (doc_id, score) pairs by score descending, doc_id descending."""
-    return tuple(sorted(items, key=lambda pair: (pair[1], pair[0]), reverse=True))
-
-
 @dataclass(frozen=True)
 class Run:
-    """A system's ranked output: per-topic (doc_id, score) lists in
-    canonical order, keyed by topic and identified by a run tag."""
+    """A system's ranked output: per-topic doc ids in canonical order, keyed
+    by topic and identified by a run tag."""
 
     run_tag: str
-    rankings: Mapping[str, tuple[tuple[str, float], ...]]
+    rankings: Mapping[str, tuple[str, ...]]
 
     @classmethod
     def from_rankings(
         cls, run_tag: str, rankings: Mapping[str, Iterable[tuple[str, float]]]
     ) -> "Run":
-        """Build a Run, sorting every topic into canonical order and storing
-        topics in sorted order for deterministic emission."""
-        ordered: dict[str, tuple[tuple[str, float], ...]] = {}
+        """Build a Run from (doc_id, score) pairs: sort every topic by score
+        descending, then doc id descending, and keep the doc ids. Topics are
+        stored in sorted order for deterministic emission."""
+        ordered: dict[str, tuple[str, ...]] = {}
         truncated = 0
         for topic in sorted(rankings):
-            ranking = canonical_order(rankings[topic])
-            if not ranking:
+            pairs = sorted(rankings[topic], key=itemgetter(1, 0), reverse=True)
+            if not pairs:
                 raise DataError(f"run {run_tag!r}: topic {topic!r} has an empty ranking")
-            docs = [doc for doc, _ in ranking]
+            docs = tuple(doc for doc, _ in pairs)
             if len(set(docs)) != len(docs):
                 raise DataError(f"run {run_tag!r}: duplicate document in topic {topic!r}")
-            if len(ranking) > MAX_DEPTH:
-                ranking = ranking[:MAX_DEPTH]
+            if len(docs) > MAX_DEPTH:
+                docs = docs[:MAX_DEPTH]
                 truncated += 1
-            ordered[topic] = ranking
+            ordered[topic] = docs
         if truncated:
             warnings.warn(
                 f"run {run_tag!r}: {truncated} topic(s) deeper than {MAX_DEPTH} "
@@ -104,57 +90,22 @@ class Run:
 
     def docs(self, topic_id: str) -> tuple[str, ...]:
         """Ranked doc ids for one topic; empty for an absent topic."""
-        return tuple(doc for doc, _ in self.rankings.get(topic_id, ()))
+        return self.rankings.get(topic_id, ())
 
 
 @dataclass(frozen=True)
 class Qrels:
-    """Graded relevance judgments keyed by (topic_id, doc_id)."""
+    """Graded relevance judgments: topic_id -> doc_id -> grade."""
 
-    judgments: Mapping[tuple[str, str], int]
-
-    @cached_property
-    def by_topic(self) -> dict[str, dict[str, int]]:
-        grouped: dict[str, dict[str, int]] = {}
-        for (topic, doc), grade in self.judgments.items():
-            grouped.setdefault(topic, {})[doc] = grade
-        return grouped
+    judgments: Mapping[str, Mapping[str, int]]
 
     @property
     def topics(self) -> TopicSet:
-        return frozenset(topic for topic, _ in self.judgments)
+        return frozenset(self.judgments)
 
-    def for_topic(self, topic_id: str) -> dict[str, int]:
+    def for_topic(self, topic_id: str) -> Mapping[str, int]:
         """doc_id -> grade for one topic; empty for an unjudged topic."""
-        return self.by_topic.get(topic_id, {})
-
-
-def iter_run_records(
-    text: str | Iterable[str], *, path: str | None = None
-) -> Iterator[RunRecord]:
-    """Yield one validated RunRecord per non-blank line of a run file."""
-    for number, line in _iter_lines(text):
-        fields = line.split()
-        if len(fields) != 6:
-            raise ParseError(
-                f"expected 6 fields (topic iteration doc rank score tag), got {len(fields)}",
-                line=number,
-                path=path,
-            )
-        topic, iteration, doc, rank_text, score_text, tag = fields
-        try:
-            rank = int(rank_text)
-        except ValueError:
-            raise ParseError(f"non-integer rank {rank_text!r}", line=number, path=path) from None
-        if rank < 1:
-            raise ParseError(f"rank must be >= 1, got {rank}", line=number, path=path)
-        try:
-            score = float(score_text)
-        except ValueError:
-            raise ParseError(f"non-numeric score {score_text!r}", line=number, path=path) from None
-        if not math.isfinite(score):
-            raise ParseError(f"non-finite score {score_text!r}", line=number, path=path)
-        yield RunRecord(topic, iteration, doc, rank, score, tag)
+        return self.judgments.get(topic_id, {})
 
 
 def parse_run(
@@ -171,21 +122,48 @@ def parse_run(
     """
     per_topic: dict[str, dict[str, float]] = {}
     tag: str | None = None
-    for record in iter_run_records(text, path=path):
-        if tag is None:
-            tag = record.run_tag
-        elif record.run_tag != tag:
-            raise DataError(f"conflicting run tags {tag!r} and {record.run_tag!r}")
-        docs = per_topic.setdefault(record.topic_id, {})
-        if record.doc_id in docs:
-            raise DataError(
-                f"duplicate document {record.doc_id!r} for topic {record.topic_id!r}"
+    tag_line = 0
+    for number, line in _iter_lines(text):
+        fields = line.split()
+        if len(fields) != 6:
+            raise ParseError(
+                f"expected 6 fields (topic iteration doc rank score tag), got {len(fields)}",
+                line=number,
+                path=path,
             )
-        docs[record.doc_id] = record.score
+        topic, _iteration, doc, rank_text, score_text, line_tag = fields
+        try:
+            rank = int(rank_text)
+        except ValueError:
+            raise ParseError(f"non-integer rank {rank_text!r}", line=number, path=path) from None
+        if rank < 1:
+            raise ParseError(f"rank must be >= 1, got {rank}", line=number, path=path)
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise ParseError(f"non-numeric score {score_text!r}", line=number, path=path) from None
+        if not math.isfinite(score):
+            raise ParseError(f"non-finite score {score_text!r}", line=number, path=path)
+        if tag is None:
+            tag, tag_line = line_tag, number
+        elif line_tag != tag:
+            raise DataError(
+                f"conflicting run tags {tag!r} and {line_tag!r}", line=number, path=path
+            )
+        docs = per_topic.setdefault(topic, {})
+        if doc in docs:
+            raise DataError(
+                f"duplicate document {doc!r} for topic {topic!r}", line=number, path=path
+            )
+        docs[doc] = score
     if tag is None:
-        raise DataError("run file contains no records" + (f" ({path})" if path else ""))
+        raise DataError("run file contains no records", path=path)
     if expected_tag is not None and tag != expected_tag:
-        raise DataError(f"run tag {tag!r} does not match expected tag {expected_tag!r}")
+        raise DataError(
+            f"run tag {tag!r} does not match expected tag {expected_tag!r}",
+            line=tag_line,
+            path=path,
+        )
     return Run.from_rankings(tag, {t: docs.items() for t, docs in per_topic.items()})
 
 
@@ -193,7 +171,7 @@ def parse_qrels(text: str | Iterable[str], *, path: str | None = None) -> Qrels:
     """Parse a TREC qrels file. Grades outside {0, 1, 2} are rejected;
     duplicate (topic, doc) lines are rejected unless the grades agree, in
     which case the duplicate is accepted with a warning."""
-    judgments: dict[tuple[str, str], int] = {}
+    judgments: dict[str, dict[str, int]] = {}
     duplicates = 0
     for number, line in _iter_lines(text):
         fields = line.split()
@@ -212,18 +190,17 @@ def parse_qrels(text: str | Iterable[str], *, path: str | None = None) -> Qrels:
             ) from None
         if grade not in GRADES:
             raise DataError(
-                f"relevance grade {grade} out of range {set(GRADES)} (line {number})"
+                f"relevance grade {grade} out of range {set(GRADES)}", line=number, path=path
             )
-        key = (topic, doc)
-        if key in judgments:
-            if judgments[key] != grade:
-                raise DataError(
-                    f"conflicting grades for topic {topic!r} doc {doc!r}: "
-                    f"{judgments[key]} vs {grade} (line {number})"
-                )
-            duplicates += 1
-            continue
-        judgments[key] = grade
+        grades = judgments.setdefault(topic, {})
+        if grades.get(doc, grade) != grade:
+            raise DataError(
+                f"conflicting grades for topic {topic!r} doc {doc!r}: {grades[doc]} vs {grade}",
+                line=number,
+                path=path,
+            )
+        duplicates += doc in grades
+        grades[doc] = grade
     if duplicates:
         warnings.warn(
             f"{duplicates} duplicate judgment line(s) with matching grades were ignored",

@@ -374,10 +374,11 @@ class TestReportCommand:
         for name in ("table.txt", "table.csv", "scatter.csv"):
             assert (second / name).read_bytes() == (first / name).read_bytes()
 
-    def test_malformed_cells_exits_3(self, tmp_path):
+    def test_malformed_cells_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "cells.json"
         bad.write_text('{"cells": [{"bogus": 1}], "ee_order": []}', encoding="utf-8")
         assert run_cli("report", bad, "--output", tmp_path) == EXIT_DATA
+        assert f"error: {bad}: malformed table JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
     def test_bad_er_exclude_exits_1(self, tmp_path, threshold):
@@ -396,10 +397,69 @@ class TestReportCommand:
     def test_missing_cells_file_exits_2(self, tmp_path):
         assert run_cli("report", tmp_path / "nope.json", "--output", tmp_path) == EXIT_PARSE
 
-    def test_invalid_json_exits_2(self, tmp_path):
+    def test_invalid_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "cells.json"
-        bad.write_text("{not json", encoding="utf-8")
+        bad.write_text('{"cells": [],\n not json', encoding="utf-8")
         assert run_cli("report", bad, "--output", tmp_path) == EXIT_PARSE
+        assert f"error: {bad}:2: invalid JSON" in capsys.readouterr().err
+
+
+def copy_fixture_with_edit(tmp_path: Path, name: str, edit) -> tuple[Path, Path]:
+    """Copy the two_ee fixture and rewrite its file ``name`` as ``edit`` of
+    that file's lines; return the copied job manifest and the edited file."""
+    root = tmp_path / "two_ee"
+    shutil.copytree(FIXTURE, root)
+    path = root / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    return root / "job.json", path
+
+
+class TestDataErrorsNamePathAndLine:
+    """A data mismatch inside one input file names that file and line."""
+
+    @pytest.mark.parametrize(
+        "name, edit, line, message",
+        [
+            ("runs/alpha.t1.run", lambda ls: ls + ls[:1], 133, "duplicate document 'd006'"),
+            (
+                "runs/alpha.t1.run",
+                lambda ls: ls + ["q01 Q0 d999 133 0.1 other"],
+                133,
+                "conflicting run tags 'alpha' and 'other'",
+            ),
+            (
+                "runs/alpha.t1.run",
+                lambda ls: [line.replace(" alpha", " other") for line in ls],
+                1,
+                "run tag 'other' does not match expected tag 'alpha'",
+            ),
+            ("qrels.t1.txt", lambda ls: ls + ["q01 0 d999 3"], 78, "grade 3 out of range"),
+            ("qrels.t1.txt", lambda ls: ls + ["q01 0 d006 2"], 78, "conflicting grades"),
+        ],
+        ids=["duplicate-doc", "conflicting-tags", "expected-tag", "grade-range", "conflicting-grades"],
+    )
+    def test_persist_exits_3(self, tmp_path, capsys, name, edit, line, message):
+        job, path = copy_fixture_with_edit(tmp_path, name, edit)
+        code = run_cli("persist", "--config", job, "--output", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert f"error: {path}:{line}: " in err and message in err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("https://example.test/page001\t5", "duplicate url"),
+            ("https://example.test/new\t-1", "negative length -1"),
+        ],
+        ids=["duplicate-url", "negative-length"],
+    )
+    def test_corpus_diff_exits_3(self, tmp_path, capsys, row, message):
+        _, path = copy_fixture_with_edit(tmp_path, "manifest.t1.tsv", lambda ls: ls + [row])
+        code = run_cli("corpus-diff", path, FIXTURE / "manifest.t2.tsv")
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert f"error: {path}:25: " in err and message in err
 
 
 class TestUsage:

@@ -195,9 +195,10 @@ class TestScatter:
     def test_empty_input(self):
         assert er_dri_points([]) == ()
 
-    def test_threshold_validation(self, cells):
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
+    def test_threshold_validation(self, cells, threshold):
         with pytest.raises(DataError):
-            er_dri_points(cells, exclusion_threshold=0.0)
+            er_dri_points(cells, exclusion_threshold=threshold)
 
     def test_csv_shape(self, cells):
         text = scatter_csv(er_dri_points(cells))

@@ -13,9 +13,7 @@ from persisteval.errors import DataError, DiagnosticWarning, EvaluationError, Pa
 from persisteval.run_io import (
     MAX_DEPTH,
     Run,
-    RunRecord,
     core_topics,
-    iter_run_records,
     load_qrels,
     load_run,
     load_topics,
@@ -45,11 +43,11 @@ class TestParseRun:
     def test_single_line(self):
         run = parse_run("q1 Q0 d7 1 14.89 BM25")
         assert run.run_tag == "BM25"
-        assert run.rankings == {"q1": (("d7", 14.89),)}
+        assert run.rankings == {"q1": ("d7",)}
 
     def test_resorts_by_score_despite_stated_ranks(self):
         run = parse_run("q1 Q0 d7 1 1.0 A\nq1 Q0 d9 2 5.0 A")
-        assert run.rankings["q1"] == (("d9", 5.0), ("d7", 1.0))
+        assert run.rankings["q1"] == ("d9", "d7")
 
     def test_tie_breaks_by_doc_id_descending(self):
         run = parse_run("q1 Q0 da 1 2.0 A\nq1 Q0 dc 2 2.0 A\nq1 Q0 db 3 2.0 A")
@@ -102,18 +100,11 @@ class TestParseRun:
             run = parse_run(lines)
         assert len(run.rankings["q1"]) == MAX_DEPTH
 
-    def test_record_iteration_preserves_file_order(self):
-        records = list(iter_run_records("q1 Q0 d7 1 1.0 A\nq1 Q0 d9 2 5.0 A"))
-        assert records == [
-            RunRecord("q1", "Q0", "d7", 1, 1.0, "A"),
-            RunRecord("q1", "Q0", "d9", 2, 5.0, "A"),
-        ]
-
 
 class TestParseQrels:
     def test_basic(self):
         qrels = parse_qrels("q1 0 d7 2")
-        assert qrels.judgments == {("q1", "d7"): 2}
+        assert qrels.judgments == {"q1": {"d7": 2}}
 
     def test_grade_out_of_range(self):
         with pytest.raises(DataError):
@@ -135,7 +126,7 @@ class TestParseQrels:
     def test_equal_duplicate_accepted_with_warning(self):
         with pytest.warns(DiagnosticWarning):
             qrels = parse_qrels("q1 0 d7 1\nq1 0 d7 1")
-        assert qrels.judgments == {("q1", "d7"): 1}
+        assert qrels.judgments == {"q1": {"d7": 1}}
 
     def test_wrong_field_count(self):
         with pytest.raises(ParseError):
@@ -179,6 +170,49 @@ class TestCoreTopics:
             warnings.simplefilter("ignore", DiagnosticWarning)
             assert core_topics(sets) == expected
             assert core_topics(list(reversed(sets))) == expected
+
+
+class TestCanonicalOrderOracle:
+    """The stored rankings and judgments against maps built here from the
+    lines themselves."""
+
+    @given(st.data())
+    def test_run_rankings(self, data):
+        rnd = data.draw(st.randoms(use_true_random=False))
+        topics = data.draw(st.lists(tokens, min_size=1, max_size=3, unique=True))
+        pairs: dict[str, list[tuple[str, float]]] = {}
+        for topic in topics:
+            depth = data.draw(st.one_of(st.integers(1, 20), st.just(MAX_DEPTH + 7)))
+            docs = [f"d{i}" for i in rnd.sample(range(5 * MAX_DEPTH), depth)]
+            # Few distinct scores, so most documents tie on score.
+            pairs[topic] = [(doc, rnd.choice((-2.5, 0.0, 0.125, 1.0))) for doc in docs]
+        rows = [(topic, doc, score) for topic in topics for doc, score in pairs[topic]]
+        rnd.shuffle(rows)
+        text = "\n".join(
+            f"{topic} Q0 {doc} {rank} {score!r} T"
+            for rank, (topic, doc, score) in enumerate(rows, start=1)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DiagnosticWarning)
+            run = parse_run(text)
+        assert set(run.rankings) == set(topics)
+        for topic in topics:
+            ranked = sorted(pairs[topic], key=lambda p: (p[1], p[0]), reverse=True)[:MAX_DEPTH]
+            assert run.rankings[topic] == tuple(doc for doc, _ in ranked)
+
+    @given(st.lists(st.tuples(tokens, tokens, st.sampled_from((0, 1, 2))), max_size=30))
+    def test_qrels_judgments(self, rows):
+        # Repeat each (topic, doc)'s first grade, so no two lines conflict.
+        first: dict[tuple[str, str], int] = {}
+        for topic, doc, grade in rows:
+            first.setdefault((topic, doc), grade)
+        expected: dict[str, dict[str, int]] = {}
+        for (topic, doc), grade in first.items():
+            expected.setdefault(topic, {})[doc] = grade
+        text = "\n".join(f"{topic} 0 {doc} {first[topic, doc]}" for topic, doc, _ in rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DiagnosticWarning)
+            assert parse_qrels(text).judgments == expected
 
 
 class TestRoundTrip:

@@ -7,18 +7,21 @@ from persisteval.run_io import Qrels, Run
 
 def format_run(run: Run) -> str:
     """Serialize a Run back to the 6-column format, topics in sorted order,
-    ranks renumbered from 1. Scores use their shortest exact representation
-    so that parse(format(run)) == run."""
+    ranks renumbered from 1. A Run keeps no scores, so each line gets a
+    score derived from its rank, strictly descending within a topic; the
+    canonical order is then the stored one and parse(format(run)) == run."""
     lines = []
     for topic in sorted(run.rankings):
-        for rank, (doc, score) in enumerate(run.rankings[topic], start=1):
-            lines.append(f"{topic} Q0 {doc} {rank} {score!r} {run.run_tag}")
+        docs = run.rankings[topic]
+        for rank, doc in enumerate(docs, start=1):
+            lines.append(f"{topic} Q0 {doc} {rank} {len(docs) - rank + 1} {run.run_tag}")
     return "\n".join(lines) + "\n" if lines else ""
 
 
 def format_qrels(qrels: Qrels) -> str:
     lines = [
         f"{topic} 0 {doc} {grade}"
-        for (topic, doc), grade in sorted(qrels.judgments.items())
+        for topic, grades in sorted(qrels.judgments.items())
+        for doc, grade in sorted(grades.items())
     ]
     return "\n".join(lines) + "\n" if lines else ""
