@@ -32,7 +32,6 @@ from .measures import (
 from .persistence import (
     EEPair,
     PersistenceCell,
-    TopicDeltaVector,
     delta_ri,
     effect_ratio,
     persistence_cell,
@@ -78,7 +77,6 @@ __all__ = [
     "ScatterPoint",
     "TTestResult",
     "TopicDeltaSeries",
-    "TopicDeltaVector",
     "TopicScoreVector",
     "TopicSet",
     "UsageError",

@@ -46,7 +46,7 @@ from .measures import (
     score_run,
     scores_to_json,
 )
-from .persistence import EEPair, PersistenceCell, persistence_cell, topic_deltas
+from .persistence import EEPair, PersistenceCell, persistence_cell
 from .report import (
     DEFAULT_ER_EXCLUSION,
     er_dri_points,
@@ -139,9 +139,26 @@ class JobConfig:
             raise UsageError("manifest declares no environment pairs")
         if not self.measures:
             raise UsageError("manifest declares no measures")
+        for index, measure in enumerate(self.measures):
+            if measure in self.measures[:index]:
+                raise UsageError(f"measure {measure.name} is declared twice")
         tags = {run.tag for run in self.runs}
         if self.pivot not in tags:
             raise UsageError(f"pivot {self.pivot!r} is not a declared run tag")
+        series_owners: dict[str, str] = {}
+        for system in sorted(tags - {self.pivot}):
+            for measure in self.measures:
+                for pair in self.pairs:
+                    name = _series_name(system, measure, pair)
+                    owner = (
+                        f"system {system!r}, {measure.name}, "
+                        f"pair {pair.base_label!r} -> {pair.target_label!r}"
+                    )
+                    if name in series_owners:
+                        raise UsageError(
+                            f"series/{name} would hold both {series_owners[name]} and {owner}"
+                        )
+                    series_owners[name] = owner
         if self.t_variant not in VARIANTS:
             raise UsageError(f"unknown t-test variant {self.t_variant!r}")
         if self.series_mode not in ("raw", "pivot-delta"):
@@ -192,6 +209,12 @@ def _parse_pair_list(text: str) -> list[EEPair]:
     return pairs
 
 
+def _manifest_pair(entry) -> EEPair:
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise ValueError(f"a pair must be a [base, target] list, got {entry!r}")
+    return EEPair(str(entry[0]), str(entry[1]))
+
+
 def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
     """Read the JSON manifest and apply command-line overrides."""
     try:
@@ -223,16 +246,19 @@ def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
         ]
         options = raw.get("options", {})
         t_test_raw = str(options.get("t_test", "student"))
+        strict_topics = options.get("strict_topics", True)
+        if not isinstance(strict_topics, bool):
+            raise ValueError(f"strict_topics must be true or false, got {strict_topics!r}")
         config = JobConfig(
             environments=environments,
             runs=runs,
             pivot=str(raw.get("pivot", "")),
             measures=[parse_measure(str(m)) for m in raw.get("measures", [])],
-            pairs=[EEPair(str(p[0]), str(p[1])) for p in raw.get("pairs", [])],
+            pairs=[_manifest_pair(p) for p in raw.get("pairs", [])],
             output=_resolve(str(raw["output"])) if raw.get("output") else None,
             t_variant=_T_TEST_NAMES.get(t_test_raw, t_test_raw),
             er_exclude=float(options.get("er_exclude", DEFAULT_ER_EXCLUSION)),
-            strict_topics=bool(options.get("strict_topics", True)),
+            strict_topics=strict_topics,
             series_mode=str(options.get("series", "raw")),
         )
     except (
@@ -262,6 +288,22 @@ def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
 
 def _safe_name(token: str) -> str:
     return re.sub(r"[^A-Za-z0-9._@-]", "_", token)
+
+
+def _series_name(system: str, measure: MeasureId, pair: EEPair) -> str:
+    """File name, under ``series/``, of one system's series for one measure
+    and pair."""
+    base, target = _safe_name(pair.base_label), _safe_name(pair.target_label)
+    return f"{_safe_name(system)}.{measure.key}.{base}-{target}.csv"
+
+
+def _restrict(vector: TopicScoreVector, topics: TopicSet) -> TopicScoreVector:
+    """The vector's scores on ``topics`` alone, or the vector itself when it
+    holds just those. A topic's score does not depend on the topic set."""
+    if vector.topics == topics:
+        return vector
+    scores = {t: vector.scores[t] for t in sorted(topics)}
+    return TopicScoreVector(vector.measure, vector.run_tag, vector.ee_label, scores)
 
 
 def _default_output(explicit: Path | None) -> Path:
@@ -345,18 +387,18 @@ def cmd_persist(args: argparse.Namespace) -> int:
     )
     cells: list[PersistenceCell] = []
     series_blobs: list[tuple[str, str]] = []
-    # Each (tag, environment, measure, topic set) is scored once. The
-    # pivot's vectors serve every system; a system's are dropped after it.
+    # Each (tag, environment, measure) is scored once, on the core topics
+    # or, when not strict, on the environment's own topics. The pivot's
+    # vectors serve every system; a system's are dropped after it.
     pivot_vectors: dict[tuple, TopicScoreVector] = {}
     for system in system_tags:
         system_vectors: dict[tuple, TopicScoreVector] = {}
 
-        def vector(
-            tag: str, env: _Environment, measure: MeasureId, topics: TopicSet
-        ) -> TopicScoreVector:
+        def vector(tag: str, env: _Environment, measure: MeasureId) -> TopicScoreVector:
             cache = pivot_vectors if tag == config.pivot else system_vectors
-            key = (tag, env.spec.label, measure, topics)
+            key = (tag, env.spec.label, measure)
             if key not in cache:
+                topics = core if config.strict_topics else env.topics
                 cache[key] = score_run(env.runs[tag], env.qrels, measure, topics, env.spec.label)
             return cache[key]
 
@@ -367,44 +409,30 @@ def cmd_persist(args: argparse.Namespace) -> int:
                 raise DataError(
                     f"system {system!r} has no run in environment pair {pair.key}"
                 )
-            # Cells score each environment on the core topics or, when not
-            # strict, on its own; series use the topics both environments
-            # share, so both series modes stay defined.
-            if config.strict_topics:
-                topics_base = topics_target = shared = core
-            else:
-                topics_base, topics_target = base_env.topics, target_env.topics
-                if not topics_base or not topics_target:
+            # Series use the topics both environments share, so both series
+            # modes stay defined.
+            shared = core
+            if not config.strict_topics:
+                if not base_env.topics or not target_env.topics:
                     raise DataError(f"environment in pair {pair.key} has no topics")
-                shared = topics_base & topics_target
+                shared = base_env.topics & target_env.topics
                 if not shared:
                     raise DataError(
                         f"no shared topics between {pair.base_label!r} and {pair.target_label!r}"
                     )
-            name_tail = f"{_safe_name(pair.base_label)}-{_safe_name(pair.target_label)}.csv"
             for measure in config.measures:
-                cells.append(
-                    persistence_cell(
-                        vector(system, base_env, measure, topics_base),
-                        vector(system, target_env, measure, topics_target),
-                        vector(config.pivot, base_env, measure, topics_base),
-                        vector(config.pivot, target_env, measure, topics_target),
-                        t_variant=config.t_variant,
-                    )
-                )
-                sys_base = vector(system, base_env, measure, shared)
-                sys_target = vector(system, target_env, measure, shared)
+                vectors = [
+                    vector(tag, env, measure)
+                    for tag in (system, config.pivot)
+                    for env in (base_env, target_env)
+                ]
+                cells.append(persistence_cell(*vectors, t_variant=config.t_variant))
+                vectors = [_restrict(v, shared) for v in vectors]
                 if config.series_mode == "raw":
-                    series = topic_delta_series(sys_base, sys_target)
+                    series = topic_delta_series(*vectors[:2])
                 else:
-                    series = pivot_delta_series(
-                        topic_deltas(sys_base, vector(config.pivot, base_env, measure, shared)),
-                        topic_deltas(sys_target, vector(config.pivot, target_env, measure, shared)),
-                        system,
-                        measure,
-                    )
-                name = f"{_safe_name(system)}.{measure.key}.{name_tail}"
-                series_blobs.append((name, series_csv(series)))
+                    series = pivot_delta_series(*vectors)
+                series_blobs.append((_series_name(system, measure, pair), series_csv(series)))
 
     ee_order = [spec.label for spec in config.environments]
     table = persistence_table(cells, ee_order=ee_order)

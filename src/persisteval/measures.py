@@ -109,10 +109,6 @@ class TopicScoreVector:
     def topics(self) -> TopicSet:
         return frozenset(self.scores)
 
-    def values_sorted(self) -> list[float]:
-        """Scores in topic-id order (the deterministic sample order)."""
-        return [self.scores[t] for t in sorted(self.scores)]
-
 
 @dataclass(frozen=True)
 class ARPValue:

@@ -36,7 +36,7 @@ from typing import AbstractSet, Mapping
 
 from .errors import DataError
 from .measures import ARPValue, MeasureId, TopicScoreVector, arp, parse_measure
-from .stats import t_test_unpaired
+from .stats import mean, t_test_unpaired
 
 
 @dataclass(frozen=True)
@@ -56,42 +56,19 @@ class EEPair:
         return f"{self.base_label}-{self.target_label}"
 
 
-@dataclass(frozen=True)
-class TopicDeltaVector:
-    """Per-topic score differences (system minus pivot) in one EE."""
-
-    ee_label: str
-    deltas: Mapping[str, float]
-
-    @property
-    def n(self) -> int:
-        return len(self.deltas)
-
-    def mean(self) -> float:
-        if not self.deltas:
-            raise DataError("cannot average an empty delta vector")
-        return math.fsum(self.deltas.values()) / len(self.deltas)
-
-
-def _value(x: ARPValue | float) -> float:
-    return x.value if isinstance(x, ARPValue) else float(x)
-
-
-def result_delta(mean_base: ARPValue | float, mean_target: ARPValue | float) -> float | None:
+def result_delta(mean_base: float, mean_target: float) -> float | None:
     """Relative change between mean scores; None when the base mean is 0."""
-    base, target = _value(mean_base), _value(mean_target)
-    if base == 0.0:
+    if mean_base == 0.0:
         return None
-    return (base - target) / base
+    return (mean_base - mean_target) / mean_base
 
 
-def relative_improvement(mean_system: ARPValue | float, mean_pivot: ARPValue | float) -> float | None:
+def relative_improvement(mean_system: float, mean_pivot: float) -> float | None:
     """Relative improvement of the system over the pivot within one EE;
     None when the pivot mean is 0."""
-    system, pivot = _value(mean_system), _value(mean_pivot)
-    if pivot == 0.0:
+    if mean_pivot == 0.0:
         return None
-    return (system - pivot) / pivot
+    return (mean_system - mean_pivot) / mean_pivot
 
 
 def delta_ri(ri_base: float | None, ri_target: float | None) -> float | None:
@@ -111,7 +88,7 @@ def check_same_topics(a: AbstractSet[str], b: AbstractSet[str], a_name: str, b_n
         )
 
 
-def topic_deltas(system: TopicScoreVector, pivot: TopicScoreVector) -> TopicDeltaVector:
+def topic_deltas(system: TopicScoreVector, pivot: TopicScoreVector) -> dict[str, float]:
     """Per-topic system-minus-pivot differences within one EE. Both vectors
     must come from the same EE and measure and cover the same topics."""
     if system.measure != pivot.measure:
@@ -123,25 +100,22 @@ def topic_deltas(system: TopicScoreVector, pivot: TopicScoreVector) -> TopicDelt
             f"environment mismatch: {system.ee_label!r} vs {pivot.ee_label!r}"
         )
     check_same_topics(system.topics, pivot.topics, "system vector", "pivot vector")
-    deltas = {t: system.scores[t] - pivot.scores[t] for t in sorted(system.scores)}
-    return TopicDeltaVector(ee_label=system.ee_label, deltas=deltas)
+    return {t: system.scores[t] - pivot.scores[t] for t in system.scores}
 
 
 def effect_ratio(
-    target_deltas: TopicDeltaVector, base_deltas: TopicDeltaVector
+    target_deltas: Mapping[str, float], base_deltas: Mapping[str, float]
 ) -> float | None:
     """Ratio of mean per-topic improvements, target EE over base EE.
 
     The two means are normalized by their own topic counts, which may
-    differ. Returns None when the base mean is 0 (the cell is rendered as
-    undefined, never as an infinity).
+    differ; both maps must be non-empty. Returns None when the base mean
+    is 0 (the cell is rendered as undefined, never as an infinity).
     """
-    if base_deltas.n == 0 or target_deltas.n == 0:
-        raise DataError("effect_ratio needs non-empty delta vectors on both sides")
-    base_mean = base_deltas.mean()
+    target_mean, base_mean = mean(target_deltas.values()), mean(base_deltas.values())
     if base_mean == 0.0:
         return None
-    return target_deltas.mean() / base_mean
+    return target_mean / base_mean
 
 
 @dataclass(frozen=True)
@@ -212,28 +186,26 @@ def persistence_cell(
     arp_piv_base, arp_piv_target = arp(piv_base), arp(piv_target)
 
     undefined: list[str] = []
-    rd = result_delta(arp_sys_base, arp_sys_target)
+    rd = result_delta(arp_sys_base.value, arp_sys_target.value)
     if rd is None:
         undefined.append("result_delta: base mean is zero")
-    ri = relative_improvement(arp_sys_base, arp_piv_base)
+    ri = relative_improvement(arp_sys_base.value, arp_piv_base.value)
     if ri is None:
         undefined.append("ri_base: pivot mean is zero in the base environment")
-    ri_prime = relative_improvement(arp_sys_target, arp_piv_target)
+    ri_prime = relative_improvement(arp_sys_target.value, arp_piv_target.value)
     if ri_prime is None:
         undefined.append("ri_target: pivot mean is zero in the target environment")
     dri = delta_ri(ri, ri_prime)
 
-    base_deltas = topic_deltas(sys_base, piv_base)
-    target_deltas = topic_deltas(sys_target, piv_target)
-    er = effect_ratio(target_deltas, base_deltas)
+    er = effect_ratio(topic_deltas(sys_target, piv_target), topic_deltas(sys_base, piv_base))
     if er is None:
         undefined.append("effect_ratio: mean base delta is zero")
 
-    cross = t_test_unpaired(sys_base.values_sorted(), sys_target.values_sorted(), t_variant)
-    vs_pivot_base = t_test_unpaired(sys_base.values_sorted(), piv_base.values_sorted(), t_variant)
-    vs_pivot_target = t_test_unpaired(
-        sys_target.values_sorted(), piv_target.values_sorted(), t_variant
-    )
+    # The t-test sums exactly (fsum), so the order of the samples is moot.
+    sys_b, sys_t = list(sys_base.scores.values()), list(sys_target.scores.values())
+    cross = t_test_unpaired(sys_b, sys_t, t_variant)
+    vs_pivot_base = t_test_unpaired(sys_b, list(piv_base.scores.values()), t_variant)
+    vs_pivot_target = t_test_unpaired(sys_t, list(piv_target.scores.values()), t_variant)
 
     return PersistenceCell(
         system_tag=system_tag,

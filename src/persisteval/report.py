@@ -34,11 +34,11 @@ from .measures import MeasureId, TopicScoreVector
 from .persistence import (
     EEPair,
     PersistenceCell,
-    TopicDeltaVector,
     cell_from_dict,
     cell_to_dict,
     check_same_topics,
     result_delta,
+    topic_deltas,
 )
 
 SIGNIFICANCE_ALPHA = 0.05
@@ -108,21 +108,13 @@ def _check_cells(cells: Sequence[PersistenceCell]) -> tuple[PersistenceCell, ...
     pivots = {c.pivot_tag for c in cells}
     if len(pivots) != 1:
         raise DataError(f"cells mix pivots: {sorted(pivots)}")
-    seen: set[tuple] = set()
-    for cell in cells:
-        key = _cell_sort_key(cell)
-        if key in seen:
-            raise DataError(
-                f"duplicate cell for system {cell.system_tag!r}, "
-                f"measure {cell.measure.name}, pair {cell.pair.key}"
-            )
-        seen.add(key)
+    # A target row shows one cell per measure; a repeated pair repeats its target.
     targets: set[tuple] = set()
     for cell in cells:
         key = (cell.system_tag, cell.measure.name, cell.pair.target_label)
         if key in targets:
             raise DataError(
-                f"system {cell.system_tag!r} has two pairs targeting "
+                f"duplicate cell: system {cell.system_tag!r} has two cells targeting "
                 f"{cell.pair.target_label!r} for {cell.measure.name}"
             )
         targets.add(key)
@@ -381,9 +373,9 @@ def table_from_json(text: str, *, path: str | None = None) -> PersistenceTable:
     try:
         cells = [cell_from_dict(entry) for entry in payload["cells"]]
         ee_order = [str(label) for label in payload["ee_order"]]
+        return persistence_table(cells, ee_order)
     except (KeyError, TypeError, DataError) as exc:
         raise DataError(f"malformed table JSON: {exc}", path=path) from exc
-    return persistence_table(cells, ee_order)
 
 
 def er_dri_points(
@@ -431,47 +423,45 @@ def scatter_csv(points: Iterable[ScatterPoint]) -> str:
     )
 
 
-def _sorted_series(deltas: Mapping[str, float]) -> tuple[tuple[str, float], ...]:
-    return tuple(sorted(deltas.items(), key=lambda item: (-item[1], item[0])))
+def _series(
+    sys_base: TopicScoreVector,
+    sys_target: TopicScoreVector,
+    base: Mapping[str, float],
+    target: Mapping[str, float],
+) -> TopicDeltaSeries:
+    """Per-topic target-minus-base values, sorted by delta descending (ties
+    by topic id), labelled with the system vectors' tag, measure and EEs."""
+    if sys_base.run_tag != sys_target.run_tag:
+        raise DataError(f"run tags differ: {sys_base.run_tag!r} vs {sys_target.run_tag!r}")
+    if sys_base.measure != sys_target.measure:
+        raise DataError(f"measures differ: {sys_base.measure.name} vs {sys_target.measure.name}")
+    check_same_topics(base.keys(), target.keys(), "base", "target")
+    entries = sorted(((t, target[t] - base[t]) for t in base), key=lambda e: (-e[1], e[0]))
+    return TopicDeltaSeries(
+        system_tag=sys_base.run_tag,
+        measure=sys_base.measure,
+        pair=EEPair(sys_base.ee_label, sys_target.ee_label),
+        entries=tuple(entries),
+    )
 
 
 def topic_delta_series(
     base: TopicScoreVector, target: TopicScoreVector
 ) -> TopicDeltaSeries:
-    """Per-topic target-minus-base changes of one system's own scores,
-    sorted by delta descending (ties by topic id)."""
-    if base.run_tag != target.run_tag:
-        raise DataError(f"run tags differ: {base.run_tag!r} vs {target.run_tag!r}")
-    if base.measure != target.measure:
-        raise DataError(f"measures differ: {base.measure.name} vs {target.measure.name}")
-    check_same_topics(base.topics, target.topics, "base", "target")
-    deltas = {t: target.scores[t] - base.scores[t] for t in base.scores}
-    return TopicDeltaSeries(
-        system_tag=base.run_tag,
-        measure=base.measure,
-        pair=EEPair(base.ee_label, target.ee_label),
-        entries=_sorted_series(deltas),
-    )
+    """Per-topic target-minus-base changes of one system's own scores."""
+    return _series(base, target, base.scores, target.scores)
 
 
 def pivot_delta_series(
-    base_deltas: TopicDeltaVector,
-    target_deltas: TopicDeltaVector,
-    system_tag: str,
-    measure: MeasureId,
+    sys_base: TopicScoreVector,
+    sys_target: TopicScoreVector,
+    piv_base: TopicScoreVector,
+    piv_target: TopicScoreVector,
 ) -> TopicDeltaSeries:
     """Series of the change in per-topic improvement over the pivot: the
     target EE's system-minus-pivot delta minus the base EE's, per topic."""
-    check_same_topics(base_deltas.deltas.keys(), target_deltas.deltas.keys(), "base", "target")
-    deltas = {
-        t: target_deltas.deltas[t] - base_deltas.deltas[t] for t in base_deltas.deltas
-    }
-    return TopicDeltaSeries(
-        system_tag=system_tag,
-        measure=measure,
-        pair=EEPair(base_deltas.ee_label, target_deltas.ee_label),
-        entries=_sorted_series(deltas),
-    )
+    base, target = topic_deltas(sys_base, piv_base), topic_deltas(sys_target, piv_target)
+    return _series(sys_base, sys_target, base, target)
 
 
 def series_csv(series: TopicDeltaSeries) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .errors import DataError
 
@@ -38,7 +38,7 @@ class TTestResult:
     degenerate: bool = False
 
 
-def mean(sample: Sequence[float]) -> float:
+def mean(sample: Collection[float]) -> float:
     """Arithmetic mean via an exactly rounded sum (order-independent)."""
     if len(sample) < 1:
         raise DataError("mean needs at least one observation")

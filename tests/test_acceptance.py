@@ -23,7 +23,6 @@ import pytest
 from persisteval.corpus_diff import CorpusSnapshot, diff_collections
 from persisteval.measures import bpref, ndcg, p_at_k, parse_measure, score_run
 from persisteval.persistence import (
-    TopicDeltaVector,
     delta_ri,
     effect_ratio,
     persistence_cell,
@@ -208,13 +207,13 @@ def test_5_effect_ratio_laws():
         sys_vec = score_run(runs1["alpha"], qrels1, measure, topics, "t1")
         piv_vec = score_run(runs1["baseline"], qrels1, measure, topics, "t1")
         base = topic_deltas(sys_vec, piv_vec)
-        mirrored = TopicDeltaVector("t2", dict(base.deltas))
+        mirrored = dict(base)
         assert effect_ratio(mirrored, base) == 1.0
         er = effect_ratio(mirrored, base)
         for c in (0.5, 2.0, -1.0):
-            scaled = TopicDeltaVector("t2", {t: c * v for t, v in mirrored.deltas.items()})
+            scaled = {t: c * v for t, v in mirrored.items()}
             assert abs(effect_ratio(scaled, base) - c * er) <= 1e-12
-            scaled_base = TopicDeltaVector("t1", {t: c * v for t, v in base.deltas.items()})
+            scaled_base = {t: c * v for t, v in base.items()}
             assert abs(effect_ratio(mirrored, scaled_base) - er / c) <= 1e-12
 
 

@@ -11,6 +11,7 @@ from persisteval import cli
 from persisteval.cli import EXIT_DATA, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
 FIXTURE = Path(__file__).parent / "fixtures" / "two_ee"
+GOLDEN_NO_STRICT_PIVOT_DELTA = Path(__file__).parent / "golden" / "two_ee_no_strict_pivot_delta"
 
 
 def run_cli(*argv):
@@ -23,6 +24,53 @@ def tree(root: Path) -> dict[str, bytes]:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+@pytest.fixture
+def no_scoring(monkeypatch):
+    """Fail the test if persist scores anything."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("scored before the usage check")
+
+    monkeypatch.setattr(cli, "score_run", fail)
+
+
+def copy_job(tmp_path: Path, edit) -> Path:
+    """Copy the two_ee fixture, apply ``edit`` to its parsed job manifest
+    and return the copied manifest's path."""
+    root = tmp_path / "job"
+    shutil.copytree(FIXTURE, root)
+    job = root / "job.json"
+    config = json.loads(job.read_text(encoding="utf-8"))
+    edit(config)
+    job.write_text(json.dumps(config), encoding="utf-8")
+    return job
+
+
+def add_tags(*tags):
+    def edit(config):
+        for tag in tags:
+            for ee in ("t1", "t2"):
+                config["runs"].append(
+                    {"tag": tag, "environment": ee, "path": f"runs/alpha.{ee}.run"}
+                )
+
+    return edit
+
+
+def split_labels(config):
+    """Environments a-b, c, a and b-c, with pairs a-b -> c and a -> b-c:
+    both pairs join to the file name part a-b-c."""
+    qrels = config["environments"][0]["qrels"]
+    labels = ("a-b", "c", "a", "b-c")
+    config["environments"] = [{"label": label, "qrels": qrels} for label in labels]
+    config["runs"] = [
+        {"tag": tag, "environment": label, "path": f"runs/{tag}.t1.run"}
+        for tag in ("baseline", "alpha")
+        for label in labels
+    ]
+    config["pairs"] = [["a-b", "c"], ["a", "b-c"]]
 
 
 class TestScoreCommand:
@@ -236,7 +284,7 @@ class TestPersistCommand:
         score_run = cli.score_run
 
         def recording_score_run(run, qrels, measure, topics, ee_label=""):
-            calls.append((id(run), id(qrels), measure, topics, ee_label))
+            calls.append((id(run), id(qrels), measure))
             return score_run(run, qrels, measure, topics, ee_label)
 
         monkeypatch.setattr(cli, "score_run", recording_score_run)
@@ -245,8 +293,18 @@ class TestPersistCommand:
             "--series", "pivot-delta", "--output", tmp_path,
         )
         assert code == EXIT_OK
-        assert calls
-        assert len(calls) == len(set(calls))
+        # Three runs in each of two environments, three measures: each
+        # (run, qrels, measure) once, whatever topics the series share.
+        assert len(calls) == len(set(calls)) == 3 * 2 * 3
+
+    def test_no_strict_pivot_delta_matches_golden(self, tmp_path):
+        code = run_cli(
+            "persist", "--config", FIXTURE / "job.json", "--no-strict-topics",
+            "--series", "pivot-delta", "--measures", "p@10,ndcg,bpref,ndcg@5",
+            "--output", tmp_path,
+        )
+        assert code == EXIT_OK
+        assert tree(tmp_path) == tree(GOLDEN_NO_STRICT_PIVOT_DELTA)
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
     def test_bad_er_exclude_exits_1(self, tmp_path, threshold):
@@ -256,17 +314,60 @@ class TestPersistCommand:
         )
         assert code == EXIT_USAGE
 
-    def test_repeated_pair_exits_1_before_scoring(self, tmp_path, monkeypatch, capsys):
-        def no_scoring(*args, **kwargs):
-            raise AssertionError("scored before the usage check")
-
-        monkeypatch.setattr(cli, "score_run", no_scoring)
+    def test_repeated_pair_exits_1_before_scoring(self, tmp_path, no_scoring, capsys):
         code = run_cli(
             "persist", "--config", FIXTURE / "job.json",
             "--pairs", "t1:t2,t1:t2", "--output", tmp_path,
         )
         assert code == EXIT_USAGE
         assert "t1-t2" in capsys.readouterr().err
+
+    def test_repeated_measure_exits_1_before_scoring(self, tmp_path, no_scoring, capsys):
+        code = run_cli(
+            "persist", "--config", FIXTURE / "job.json",
+            "--measures", "p@10,P@10", "--output", tmp_path,
+        )
+        assert code == EXIT_USAGE
+        assert "measure P@10 is declared twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda config: config["options"].update(strict_topics="false"),
+                "strict_topics must be true or false",
+            ),
+            (
+                lambda config: config.update(pairs=[["t1", "t2", "t3"]]),
+                "a pair must be a [base, target] list",
+            ),
+        ],
+        ids=["strict-topics-string", "three-label-pair"],
+    )
+    def test_wrong_manifest_option_exits_1_before_scoring(
+        self, tmp_path, no_scoring, capsys, edit, message
+    ):
+        job = copy_job(tmp_path, edit)
+        assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"malformed manifest {job}" in err and message in err
+
+    @pytest.mark.parametrize(
+        "edit, owners",
+        [
+            (add_tags("a,b", "a_b"), ("system 'a,b'", "system 'a_b'")),
+            (split_labels, ("pair 'a-b' -> 'c'", "pair 'a' -> 'b-c'")),
+        ],
+        ids=["run-tags", "environment-labels"],
+    )
+    def test_colliding_series_names_exit_1_before_scoring(
+        self, tmp_path, no_scoring, capsys, edit, owners
+    ):
+        job = copy_job(tmp_path, edit)
+        assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "would hold both" in err
+        assert all(owner in err for owner in owners)
 
     def test_non_utf8_manifest_exits_2(self, tmp_path, capsys):
         job = tmp_path / "job.json"
@@ -373,6 +474,16 @@ class TestReportCommand:
         assert code == EXIT_OK
         for name in ("table.txt", "table.csv", "scatter.csv"):
             assert (second / name).read_bytes() == (first / name).read_bytes()
+
+    def test_inconsistent_cells_exit_3_with_path(self, tmp_path, capsys):
+        run_cli("persist", "--config", FIXTURE / "job.json", "--output", tmp_path / "persist")
+        cells = tmp_path / "persist" / "cells.json"
+        payload = json.loads(cells.read_text(encoding="utf-8"))
+        payload["cells"][0]["pivot_tag"] = "other"
+        cells.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli("report", cells, "--output", tmp_path / "report") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"error: {cells}:" in err and "cells mix pivots" in err
 
     def test_malformed_cells_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "cells.json"

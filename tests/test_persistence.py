@@ -7,10 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from persisteval.errors import DataError
-from persisteval.measures import BPREF, NDCG, P_AT_10, ARPValue, TopicScoreVector, arp, score_run
+from persisteval.measures import BPREF, NDCG, P_AT_10, TopicScoreVector, arp, score_run
 from persisteval.persistence import (
     EEPair,
-    TopicDeltaVector,
     cell_from_dict,
     cell_to_dict,
     delta_ri,
@@ -26,7 +25,7 @@ from synth import score_tags, synthetic_environment
 
 class TestResultDelta:
     def test_identical_means(self):
-        assert result_delta(ARPValue(0.337, 124), ARPValue(0.337, 124)) == 0.0
+        assert result_delta(0.337, 0.337) == 0.0
 
     def test_improvement_is_negative(self):
         value = result_delta(0.095, 0.110)
@@ -86,13 +85,13 @@ class TestTopicDeltas:
     def test_subtraction(self):
         system, pivot = self._vectors({"q1": 0.5, "q2": 0.2}, {"q1": 0.3, "q2": 0.2})
         deltas = topic_deltas(system, pivot)
-        assert deltas.deltas == {"q1": pytest.approx(0.2), "q2": 0.0}
-        assert deltas.n == 2
+        assert deltas == {"q1": pytest.approx(0.2), "q2": 0.0}
+        assert len(deltas) == 2
 
     def test_identity(self):
         scores = {"q1": 0.4, "q2": 0.9}
         system, pivot = self._vectors(scores, dict(scores))
-        assert all(v == 0.0 for v in topic_deltas(system, pivot).deltas.values())
+        assert all(v == 0.0 for v in topic_deltas(system, pivot).values())
 
     def test_topic_mismatch_names_difference(self):
         system, pivot = self._vectors({"q1": 0.5}, {"q2": 0.2})
@@ -107,37 +106,36 @@ class TestTopicDeltas:
         system, pivot = self._vectors(scores_a, scores_b)
         deltas = topic_deltas(system, pivot)
         for topic in scores_a:
-            assert deltas.deltas[topic] == scores_a[topic] - scores_b[topic]
+            assert deltas[topic] == scores_a[topic] - scores_b[topic]
 
 
 class TestEffectRatio:
     def test_identical_vectors_give_one(self):
         deltas = {"q1": 0.1, "q2": 0.3}
-        base = TopicDeltaVector("E1", dict(deltas))
-        target = TopicDeltaVector("E2", dict(deltas))
+        base, target = dict(deltas), dict(deltas)
         assert effect_ratio(target, base) == 1.0
 
     def test_hand_value_with_unequal_counts(self):
-        base = TopicDeltaVector("E1", {"a": 0.2, "b": 0.4})
-        target = TopicDeltaVector("E2", {"a": 0.1, "b": 0.2, "c": 0.3})
+        base = {"a": 0.2, "b": 0.4}
+        target = {"a": 0.1, "b": 0.2, "c": 0.3}
         assert effect_ratio(target, base) == pytest.approx(0.6667, abs=1e-4)
 
     def test_zero_base_mean_undefined(self):
-        base = TopicDeltaVector("E1", {"a": 0.2, "b": -0.2})
-        target = TopicDeltaVector("E2", {"a": 0.1})
+        base = {"a": 0.2, "b": -0.2}
+        target = {"a": 0.1}
         assert effect_ratio(target, base) is None
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            effect_ratio(TopicDeltaVector("E2", {}), TopicDeltaVector("E1", {"a": 0.1}))
+            effect_ratio({}, {"a": 0.1})
 
     @given(st.sampled_from([0.5, 2.0, -1.0]))
     def test_scaling_laws_exact(self, c):
-        base = TopicDeltaVector("E1", {"a": 0.25, "b": 0.5, "c": -0.125})
-        target = TopicDeltaVector("E2", {"a": 0.375, "b": 0.125})
+        base = {"a": 0.25, "b": 0.5, "c": -0.125}
+        target = {"a": 0.375, "b": 0.125}
         er = effect_ratio(target, base)
-        scaled_target = TopicDeltaVector("E2", {t: c * v for t, v in target.deltas.items()})
-        scaled_base = TopicDeltaVector("E1", {t: c * v for t, v in base.deltas.items()})
+        scaled_target = {t: c * v for t, v in target.items()}
+        scaled_base = {t: c * v for t, v in base.items()}
         assert effect_ratio(scaled_target, base) == c * er
         assert effect_ratio(target, scaled_base) == er / c
 

@@ -6,12 +6,7 @@ import pytest
 
 from persisteval.errors import DataError
 from persisteval.measures import NDCG, P_AT_10, TopicScoreVector, arp
-from persisteval.persistence import (
-    EEPair,
-    TopicDeltaVector,
-    persistence_cell,
-    topic_deltas,
-)
+from persisteval.persistence import EEPair, persistence_cell
 from persisteval.report import (
     er_dri_points,
     persistence_table,
@@ -80,8 +75,15 @@ class TestTableConstruction:
         assert cell.p_value == wanted.p_value
 
     def test_duplicate_cells_rejected(self, cells):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="duplicate cell"):
             persistence_table(list(cells) + [cells[0]])
+
+    def test_two_cells_with_one_target_rejected(self, cells):
+        import dataclasses
+
+        other_base = dataclasses.replace(cells[0], pair=EEPair("t0", cells[0].pair.target_label))
+        with pytest.raises(DataError, match="duplicate cell"):
+            persistence_table(list(cells) + [other_base])
 
     def test_mixed_pivots_rejected(self, cells):
         import dataclasses
@@ -265,9 +267,7 @@ class TestTopicDeltaSeries:
         piv_b = score_run(runs_base["pivot"], qrels_base, NDCG, topics, "t1")
         sys_t = score_run(runs_target["sys"], qrels_target, NDCG, topics, "t2")
         piv_t = score_run(runs_target["pivot"], qrels_target, NDCG, topics, "t2")
-        series = pivot_delta_series(
-            topic_deltas(sys_b, piv_b), topic_deltas(sys_t, piv_t), "sys", NDCG
-        )
+        series = pivot_delta_series(sys_b, sys_t, piv_b, piv_t)
         by_topic = dict(series.entries)
         for topic in topics:
             expected = (sys_t.scores[topic] - piv_t.scores[topic]) - (
