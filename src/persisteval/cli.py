@@ -25,6 +25,7 @@ directory when neither the manifest nor --output names one.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -209,61 +210,102 @@ def _parse_pair_list(text: str) -> list[EEPair]:
     return pairs
 
 
-def _manifest_pair(entry) -> EEPair:
-    if not isinstance(entry, list) or len(entry) != 2:
-        raise ValueError(f"a pair must be a [base, target] list, got {entry!r}")
-    return EEPair(str(entry[0]), str(entry[1]))
+_REQUIRED = object()
+_JSON_TYPES = {
+    dict: "an object", list: "a list", str: "a string", bool: "true or false", float: "a number"
+}
+
+
+def _typed(value, kind: type, where: str):
+    """``value`` if it has the JSON type ``kind``, else a ValueError naming
+    the manifest path ``where``. A number (``float``) is a JSON integer or
+    float, never a boolean, and is returned as a float."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"{where} is out of range, got {value}") from None
+    if not isinstance(value, kind):
+        raise ValueError(f"{where} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+    return value
+
+
+def _member(obj: dict, key: str, kind: type, where: str = "", default=_REQUIRED):
+    """``obj[key]`` checked by ``_typed``; ``default`` when it is absent."""
+    path = f"{where}.{key}" if where else key
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ValueError(f"{path} is missing")
+        return default
+    return _typed(obj[key], kind, path)
+
+
+def _items(obj: dict, key: str) -> list[tuple[str, object]]:
+    """(path, item) for each item of the list ``obj[key]``; none if absent."""
+    return [(f"{key}[{i}]", item) for i, item in enumerate(_member(obj, key, list, default=[]))]
+
+
+def _manifest_pair(where: str, entry) -> EEPair:
+    if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, str) for x in entry)):
+        raise ValueError(
+            f"{where}: a pair must be a [base, target] list of two strings, got {json.dumps(entry)}"
+        )
+    return EEPair(*entry)
 
 
 def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
-    """Read the JSON manifest and apply command-line overrides."""
+    """Read the JSON manifest and apply command-line overrides. Each
+    manifest field has one JSON type; a value of another type is a usage
+    error that names the field's path."""
     try:
         raw = json.loads(read_input(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno, path=str(path)) from exc
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ParseError(
+            f"invalid JSON: {exc}", line=getattr(exc, "lineno", None), path=str(path)
+        ) from exc
     base_dir = path.parent
 
     def _resolve(p: str) -> Path:
+        if "\0" in p:
+            raise ValueError(f"path {json.dumps(p)} holds a NUL character")
         candidate = Path(p)
         return candidate if candidate.is_absolute() else base_dir / candidate
 
-    try:
-        environments = [
-            EESpec(
-                label=str(entry["label"]),
-                qrels_path=_resolve(entry["qrels"]),
-                topics_path=_resolve(entry["topics"]) if entry.get("topics") else None,
-            )
-            for entry in raw.get("environments", [])
-        ]
-        runs = [
-            RunSpec(
-                tag=str(entry["tag"]),
-                ee_label=str(entry["environment"]),
-                path=_resolve(entry["path"]),
-            )
-            for entry in raw.get("runs", [])
-        ]
-        options = raw.get("options", {})
-        t_test_raw = str(options.get("t_test", "student"))
-        strict_topics = options.get("strict_topics", True)
-        if not isinstance(strict_topics, bool):
-            raise ValueError(f"strict_topics must be true or false, got {strict_topics!r}")
-        config = JobConfig(
-            environments=environments,
-            runs=runs,
-            pivot=str(raw.get("pivot", "")),
-            measures=[parse_measure(str(m)) for m in raw.get("measures", [])],
-            pairs=[_manifest_pair(p) for p in raw.get("pairs", [])],
-            output=_resolve(str(raw["output"])) if raw.get("output") else None,
-            t_variant=_T_TEST_NAMES.get(t_test_raw, t_test_raw),
-            er_exclude=float(options.get("er_exclude", DEFAULT_ER_EXCLUSION)),
-            strict_topics=strict_topics,
-            series_mode=str(options.get("series", "raw")),
+    def _environment(where: str, entry) -> EESpec:
+        entry = _typed(entry, dict, where)
+        topics = _member(entry, "topics", str, where, "")
+        return EESpec(
+            label=_member(entry, "label", str, where),
+            qrels_path=_resolve(_member(entry, "qrels", str, where)),
+            topics_path=_resolve(topics) if topics else None,
         )
-    except (
-        AttributeError, KeyError, IndexError, OverflowError, TypeError, ValueError, DataError
-    ) as exc:
+
+    def _run(where: str, entry) -> RunSpec:
+        entry = _typed(entry, dict, where)
+        return RunSpec(
+            tag=_member(entry, "tag", str, where),
+            ee_label=_member(entry, "environment", str, where),
+            path=_resolve(_member(entry, "path", str, where)),
+        )
+
+    try:
+        raw = _typed(raw, dict, "the manifest")
+        options = _member(raw, "options", dict, default={})
+        t_test = _member(options, "t_test", str, "options", "student")
+        output = _member(raw, "output", str, default="")
+        config = JobConfig(
+            environments=[_environment(*item) for item in _items(raw, "environments")],
+            runs=[_run(*item) for item in _items(raw, "runs")],
+            pivot=_member(raw, "pivot", str, default=""),
+            measures=[parse_measure(_typed(m, str, where)) for where, m in _items(raw, "measures")],
+            pairs=[_manifest_pair(*item) for item in _items(raw, "pairs")],
+            output=_resolve(output) if output else None,
+            t_variant=_T_TEST_NAMES.get(t_test, t_test),
+            er_exclude=_member(options, "er_exclude", float, "options", DEFAULT_ER_EXCLUSION),
+            strict_topics=_member(options, "strict_topics", bool, "options", True),
+            series_mode=_member(options, "series", str, "options", "raw"),
+        )
+    except (ValueError, DataError) as exc:
         raise UsageError(f"malformed manifest {path}: {exc}") from exc
 
     if args.pivot is not None:
@@ -436,7 +478,7 @@ def cmd_persist(args: argparse.Namespace) -> int:
 
     ee_order = [spec.label for spec in config.environments]
     table = persistence_table(cells, ee_order=ee_order)
-    points = er_dri_points(cells, config.er_exclude)
+    points = er_dri_points(table.cells, config.er_exclude)
 
     written: list[str] = []
     _write(out_dir / "table.txt", render_table_text(table), written, out_dir)
@@ -457,7 +499,7 @@ def cmd_corpus_diff(args: argparse.Namespace) -> int:
     else:
         snapshot_a = load_manifest(Path(args.manifest_a))
         snapshot_b = load_manifest(Path(args.manifest_b))
-    summary = diff_collections(snapshot_a, snapshot_b, collect_urls=args.verbose)
+    summary = diff_collections(snapshot_a, snapshot_b)
     sys.stdout.write(format_diff(summary, snapshot_a.label, snapshot_b.label, verbose=args.verbose))
     if args.output:
         out_dir = Path(args.output)
@@ -553,6 +595,10 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The parsed data holds no reference cycles, so reference counting
+    # frees it; the cycle collector would only rescan it, over and over.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     with warnings.catch_warnings():
         warnings.simplefilter("always", DiagnosticWarning)
         warnings.showwarning = _show_warning
@@ -567,6 +613,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         except EvaluationError as exc:  # DataError and any other data fault
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
 
 if __name__ == "__main__":

@@ -30,30 +30,32 @@ class CorpusSnapshot:
     docs: Mapping[str, int]
 
 
+_CLASSES = ("added", "removed", "changed", "unchanged")
+
+
 @dataclass(frozen=True)
 class DiffSummary:
-    added: int
-    removed: int
-    changed: int
-    unchanged: int
+    """The sorted URLs of each class; each count is the length of its list."""
+
     added_urls: tuple[str, ...] = ()
     removed_urls: tuple[str, ...] = ()
     changed_urls: tuple[str, ...] = ()
     unchanged_urls: tuple[str, ...] = ()
 
+    added = property(lambda self: len(self.added_urls))
+    removed = property(lambda self: len(self.removed_urls))
+    changed = property(lambda self: len(self.changed_urls))
+    unchanged = property(lambda self: len(self.unchanged_urls))
+
+    def urls(self) -> list[tuple[str, tuple[str, ...]]]:
+        """(class, sorted URLs) for each class, in the order of _CLASSES."""
+        return [(name, getattr(self, f"{name}_urls")) for name in _CLASSES]
+
     def to_dict(self, *, include_urls: bool = False) -> dict:
-        counts = {
-            "added": self.added,
-            "removed": self.removed,
-            "changed": self.changed,
-            "unchanged": self.unchanged,
-        }
+        payload = {name: len(urls) for name, urls in self.urls()}
         if include_urls:
-            counts["added_urls"] = list(self.added_urls)
-            counts["removed_urls"] = list(self.removed_urls)
-            counts["changed_urls"] = list(self.changed_urls)
-            counts["unchanged_urls"] = list(self.unchanged_urls)
-        return counts
+            payload.update((f"{name}_urls", list(urls)) for name, urls in self.urls())
+        return payload
 
 
 def parse_manifest(text: str | Iterable[str], label: str, *, path: str | None = None) -> CorpusSnapshot:
@@ -105,46 +107,22 @@ def snapshot_from_dir(path: str | Path, label: str | None = None) -> CorpusSnaps
     return CorpusSnapshot(label=label or root.name, docs=docs)
 
 
-def diff_collections(
-    a: CorpusSnapshot, b: CorpusSnapshot, *, collect_urls: bool = False
-) -> DiffSummary:
-    """Classify every URL of the two snapshots; URL lists are attached only
-    when ``collect_urls`` is set."""
+def diff_collections(a: CorpusSnapshot, b: CorpusSnapshot) -> DiffSummary:
+    """Classify every URL of the two snapshots."""
     a_urls, b_urls = set(a.docs), set(b.docs)
     added = sorted(b_urls - a_urls)
     removed = sorted(a_urls - b_urls)
     shared = a_urls & b_urls
     changed = sorted(url for url in shared if a.docs[url] != b.docs[url])
     unchanged = sorted(url for url in shared if a.docs[url] == b.docs[url])
-    return DiffSummary(
-        added=len(added),
-        removed=len(removed),
-        changed=len(changed),
-        unchanged=len(unchanged),
-        added_urls=tuple(added) if collect_urls else (),
-        removed_urls=tuple(removed) if collect_urls else (),
-        changed_urls=tuple(changed) if collect_urls else (),
-        unchanged_urls=tuple(unchanged) if collect_urls else (),
-    )
+    return DiffSummary(tuple(added), tuple(removed), tuple(changed), tuple(unchanged))
 
 
 def format_diff(summary: DiffSummary, a_label: str, b_label: str, *, verbose: bool = False) -> str:
     """Human-readable summary; with ``verbose`` the per-class URL lists are
     appended one URL per line."""
-    lines = [
-        f"comparing {a_label} -> {b_label}",
-        f"added     {summary.added}",
-        f"removed   {summary.removed}",
-        f"changed   {summary.changed}",
-        f"unchanged {summary.unchanged}",
-    ]
+    lines = [f"comparing {a_label} -> {b_label}"]
+    lines.extend(f"{name:<9} {len(urls)}" for name, urls in summary.urls())
     if verbose:
-        for name, urls in (
-            ("added", summary.added_urls),
-            ("removed", summary.removed_urls),
-            ("changed", summary.changed_urls),
-            ("unchanged", summary.unchanged_urls),
-        ):
-            for url in urls:
-                lines.append(f"{name}\t{url}")
+        lines.extend(f"{name}\t{url}" for name, urls in summary.urls() for url in urls)
     return "\n".join(lines) + "\n"

@@ -22,6 +22,7 @@ per-topic score vector (the average retrieval performance).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -50,9 +51,10 @@ class MeasureId:
         if self.cutoff is not None and self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
 
-    @property
+    @functools.cached_property
     def name(self) -> str:
-        """Display name: P@10, nDCG, nDCG@20, bpref."""
+        """Display name: P@10, nDCG, nDCG@20, bpref. Computed once per
+        instance; it is not a field, so ``==``, ``hash`` and ``repr`` ignore it."""
         if self.kind == "precision_at_k":
             return f"P@{self.k}"
         if self.kind == "ndcg":
@@ -74,9 +76,11 @@ NDCG = MeasureId("ndcg")
 BPREF = MeasureId("bpref")
 
 
+@functools.lru_cache(maxsize=256)
 def parse_measure(text: str) -> MeasureId:
     """Parse a measure name: ``p@K``, ``ndcg``, ``ndcg@K``, or ``bpref``
-    (case-insensitive). Raises ValueError for anything else."""
+    (case-insensitive). Raises ValueError for anything else. Each distinct
+    name is resolved once; repeats return the same MeasureId."""
     lowered = text.strip().lower()
     if lowered == "bpref":
         return BPREF
@@ -110,7 +114,7 @@ class TopicScoreVector:
         return frozenset(self.scores)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ARPValue:
     """Mean of a per-topic score vector plus the topic count behind it."""
 

@@ -31,7 +31,7 @@ significance marking in reports, between system and pivot within each EE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import AbstractSet, Mapping
 
 from .errors import DataError
@@ -39,7 +39,7 @@ from .measures import ARPValue, MeasureId, TopicScoreVector, arp, parse_measure
 from .stats import mean, t_test_unpaired
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EEPair:
     """A (base, target) pair of evaluation environment labels. Equal labels
     are allowed for self-replication checks."""
@@ -118,7 +118,7 @@ def effect_ratio(
     return target_mean / base_mean
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PersistenceCell:
     """Everything measured for one (system, measure, EE pair) against one
     pivot: the four mean scores, the persistence quantities, the cross-EE
@@ -230,81 +230,61 @@ def persistence_cell(
     )
 
 
-def _finite_or_none(x: float | None) -> float | None:
-    if x is None or not math.isfinite(x):
-        return None
-    return x
-
-
+# (encode, decode) of each PersistenceCell field, by its annotation; no
+# encoder means the value is its own JSON form.
+_CODECS = {
+    "str": (None, str),
+    "float": (None, float),
+    "float | None": (None, lambda x: None if x is None else float(x)),
+    "bool": (None, bool),
+    "tuple[str, ...]": (list, tuple),
+    "MeasureId": (lambda m: m.name, lambda name: parse_measure(str(name))),
+    "EEPair": (
+        lambda p: {"base": p.base_label, "target": p.target_label},
+        lambda d: EEPair(str(d["base"]), str(d["target"])),
+    ),
+    "ARPValue": (
+        lambda a: {"value": a.value, "n_topics": a.n_topics},
+        lambda d: ARPValue(float(d["value"]), int(d["n_topics"])),
+    ),
+}
+# A degenerate t-test's statistic is infinite; JSON holds it as null.
+_T_CODEC = (
+    lambda t: t if math.isfinite(t) else None,
+    lambda x: math.inf if x is None else float(x),
+)
+# (name, encode, decode, default) per field; a field with a default may be absent.
+_FIELDS = [
+    (
+        f.name,
+        *(_T_CODEC if f.name == "t_statistic" else _CODECS[f.type]),
+        f.default if f.default_factory is MISSING else f.default_factory(),
+    )
+    for f in fields(PersistenceCell)
+]
 _NONFINITE_T_FLAG = "t_statistic: non-finite (degenerate variance)"
 
 
 def cell_to_dict(cell: PersistenceCell) -> dict:
-    """JSON-ready form with fixed field names. Undefined or non-finite
-    values become null; the reasons live in undefined_flags."""
-    flags = list(cell.undefined_flags)
-    if not math.isfinite(cell.t_statistic) and _NONFINITE_T_FLAG not in flags:
-        flags.append(_NONFINITE_T_FLAG)
-    return {
-        "system_tag": cell.system_tag,
-        "pivot_tag": cell.pivot_tag,
-        "measure": cell.measure.name,
-        "pair": {"base": cell.pair.base_label, "target": cell.pair.target_label},
-        "arp_base": {"value": cell.arp_base.value, "n_topics": cell.arp_base.n_topics},
-        "arp_target": {"value": cell.arp_target.value, "n_topics": cell.arp_target.n_topics},
-        "pivot_arp_base": {
-            "value": cell.pivot_arp_base.value,
-            "n_topics": cell.pivot_arp_base.n_topics,
-        },
-        "pivot_arp_target": {
-            "value": cell.pivot_arp_target.value,
-            "n_topics": cell.pivot_arp_target.n_topics,
-        },
-        "result_delta": cell.result_delta,
-        "ri_base": cell.ri_base,
-        "ri_target": cell.ri_target,
-        "delta_ri": cell.delta_ri,
-        "effect_ratio": cell.effect_ratio,
-        "t_statistic": _finite_or_none(cell.t_statistic),
-        "p_value": cell.p_value,
-        "p_vs_pivot_base": cell.p_vs_pivot_base,
-        "p_vs_pivot_target": cell.p_vs_pivot_target,
-        "degenerate_t": cell.degenerate_t,
-        "undefined_flags": flags,
-    }
+    """JSON-ready form with fixed field names. Undefined values and a
+    non-finite t statistic become null; the reasons live in undefined_flags."""
+    record = {}
+    for name, encode, _, _ in _FIELDS:
+        value = getattr(cell, name)
+        record[name] = value if encode is None else encode(value)
+    if record["t_statistic"] is None and _NONFINITE_T_FLAG not in record["undefined_flags"]:
+        record["undefined_flags"].append(_NONFINITE_T_FLAG)
+    return record
 
 
 def cell_from_dict(data: Mapping) -> PersistenceCell:
     """Rebuild a cell from its JSON form (inverse of cell_to_dict)."""
-
-    def _arp(entry: Mapping) -> ARPValue:
-        return ARPValue(value=float(entry["value"]), n_topics=int(entry["n_topics"]))
-
-    def _opt(x) -> float | None:
-        return None if x is None else float(x)
-
     try:
-        t_stat = data["t_statistic"]
         return PersistenceCell(
-            system_tag=str(data["system_tag"]),
-            pivot_tag=str(data["pivot_tag"]),
-            measure=parse_measure(data["measure"]),
-            pair=EEPair(str(data["pair"]["base"]), str(data["pair"]["target"])),
-            arp_base=_arp(data["arp_base"]),
-            arp_target=_arp(data["arp_target"]),
-            pivot_arp_base=_arp(data["pivot_arp_base"]),
-            pivot_arp_target=_arp(data["pivot_arp_target"]),
-            result_delta=_opt(data["result_delta"]),
-            ri_base=_opt(data["ri_base"]),
-            ri_target=_opt(data["ri_target"]),
-            delta_ri=_opt(data["delta_ri"]),
-            effect_ratio=_opt(data["effect_ratio"]),
-            t_statistic=float(t_stat) if t_stat is not None else math.inf,
-            p_value=float(data["p_value"]),
-            p_vs_pivot_base=float(data["p_vs_pivot_base"]),
-            p_vs_pivot_target=float(data["p_vs_pivot_target"]),
-            degenerate_t=bool(data.get("degenerate_t", False)),
-            undefined_flags=tuple(data.get("undefined_flags", ())),
+            *[
+                decode(data[name]) if default is MISSING or name in data else default
+                for name, _, decode, default in _FIELDS
+            ]
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed persistence cell record: {exc}") from exc

@@ -49,7 +49,7 @@ NOT_APPLICABLE = "-"
 UNDEFINED = "undef"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableCell:
     """One measure's values for one (system, EE) row. ``None`` fields are
     rendered as undefined when named in ``undefined_fields``, otherwise as
@@ -64,15 +64,18 @@ class TableCell:
     undefined_fields: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableRow:
     system_tag: str
     ee_label: str
     cells: Mapping[str, TableCell]  # keyed by measure name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PersistenceTable:
+    """The rows to render plus the cells behind them, sorted by system,
+    measure name, base and target label."""
+
     pivot_tag: str
     measures: tuple[MeasureId, ...]
     ee_order: tuple[str, ...]
@@ -80,7 +83,7 @@ class PersistenceTable:
     cells: tuple[PersistenceCell, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScatterPoint:
     system_tag: str
     measure: MeasureId
@@ -90,7 +93,7 @@ class ScatterPoint:
     excluded: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TopicDeltaSeries:
     system_tag: str
     measure: MeasureId
@@ -121,32 +124,6 @@ def _check_cells(cells: Sequence[PersistenceCell]) -> tuple[PersistenceCell, ...
     return tuple(sorted(cells, key=_cell_sort_key))
 
 
-def _derive_ee_order(cells: Sequence[PersistenceCell]) -> tuple[str, ...]:
-    bases = sorted({c.pair.base_label for c in cells})
-    targets = sorted(
-        {c.pair.target_label for c in cells} - {c.pair.base_label for c in cells}
-    )
-    return tuple(bases + targets)
-
-
-def _pivot_arps(cells: Sequence[PersistenceCell]) -> dict[tuple[str, str], float]:
-    """(measure name, ee) -> pivot mean, cross-checked across cells."""
-    arps: dict[tuple[str, str], float] = {}
-    for cell in cells:
-        for ee, value in (
-            (cell.pair.base_label, cell.pivot_arp_base.value),
-            (cell.pair.target_label, cell.pivot_arp_target.value),
-        ):
-            key = (cell.measure.name, ee)
-            if key in arps and arps[key] != value:
-                raise DataError(
-                    f"inconsistent pivot means for {cell.measure.name} in {ee!r}: "
-                    f"{arps[key]} vs {value}"
-                )
-            arps[key] = value
-    return arps
-
-
 def persistence_table(
     cells: Sequence[PersistenceCell], ee_order: Sequence[str] | None = None
 ) -> PersistenceTable:
@@ -160,28 +137,32 @@ def persistence_table(
     measures = tuple(
         sorted({c.measure for c in ordered_cells}, key=lambda m: m.name)
     )
-    labels = {c.pair.base_label for c in ordered_cells} | {
-        c.pair.target_label for c in ordered_cells
-    }
+    bases = {c.pair.base_label for c in ordered_cells}
+    labels = bases | {c.pair.target_label for c in ordered_cells}
     if ee_order is None:
-        order = _derive_ee_order(ordered_cells)
+        order = tuple(sorted(bases) + sorted(labels - bases))
     else:
-        order = tuple(ee_order)
-        missing = labels - set(order)
+        missing = labels - set(ee_order)
         if missing:
             raise DataError(f"ee_order does not cover {sorted(missing)}")
-        order = tuple(label for label in order if label in labels)
-    pivot_arps = _pivot_arps(ordered_cells)
+        order = tuple(label for label in ee_order if label in labels)
     systems = sorted({c.system_tag for c in ordered_cells})
 
-    by_target: dict[tuple[str, str, str], PersistenceCell] = {
-        (c.system_tag, c.measure.name, c.pair.target_label): c for c in ordered_cells
-    }
+    by_target: dict[tuple[str, str, str], PersistenceCell] = {}
     by_base: dict[tuple[str, str, str], PersistenceCell] = {}
     pivot_base_label: dict[tuple[str, str], str] = {}  # (measure name, target) -> base
+    pivot_arps: dict[tuple[str, str], float] = {}  # (measure name, ee) -> pivot mean
     for c in ordered_cells:
-        by_base.setdefault((c.system_tag, c.measure.name, c.pair.base_label), c)
-        pivot_base_label.setdefault((c.measure.name, c.pair.target_label), c.pair.base_label)
+        name, base, target = c.measure.name, c.pair.base_label, c.pair.target_label
+        by_target[(c.system_tag, name, target)] = c
+        by_base.setdefault((c.system_tag, name, base), c)
+        pivot_base_label.setdefault((name, target), base)
+        for ee, value in ((base, c.pivot_arp_base.value), (target, c.pivot_arp_target.value)):
+            known = pivot_arps.setdefault((name, ee), value)
+            if known != value:
+                raise DataError(
+                    f"inconsistent pivot means for {name} in {ee!r}: {known} vs {value}"
+                )
 
     rows: list[TableRow] = []
     for ee in order:
@@ -368,8 +349,10 @@ def table_to_json(table: PersistenceTable) -> str:
 def table_from_json(text: str, *, path: str | None = None) -> PersistenceTable:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno, path=path) from exc
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ParseError(
+            f"invalid JSON: {exc}", line=getattr(exc, "lineno", None), path=path
+        ) from exc
     try:
         cells = [cell_from_dict(entry) for entry in payload["cells"]]
         ee_order = [str(label) for label in payload["ee_order"]]
@@ -382,14 +365,16 @@ def er_dri_points(
     cells: Sequence[PersistenceCell],
     exclusion_threshold: float = DEFAULT_ER_EXCLUSION,
 ) -> tuple[ScatterPoint, ...]:
-    """One scatter point per cell; outliers with |ER| above the threshold
-    (or undefined coordinates) are flagged excluded rather than dropped."""
+    """One scatter point per cell, in the order of ``cells`` (the cells of
+    a ``PersistenceTable`` are sorted); outliers with |ER| above the
+    threshold (or undefined coordinates) are flagged excluded rather than
+    dropped."""
     if not (math.isfinite(exclusion_threshold) and exclusion_threshold > 0):
         raise DataError(
             f"exclusion threshold must be positive and finite, got {exclusion_threshold}"
         )
     points = []
-    for cell in sorted(cells, key=_cell_sort_key):
+    for cell in cells:
         x, y = cell.effect_ratio, cell.delta_ri
         excluded = x is None or y is None or abs(x) > exclusion_threshold
         points.append(

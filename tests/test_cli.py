@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from persisteval import cli
+from persisteval import cli, report
 from persisteval.cli import EXIT_DATA, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
 FIXTURE = Path(__file__).parent / "fixtures" / "two_ee"
+GOLDEN_CELLS = Path(__file__).parent / "golden" / "two_ee" / "cells.json"
 GOLDEN_NO_STRICT_PIVOT_DELTA = Path(__file__).parent / "golden" / "two_ee_no_strict_pivot_delta"
 
 
@@ -411,6 +415,136 @@ class TestPersistCommand:
             assert "a,b" in {row[0] for row in rows}
 
 
+def set_at(path: str, value):
+    """An edit of the parsed manifest that sets the field at ``path``
+    (dotted keys; an integer part indexes a list) to ``value``."""
+
+    def edit(config):
+        *outer, last = [int(part) if part.isdigit() else part for part in path.split(".")]
+        target = config
+        for part in outer:
+            target = target[part]
+        target[last] = value
+
+    return edit
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_strings(value, keys, optional=()) -> bool:
+    return (
+        isinstance(value, dict)
+        and all(isinstance(value.get(key), str) for key in keys)
+        and all(isinstance(value.get(key, ""), str) for key in optional)
+    )
+
+
+OPTION_TYPES = {"t_test": str, "strict_topics": bool, "series": str}
+
+# Each manifest field, with whether a value has the field's JSON type.
+MANIFEST_FIELDS = {
+    "pivot": lambda v: isinstance(v, str),
+    "output": lambda v: isinstance(v, str),
+    "measures": lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v),
+    "pairs": lambda v: isinstance(v, list)
+    and all(isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p) for p in v),
+    "environments": lambda v: isinstance(v, list)
+    and all(is_strings(e, ("label", "qrels"), ("topics",)) for e in v),
+    "runs": lambda v: isinstance(v, list)
+    and all(is_strings(r, ("tag", "environment", "path")) for r in v),
+    "options": lambda v: isinstance(v, dict)
+    and all(isinstance(v.get(k, kind()), kind) for k, kind in OPTION_TYPES.items())
+    and is_number(v.get("er_exclude", 1)),
+    "options.t_test": lambda v: isinstance(v, str),
+    "options.er_exclude": is_number,
+    "options.strict_topics": lambda v: isinstance(v, bool),
+    "options.series": lambda v: isinstance(v, str),
+    "environments.0.label": lambda v: isinstance(v, str),
+    "environments.0.qrels": lambda v: isinstance(v, str),
+    "environments.0.topics": lambda v: isinstance(v, str),
+    "runs.0.tag": lambda v: isinstance(v, str),
+    "runs.0.environment": lambda v: isinstance(v, str),
+    "runs.0.path": lambda v: isinstance(v, str),
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+# Well-typed values next to arbitrary JSON, so both outcomes are exercised.
+typed_values = (
+    st.text(max_size=6)
+    | st.sampled_from(["baseline", "alpha", "t1", "t2", "p@10", "welch", "pivot-delta"])
+    | st.lists(st.sampled_from(["t1", "t2", "ndcg"]), min_size=2, max_size=2)
+    | st.lists(st.lists(st.sampled_from(["t1", "t2"]), min_size=2, max_size=2), max_size=2)
+    | st.floats(min_value=0.5, max_value=100)
+)
+
+
+class TestTypedManifest:
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ("measures", "p@10", 'measures must be a list, got "p@10"'),
+            ("options.er_exclude", "0.01", 'options.er_exclude must be a number, got "0.01"'),
+            ("options.er_exclude", True, "options.er_exclude must be a number, got true"),
+            ("options.er_exclude", 10**400, "options.er_exclude is out of range"),
+            ("runs", "x", 'runs must be a list, got "x"'),
+            ("pivot", 5, "pivot must be a string, got 5"),
+            ("environments.1.label", 2, "environments[1].label must be a string, got 2"),
+            ("runs.0.environment", 1, "runs[0].environment must be a string, got 1"),
+            ("environments.0.topics", None, "environments[0].topics must be a string, got null"),
+            ("pairs", [["t1", 2]], "pairs[0]: a pair must be a [base, target] list"),
+            ("measures", ["p@10", 10], "measures[1] must be a string, got 10"),
+            ("options.series", ["raw"], 'options.series must be a string, got ["raw"]'),
+            ("output", False, "output must be a string, got false"),
+            ("runs.0.path", "runs/\0.run", "holds a NUL character"),
+        ],
+    )
+    def test_wrong_type_is_a_named_usage_error(
+        self, tmp_path, no_scoring, capsys, path, value, message
+    ):
+        job = copy_job(tmp_path, set_at(path, value))
+        assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"malformed manifest {job}: " in err and message in err
+
+    def test_missing_required_key_is_named(self, tmp_path, no_scoring, capsys):
+        job = copy_job(tmp_path, lambda config: config["runs"][2].pop("tag"))
+        assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_USAGE
+        assert "runs[2].tag is missing" in capsys.readouterr().err
+
+    def test_integer_number_is_accepted(self, tmp_path):
+        job = copy_job(tmp_path, set_at("options.er_exclude", 10))
+        assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_OK
+        assert tree(tmp_path / "out") == tree(GOLDEN_CELLS.parent)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=30)
+    @given(path=st.sampled_from(sorted(MANIFEST_FIELDS)), value=json_values | typed_values)
+    def test_fuzzed_field_gives_a_result_or_a_named_error(
+        self, tmp_path, no_scoring, capsys, path, value
+    ):
+        shutil.rmtree(tmp_path / "job", ignore_errors=True)
+        job = copy_job(tmp_path, set_at(path, value))
+        capsys.readouterr()
+        try:
+            code = run_cli("persist", "--config", job, "--output", tmp_path / "out")
+        except AssertionError as exc:  # no_scoring: the manifest was accepted
+            assert "scored before the usage check" in str(exc)
+            code = None
+        err = capsys.readouterr().err
+        if not MANIFEST_FIELDS[path](value):
+            assert code == EXIT_USAGE, (path, value)
+            assert path.split(".")[0] in err, err
+        assert code in (None, EXIT_OK) or (
+            code in (EXIT_USAGE, EXIT_PARSE, EXIT_DATA) and err.startswith("error: ")
+        )
+
+
 class TestCorpusDiffCommand:
     def test_manifest_diff(self, capsys):
         code = run_cli("corpus-diff", FIXTURE / "manifest.t1.tsv", FIXTURE / "manifest.t2.tsv")
@@ -513,6 +647,78 @@ class TestReportCommand:
         bad.write_text('{"cells": [],\n not json', encoding="utf-8")
         assert run_cli("report", bad, "--output", tmp_path) == EXIT_PARSE
         assert f"error: {bad}:2: invalid JSON" in capsys.readouterr().err
+
+
+    def test_sorts_each_cell_once(self, tmp_path, monkeypatch):
+        calls = []
+        sort_key = report._cell_sort_key
+        monkeypatch.setattr(
+            report, "_cell_sort_key", lambda cell: calls.append(1) or sort_key(cell)
+        )
+        assert run_cli("report", GOLDEN_CELLS, "--output", tmp_path) == EXIT_OK
+        assert len(calls) == len(json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))["cells"])
+        golden_scatter = GOLDEN_CELLS.parent / "scatter.csv"
+        assert (tmp_path / "scatter.csv").read_bytes() == golden_scatter.read_bytes()
+
+    @pytest.mark.parametrize(
+        "command", [["report"], ["persist", "--config"]], ids=["report", "persist"]
+    )
+    @pytest.mark.parametrize(
+        "text", ['{"cells": 1%s}' % ("0" * 5000), "[" * 100_000 + "]" * 100_000],
+        ids=["int-over-4300-digits", "nested-100000-deep"],
+    )
+    def test_json_the_decoder_refuses_exits_2(self, tmp_path, capsys, command, text):
+        bad = tmp_path / "input.json"
+        bad.write_text(text, encoding="utf-8")
+        assert run_cli(*command, bad, "--output", tmp_path / "out") == EXIT_PARSE
+        assert f"error: {bad}: invalid JSON" in capsys.readouterr().err
+
+
+class TestCycleCollectorState:
+    """main pauses the cycle collector while a command runs and restores
+    the state it found on every exit path."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--er-exclude", "10"], EXIT_OK),
+            (["--er-exclude", "0"], EXIT_USAGE),
+            (["--missing"], EXIT_PARSE),
+            (["--malformed"], EXIT_DATA),
+        ],
+        ids=["exit-0", "exit-1", "exit-2", "exit-3"],
+    )
+    def test_state_restored(self, tmp_path, monkeypatch, enabled, argv, code):
+        cells = GOLDEN_CELLS
+        if argv == ["--missing"]:
+            cells, argv = tmp_path / "missing.json", []
+        elif argv == ["--malformed"]:
+            cells, argv = tmp_path / "cells.json", []
+            cells.write_text('{"cells": [{}], "ee_order": []}', encoding="utf-8")
+        during = []
+        read_input = cli.read_input
+        monkeypatch.setattr(cli, "read_input", lambda path: during.append(gc.isenabled()) or read_input(path))
+        (gc.enable if enabled else gc.disable)()
+        assert run_cli("report", cells, *argv, "--output", tmp_path / "out") == code
+        assert gc.isenabled() is enabled
+        assert during == [False]
+
+    def test_state_restored_after_an_unexpected_exception(self, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_report", boom)
+        gc.enable()
+        with pytest.raises(RuntimeError):
+            run_cli("report", GOLDEN_CELLS)
+        assert gc.isenabled()
 
 
 def copy_fixture_with_edit(tmp_path: Path, name: str, edit) -> tuple[Path, Path]:

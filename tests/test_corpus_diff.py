@@ -79,13 +79,14 @@ class TestDiff:
         assert summary.added == summary.removed == summary.changed == 0
         assert summary.unchanged == 2
 
-    def test_url_lists_behind_flag(self):
-        a, b = snap("a", {"u1": 1, "u2": 2}), snap("b", {"u2": 3, "u4": 1})
-        assert diff_collections(a, b).added_urls == ()
-        verbose = diff_collections(a, b, collect_urls=True)
-        assert verbose.added_urls == ("u4",)
-        assert verbose.removed_urls == ("u1",)
-        assert verbose.changed_urls == ("u2",)
+    def test_url_lists_always_kept(self):
+        a, b = snap("a", {"u1": 1, "u2": 2, "u3": 3}), snap("b", {"u2": 3, "u4": 1, "u3": 3})
+        summary = diff_collections(a, b)
+        assert summary.added_urls == ("u4",)
+        assert summary.removed_urls == ("u1",)
+        assert summary.changed_urls == ("u2",)
+        assert summary.unchanged_urls == ("u3",)
+        assert summary.to_dict() == {"added": 1, "removed": 1, "changed": 1, "unchanged": 1}
 
     def test_random_pair_matches_set_algebra_oracle(self):
         rng = random.Random(200)
@@ -131,6 +132,6 @@ class TestFormatting:
         assert len(text.splitlines()) == 5  # heading + four count lines, no URLs
 
     def test_verbose_lists(self):
-        summary = diff_collections(snap("a", {"u": 1}), snap("b", {"u": 2}), collect_urls=True)
+        summary = diff_collections(snap("a", {"u": 1}), snap("b", {"u": 2}))
         text = format_diff(summary, "a", "b", verbose=True)
         assert "changed\tu" in text

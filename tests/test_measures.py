@@ -53,6 +53,19 @@ class TestMeasureId:
         with pytest.raises(ValueError):
             parse_measure(bad)
 
+    def test_cached_name_leaves_equality_hash_and_repr_alone(self):
+        named, fresh = MeasureId("ndcg", cutoff=20), MeasureId("ndcg", cutoff=20)
+        assert named.name == "nDCG@20" and named.name is named.name
+        assert named == fresh and hash(named) == hash(fresh)
+        assert repr(named) == repr(fresh) == "MeasureId(kind='ndcg', k=10, cutoff=20)"
+
+    def test_repeated_name_parses_to_one_measure(self):
+        assert parse_measure("ndcg@7") is parse_measure("ndcg@7")
+        with pytest.raises(ValueError):
+            parse_measure("ndcg@x")
+        with pytest.raises(ValueError):
+            parse_measure("ndcg@x")
+
 
 class TestPAtK:
     def test_all_relevant(self):

@@ -1,15 +1,29 @@
 from __future__ import annotations
 
+import dataclasses
+import json
+import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from persisteval.errors import DataError
-from persisteval.measures import BPREF, NDCG, P_AT_10, TopicScoreVector, arp, score_run
+from persisteval.measures import (
+    BPREF,
+    NDCG,
+    P_AT_10,
+    ARPValue,
+    MeasureId,
+    TopicScoreVector,
+    arp,
+    score_run,
+)
 from persisteval.persistence import (
     EEPair,
+    PersistenceCell,
     cell_from_dict,
     cell_to_dict,
     delta_ri,
@@ -321,6 +335,85 @@ class TestCellSerialization:
         assert first["t_statistic"] is None
         second = cell_to_dict(cell_from_dict(first))
         assert second == first
+
+
+GOLDEN_CELL = json.loads(
+    (Path(__file__).parent / "golden" / "two_ee" / "cells.json").read_text(encoding="utf-8")
+)["cells"][0]
+REQUIRED_KEYS = [
+    (key,) for key in GOLDEN_CELL if key not in ("degenerate_t", "undefined_flags")
+] + [
+    (key, inner)
+    for key in ("pair", "arp_base", "arp_target", "pivot_arp_base", "pivot_arp_target")
+    for inner in GOLDEN_CELL[key]
+]
+NONFINITE_T_FLAG = "t_statistic: non-finite (degenerate variance)"
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+labels = st.text(min_size=1, max_size=4)
+arp_values = st.builds(ARPValue, any_float, st.integers(0, 50))
+generated_cells = st.builds(
+    PersistenceCell,
+    system_tag=st.text(max_size=4),
+    pivot_tag=st.text(max_size=4),
+    measure=st.sampled_from([P_AT_10, NDCG, BPREF, MeasureId("ndcg", cutoff=5)]),
+    pair=st.builds(EEPair, labels, labels),
+    arp_base=arp_values,
+    arp_target=arp_values,
+    pivot_arp_base=arp_values,
+    pivot_arp_target=arp_values,
+    result_delta=st.none() | any_float,
+    ri_base=st.none() | any_float,
+    ri_target=st.none() | any_float,
+    delta_ri=st.none() | any_float,
+    effect_ratio=st.none() | any_float,
+    # A JSON null reads back as +inf, so only finite values and +inf round-trip.
+    t_statistic=st.just(math.inf) | st.floats(allow_nan=False, allow_infinity=False),
+    p_value=any_float,
+    p_vs_pivot_base=any_float,
+    p_vs_pivot_target=any_float,
+    degenerate_t=st.booleans(),
+    undefined_flags=st.lists(st.sampled_from(["a", "b", NONFINITE_T_FLAG]), max_size=2).map(tuple),
+)
+
+
+class TestCellCodec:
+    @given(generated_cells)
+    def test_round_trip_with_none_nan_and_inf(self, cell):
+        expected = cell
+        if math.isinf(cell.t_statistic) and NONFINITE_T_FLAG not in cell.undefined_flags:
+            expected = dataclasses.replace(
+                cell, undefined_flags=cell.undefined_flags + (NONFINITE_T_FLAG,)
+            )
+        assert cell_from_dict(cell_to_dict(cell)) == expected
+
+    def test_golden_record_round_trips_to_the_same_json(self):
+        assert cell_to_dict(cell_from_dict(GOLDEN_CELL)) == GOLDEN_CELL
+
+    @pytest.mark.parametrize("path", REQUIRED_KEYS, ids=".".join)
+    def test_missing_required_key_raises_data_error(self, path):
+        record = json.loads(json.dumps(GOLDEN_CELL))
+        *outer, key = path
+        del (record[outer[0]] if outer else record)[key]
+        with pytest.raises(DataError, match="malformed persistence cell record"):
+            cell_from_dict(record)
+
+    def test_defaults_for_optional_keys(self):
+        record = dict(GOLDEN_CELL)
+        del record["degenerate_t"], record["undefined_flags"]
+        cell = cell_from_dict(record)
+        assert cell.degenerate_t is False and cell.undefined_flags == ()
+
+    def test_null_t_statistic_reads_as_inf(self):
+        assert cell_from_dict({**GOLDEN_CELL, "t_statistic": None}).t_statistic == math.inf
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("measure", 5), ("measure", "p@x"), ("pair", "t1"), ("arp_base", None), ("p_value", None)],
+    )
+    def test_wrong_value_raises_data_error(self, key, value):
+        with pytest.raises(DataError, match="malformed persistence cell record"):
+            cell_from_dict({**GOLDEN_CELL, key: value})
 
 
 class TestArpOnScoredRuns:

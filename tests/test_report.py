@@ -197,6 +197,21 @@ class TestScatter:
     def test_empty_input(self):
         assert er_dri_points([]) == ()
 
+    def test_points_keep_the_order_of_the_cells(self, cells):
+        for order in (cells, list(reversed(cells))):
+            points = er_dri_points(order)
+            assert [(p.system_tag, p.measure, p.pair) for p in points] == [
+                (c.system_tag, c.measure, c.pair) for c in order
+            ]
+
+    def test_table_cells_are_sorted(self, cells):
+        table = persistence_table(list(reversed(cells)))
+        keys = [
+            (c.system_tag, c.measure.name, c.pair.base_label, c.pair.target_label)
+            for c in table.cells
+        ]
+        assert keys == sorted(keys) and len(keys) == len(cells)
+
     @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
     def test_threshold_validation(self, cells, threshold):
         with pytest.raises(DataError):
