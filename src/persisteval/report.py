@@ -293,15 +293,10 @@ def render_table_text(table: PersistenceTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_value(value: float | None) -> str:
-    if value is None:
-        return ""
-    return repr(value)
-
-
-def _csv(header: str, rows: Iterable[Sequence[str]]) -> str:
+def _csv(header: str, rows: Iterable[Sequence[str | float | None]]) -> str:
     """CSV text with a header line, quoting fields that hold a comma, a
-    quote or a line break."""
+    quote or a line break. ``None`` is written as an empty field and a
+    float as its repr, which keeps full precision."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header.split(","))
@@ -321,11 +316,11 @@ def render_table_csv(table: PersistenceTable) -> str:
                     row.system_tag,
                     row.ee_label,
                     measure.name,
-                    _csv_value(cell.arp),
-                    _csv_value(cell.result_delta),
-                    _csv_value(cell.delta_ri),
-                    _csv_value(cell.effect_ratio),
-                    _csv_value(cell.p_value),
+                    cell.arp,
+                    cell.result_delta,
+                    cell.delta_ri,
+                    cell.effect_ratio,
+                    cell.p_value,
                     significant,
                 ]
             )
@@ -399,8 +394,8 @@ def scatter_csv(points: Iterable[ScatterPoint]) -> str:
                 point.measure.name,
                 point.pair.base_label,
                 point.pair.target_label,
-                _csv_value(point.x),
-                _csv_value(point.y),
+                point.x,
+                point.y,
                 str(point.excluded).lower(),
             ]
             for point in points
@@ -459,7 +454,7 @@ def series_csv(series: TopicDeltaSeries) -> str:
                 series.pair.base_label,
                 series.pair.target_label,
                 topic,
-                repr(delta),
+                delta,
             ]
             for topic, delta in series.entries
         ),
