@@ -33,6 +33,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 from typing import Sequence
 
@@ -66,9 +67,12 @@ from .run_io import (
     Run,
     TopicSet,
     core_topics,
+    json_member,
+    json_typed,
     load_qrels,
     load_run,
     load_topics,
+    parse_json,
     read_input,
 )
 from .stats import VARIANTS
@@ -77,6 +81,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_DATA = 3
+_EXIT_CODES = {UsageError: EXIT_USAGE, ParseError: EXIT_PARSE}
 
 OUTPUT_ENV_VAR = "PERSISTEVAL_OUTPUT"
 
@@ -147,19 +152,16 @@ class JobConfig:
         if self.pivot not in tags:
             raise UsageError(f"pivot {self.pivot!r} is not a declared run tag")
         series_owners: dict[str, str] = {}
-        for system in sorted(tags - {self.pivot}):
-            for measure in self.measures:
-                for pair in self.pairs:
-                    name = _series_name(system, measure, pair)
-                    owner = (
-                        f"system {system!r}, {measure.name}, "
-                        f"pair {pair.base_label!r} -> {pair.target_label!r}"
-                    )
-                    if name in series_owners:
-                        raise UsageError(
-                            f"series/{name} would hold both {series_owners[name]} and {owner}"
-                        )
-                    series_owners[name] = owner
+        systems = sorted(tags - {self.pivot})
+        for system, measure, pair in product(systems, self.measures, self.pairs):
+            name = _series_name(system, measure, pair)
+            owner = (
+                f"system {system!r}, {measure.name}, "
+                f"pair {pair.base_label!r} -> {pair.target_label!r}"
+            )
+            if name in series_owners:
+                raise UsageError(f"series/{name} would hold both {series_owners[name]} and {owner}")
+            series_owners[name] = owner
         if self.t_variant not in VARIANTS:
             raise UsageError(f"unknown t-test variant {self.t_variant!r}")
         if self.series_mode not in ("raw", "pivot-delta"):
@@ -180,69 +182,38 @@ def _check_er_exclude(threshold: float) -> float:
     return threshold
 
 
+def _tokens(text: str, what: str) -> list[str]:
+    """The non-empty items of a comma list."""
+    tokens = [token.strip() for token in text.split(",") if token.strip()]
+    if not tokens:
+        raise UsageError(f"empty {what} list")
+    return tokens
+
+
 def _parse_measure_list(text: str) -> list[MeasureId]:
     measures = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in _tokens(text, "measure"):
         try:
             measures.append(parse_measure(token))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    if not measures:
-        raise UsageError("empty measure list")
     return measures
 
 
 def _parse_pair_list(text: str) -> list[EEPair]:
     pairs = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in _tokens(text, "pair"):
         parts = token.split(":")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise UsageError(f"pair must look like BASE:TARGET, got {token!r}")
         pairs.append(EEPair(parts[0], parts[1]))
-    if not pairs:
-        raise UsageError("empty pair list")
     return pairs
-
-
-_REQUIRED = object()
-_JSON_TYPES = {
-    dict: "an object", list: "a list", str: "a string", bool: "true or false", float: "a number"
-}
-
-
-def _typed(value, kind: type, where: str):
-    """``value`` if it has the JSON type ``kind``, else a ValueError naming
-    the manifest path ``where``. A number (``float``) is a JSON integer or
-    float, never a boolean, and is returned as a float."""
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ValueError(f"{where} is out of range, got {value}") from None
-    if not isinstance(value, kind):
-        raise ValueError(f"{where} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
-    return value
-
-
-def _member(obj: dict, key: str, kind: type, where: str = "", default=_REQUIRED):
-    """``obj[key]`` checked by ``_typed``; ``default`` when it is absent."""
-    path = f"{where}.{key}" if where else key
-    if key not in obj:
-        if default is _REQUIRED:
-            raise ValueError(f"{path} is missing")
-        return default
-    return _typed(obj[key], kind, path)
 
 
 def _items(obj: dict, key: str) -> list[tuple[str, object]]:
     """(path, item) for each item of the list ``obj[key]``; none if absent."""
-    return [(f"{key}[{i}]", item) for i, item in enumerate(_member(obj, key, list, default=[]))]
+    items = json_member(obj, key, list, default=[])
+    return [(f"{key}[{i}]", item) for i, item in enumerate(items)]
 
 
 def _manifest_pair(where: str, entry) -> EEPair:
@@ -257,12 +228,7 @@ def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
     """Read the JSON manifest and apply command-line overrides. Each
     manifest field has one JSON type; a value of another type is a usage
     error that names the field's path."""
-    try:
-        raw = json.loads(read_input(path))
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise ParseError(
-            f"invalid JSON: {exc}", line=getattr(exc, "lineno", None), path=str(path)
-        ) from exc
+    raw = parse_json(read_input(path), path=str(path))
     base_dir = path.parent
 
     def _resolve(p: str) -> Path:
@@ -272,38 +238,38 @@ def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
         return candidate if candidate.is_absolute() else base_dir / candidate
 
     def _environment(where: str, entry) -> EESpec:
-        entry = _typed(entry, dict, where)
-        topics = _member(entry, "topics", str, where, "")
+        entry = json_typed(entry, dict, where)
+        topics = json_member(entry, "topics", str, where, "")
         return EESpec(
-            label=_member(entry, "label", str, where),
-            qrels_path=_resolve(_member(entry, "qrels", str, where)),
+            label=json_member(entry, "label", str, where),
+            qrels_path=_resolve(json_member(entry, "qrels", str, where)),
             topics_path=_resolve(topics) if topics else None,
         )
 
     def _run(where: str, entry) -> RunSpec:
-        entry = _typed(entry, dict, where)
+        entry = json_typed(entry, dict, where)
         return RunSpec(
-            tag=_member(entry, "tag", str, where),
-            ee_label=_member(entry, "environment", str, where),
-            path=_resolve(_member(entry, "path", str, where)),
+            tag=json_member(entry, "tag", str, where),
+            ee_label=json_member(entry, "environment", str, where),
+            path=_resolve(json_member(entry, "path", str, where)),
         )
 
     try:
-        raw = _typed(raw, dict, "the manifest")
-        options = _member(raw, "options", dict, default={})
-        t_test = _member(options, "t_test", str, "options", "student")
-        output = _member(raw, "output", str, default="")
+        raw = json_typed(raw, dict, "the manifest")
+        options = json_member(raw, "options", dict, default={})
+        t_test = json_member(options, "t_test", str, "options", "student")
+        output = json_member(raw, "output", str, default="")
         config = JobConfig(
             environments=[_environment(*item) for item in _items(raw, "environments")],
             runs=[_run(*item) for item in _items(raw, "runs")],
-            pivot=_member(raw, "pivot", str, default=""),
-            measures=[parse_measure(_typed(m, str, where)) for where, m in _items(raw, "measures")],
+            pivot=json_member(raw, "pivot", str, default=""),
+            measures=[parse_measure(json_typed(m, str, where)) for where, m in _items(raw, "measures")],
             pairs=[_manifest_pair(*item) for item in _items(raw, "pairs")],
             output=_resolve(output) if output else None,
             t_variant=_T_TEST_NAMES.get(t_test, t_test),
-            er_exclude=_member(options, "er_exclude", float, "options", DEFAULT_ER_EXCLUSION),
-            strict_topics=_member(options, "strict_topics", bool, "options", True),
-            series_mode=_member(options, "series", str, "options", "raw"),
+            er_exclude=json_member(options, "er_exclude", float, "options", DEFAULT_ER_EXCLUSION),
+            strict_topics=json_member(options, "strict_topics", bool, "options", True),
+            series_mode=json_member(options, "series", str, "options", "raw"),
         )
     except (ValueError, DataError) as exc:
         raise UsageError(f"malformed manifest {path}: {exc}") from exc
@@ -355,10 +321,14 @@ def _default_output(explicit: Path | None) -> Path:
     return Path(env) if env else Path(".")
 
 
-def _write(path: Path, content: str, written: list[str], root: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content, encoding="utf-8")
-    written.append(path.relative_to(root).as_posix())
+def _write(out_dir: Path, files: Sequence[tuple[str, str]]) -> None:
+    """Write each (name, content) under ``out_dir``, then list the names."""
+    for name, content in files:
+        path = out_dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(content, encoding="utf-8")
+    for name, _ in files:
+        print(f"wrote {name}")
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -370,25 +340,20 @@ def cmd_score(args: argparse.Namespace) -> int:
     else:
         topics = run.topics | qrels.topics
     out_dir = _default_output(Path(args.output) if args.output else None)
-    written: list[str] = []
+    files: list[tuple[str, str]] = []
     arp_payload: dict[str, dict] = {}
     for measure in measures:
         vector = score_run(run, qrels, measure, topics)
         stem = f"{_safe_name(run.run_tag)}.{measure.key}"
-        _write(out_dir / f"{stem}.scores.txt", format_scores(vector), written, out_dir)
-        _write(out_dir / f"{stem}.scores.json", scores_to_json(vector), written, out_dir)
+        files.append((f"{stem}.scores.txt", format_scores(vector)))
+        files.append((f"{stem}.scores.json", scores_to_json(vector)))
         mean = arp(vector)
         arp_payload[measure.name] = {"value": mean.value, "n_topics": mean.n_topics}
         print(f"{run.run_tag} {measure.name} arp {mean.value:.6f} n={mean.n_topics}")
-    _write(
-        out_dir / f"{_safe_name(run.run_tag)}.arp.json",
-        json.dumps({"run_tag": run.run_tag, "measures": arp_payload}, indent=2, sort_keys=True)
-        + "\n",
-        written,
-        out_dir,
-    )
-    for name in written:
-        print(f"wrote {name}")
+    payload = {"run_tag": run.run_tag, "measures": arp_payload}
+    blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    files.append((f"{_safe_name(run.run_tag)}.arp.json", blob))
+    _write(out_dir, files)
     return EXIT_OK
 
 
@@ -480,39 +445,29 @@ def cmd_persist(args: argparse.Namespace) -> int:
     table = persistence_table(cells, ee_order=ee_order)
     points = er_dri_points(table.cells, config.er_exclude)
 
-    written: list[str] = []
-    _write(out_dir / "table.txt", render_table_text(table), written, out_dir)
-    _write(out_dir / "table.csv", render_table_csv(table), written, out_dir)
-    _write(out_dir / "cells.json", table_to_json(table), written, out_dir)
-    _write(out_dir / "scatter.csv", scatter_csv(points), written, out_dir)
-    for name, blob in sorted(series_blobs):
-        _write(out_dir / "series" / name, blob, written, out_dir)
-    for name in sorted(written):
-        print(f"wrote {name}")
+    files = [
+        ("table.txt", render_table_text(table)),
+        ("table.csv", render_table_csv(table)),
+        ("cells.json", table_to_json(table)),
+        ("scatter.csv", scatter_csv(points)),
+    ]
+    _write(out_dir, sorted(files + [(f"series/{name}", blob) for name, blob in series_blobs]))
     return EXIT_OK
 
 
 def cmd_corpus_diff(args: argparse.Namespace) -> int:
-    if args.from_dirs:
-        snapshot_a = snapshot_from_dir(Path(args.manifest_a))
-        snapshot_b = snapshot_from_dir(Path(args.manifest_b))
-    else:
-        snapshot_a = load_manifest(Path(args.manifest_a))
-        snapshot_b = load_manifest(Path(args.manifest_b))
+    load = snapshot_from_dir if args.from_dirs else load_manifest
+    snapshot_a, snapshot_b = load(Path(args.manifest_a)), load(Path(args.manifest_b))
     summary = diff_collections(snapshot_a, snapshot_b)
     sys.stdout.write(format_diff(summary, snapshot_a.label, snapshot_b.label, verbose=args.verbose))
     if args.output:
-        out_dir = Path(args.output)
-        out_dir.mkdir(parents=True, exist_ok=True)
         payload = {
             "a": snapshot_a.label,
             "b": snapshot_b.label,
             **summary.to_dict(include_urls=args.verbose),
         }
-        (out_dir / "corpus_diff.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        print("wrote corpus_diff.json")
+        blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        _write(Path(args.output), [("corpus_diff.json", blob)])
     return EXIT_OK
 
 
@@ -521,12 +476,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     threshold = DEFAULT_ER_EXCLUSION if args.er_exclude is None else args.er_exclude
     points = er_dri_points(table.cells, _check_er_exclude(threshold))
     out_dir = _default_output(Path(args.output) if args.output else None)
-    written: list[str] = []
-    _write(out_dir / "table.txt", render_table_text(table), written, out_dir)
-    _write(out_dir / "table.csv", render_table_csv(table), written, out_dir)
-    _write(out_dir / "scatter.csv", scatter_csv(points), written, out_dir)
-    for name in written:
-        print(f"wrote {name}")
+    files = [
+        ("table.txt", render_table_text(table)),
+        ("table.csv", render_table_csv(table)),
+        ("scatter.csv", scatter_csv(points)),
+    ]
+    _write(out_dir, files)
     return EXIT_OK
 
 
@@ -604,15 +559,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         warnings.showwarning = _show_warning
         try:
             return args.handler(args)
-        except UsageError as exc:
+        except EvaluationError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        except EvaluationError as exc:  # DataError and any other data fault
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
+            # DataError and any other data fault exit 3.
+            return _EXIT_CODES.get(type(exc), EXIT_DATA)
         finally:
             if gc_was_enabled:
                 gc.enable()

@@ -62,20 +62,22 @@ def parse_manifest(text: str | Iterable[str], label: str, *, path: str | None = 
     """Parse a ``url<TAB>length`` manifest. Lengths must be non-negative
     integers and URLs unique."""
     docs: dict[str, int] = {}
-    lines = text.splitlines() if isinstance(text, str) else text
-    for number, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
+    for number, line in enumerate(text.splitlines() if isinstance(text, str) else text, start=1):
+        try:
+            url, length_text = line.split("\t")
+        except ValueError:
+            if not line.strip():
+                continue
+            fields = line.count("\t") + 1
             raise ParseError(
-                f"expected 'url<TAB>length', got {len(parts)} tab-separated fields",
+                f"expected 'url<TAB>length', got {fields} tab-separated fields",
                 line=number,
                 path=path,
-            )
-        url, length_text = parts[0].strip(), parts[1].strip()
+            ) from None
+        url, length_text = url.strip(), length_text.strip()
         if not url:
+            if not length_text:  # only spaces and one tab: a blank line
+                continue
             raise ParseError("empty url", line=number, path=path)
         try:
             length = int(length_text)

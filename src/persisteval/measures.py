@@ -64,11 +64,7 @@ class MeasureId:
     @property
     def key(self) -> str:
         """File-name-safe identifier: p_at_10, ndcg, ndcg_at_20, bpref."""
-        if self.kind == "precision_at_k":
-            return f"p_at_{self.k}"
-        if self.kind == "ndcg":
-            return "ndcg" if self.cutoff is None else f"ndcg_at_{self.cutoff}"
-        return "bpref"
+        return self.name.lower().replace("@", "_at_")
 
 
 P_AT_10 = MeasureId("precision_at_k", k=10)

@@ -36,6 +36,7 @@ from typing import AbstractSet, Mapping
 
 from .errors import DataError
 from .measures import ARPValue, MeasureId, TopicScoreVector, arp, parse_measure
+from .run_io import json_member, json_typed
 from .stats import mean, t_test_unpaired
 
 
@@ -86,6 +87,17 @@ def check_same_topics(a: AbstractSet[str], b: AbstractSet[str], a_name: str, b_n
             f"topic sets differ: only in {a_name} {sorted(only_a)}, "
             f"only in {b_name} {sorted(only_b)}"
         )
+
+
+def check_across(base: TopicScoreVector, target: TopicScoreVector, who: str) -> None:
+    """Raise a DataError unless two vectors hold one run's scores for one
+    measure, as in the base and the target environment."""
+    if base.run_tag != target.run_tag:
+        raise DataError(
+            f"{who} run tags differ across environments: {base.run_tag!r} vs {target.run_tag!r}"
+        )
+    if base.measure != target.measure:
+        raise DataError(f"measure mismatch: {base.measure.name} vs {target.measure.name}")
 
 
 def topic_deltas(system: TopicScoreVector, pivot: TopicScoreVector) -> dict[str, float]:
@@ -163,20 +175,8 @@ def persistence_cell(
     target topic sets may differ (the non-strict mode, where each
     environment is evaluated on its own available topics).
     """
-    if sys_base.run_tag != sys_target.run_tag:
-        raise DataError(
-            f"system run tags differ across environments: "
-            f"{sys_base.run_tag!r} vs {sys_target.run_tag!r}"
-        )
-    if piv_base.run_tag != piv_target.run_tag:
-        raise DataError(
-            f"pivot run tags differ across environments: "
-            f"{piv_base.run_tag!r} vs {piv_target.run_tag!r}"
-        )
-    if sys_base.measure != sys_target.measure:
-        raise DataError(
-            f"measure mismatch: {sys_base.measure.name} vs {sys_target.measure.name}"
-        )
+    check_across(sys_base, sys_target, "system")
+    check_across(piv_base, piv_target, "pivot")
     system_tag, pivot_tag = sys_base.run_tag, piv_base.run_tag
     if system_tag == pivot_tag and not allow_self_pivot:
         raise DataError(f"system and pivot share the tag {system_tag!r}")
@@ -230,30 +230,44 @@ def persistence_cell(
     )
 
 
-# (encode, decode) of each PersistenceCell field, by its annotation; no
-# encoder means the value is its own JSON form.
+def _strings(items: list, where: str) -> tuple[str, ...]:
+    for i, item in enumerate(items):
+        json_typed(item, str, f"{where}[{i}]")
+    return tuple(items)
+
+
+# (JSON type, encode, decode, null) of each PersistenceCell field, by its
+# annotation. A value is checked against its JSON type before ``decode``
+# gets it with its path; no encoder or decoder means the value is its own
+# JSON form. ``null`` is what a JSON null reads as (MISSING: not allowed).
 _CODECS = {
-    "str": (None, str),
-    "float": (None, float),
-    "float | None": (None, lambda x: None if x is None else float(x)),
-    "bool": (None, bool),
-    "tuple[str, ...]": (list, tuple),
-    "MeasureId": (lambda m: m.name, lambda name: parse_measure(str(name))),
+    "str": (str, None, None, MISSING),
+    "float": (float, None, None, MISSING),
+    "float | None": (float, None, None, None),
+    "bool": (bool, None, None, MISSING),
+    "tuple[str, ...]": (list, list, _strings, MISSING),
+    "MeasureId": (str, lambda m: m.name, lambda name, _: parse_measure(name), MISSING),
     "EEPair": (
+        dict,
         lambda p: {"base": p.base_label, "target": p.target_label},
-        lambda d: EEPair(str(d["base"]), str(d["target"])),
+        lambda d, where: EEPair(
+            json_member(d, "base", str, where), json_member(d, "target", str, where)
+        ),
+        MISSING,
     ),
     "ARPValue": (
+        dict,
         lambda a: {"value": a.value, "n_topics": a.n_topics},
-        lambda d: ARPValue(float(d["value"]), int(d["n_topics"])),
+        lambda d, where: ARPValue(
+            json_member(d, "value", float, where), json_member(d, "n_topics", int, where)
+        ),
+        MISSING,
     ),
 }
 # A degenerate t-test's statistic is infinite; JSON holds it as null.
-_T_CODEC = (
-    lambda t: t if math.isfinite(t) else None,
-    lambda x: math.inf if x is None else float(x),
-)
-# (name, encode, decode, default) per field; a field with a default may be absent.
+_T_CODEC = (float, None, None, math.inf)
+# (name, JSON type, encode, decode, null, default) per field; a field with a
+# default may be absent.
 _FIELDS = [
     (
         f.name,
@@ -262,6 +276,7 @@ _FIELDS = [
     )
     for f in fields(PersistenceCell)
 ]
+_NAMES = [f[0] for f in _FIELDS]
 _NONFINITE_T_FLAG = "t_statistic: non-finite (degenerate variance)"
 
 
@@ -269,22 +284,29 @@ def cell_to_dict(cell: PersistenceCell) -> dict:
     """JSON-ready form with fixed field names. Undefined values and a
     non-finite t statistic become null; the reasons live in undefined_flags."""
     record = {}
-    for name, encode, _, _ in _FIELDS:
+    for name, _, encode, _, _, _ in _FIELDS:
         value = getattr(cell, name)
         record[name] = value if encode is None else encode(value)
-    if record["t_statistic"] is None and _NONFINITE_T_FLAG not in record["undefined_flags"]:
-        record["undefined_flags"].append(_NONFINITE_T_FLAG)
+    if not math.isfinite(cell.t_statistic):
+        record["t_statistic"] = None
+        if _NONFINITE_T_FLAG not in record["undefined_flags"]:
+            record["undefined_flags"].append(_NONFINITE_T_FLAG)
     return record
 
 
-def cell_from_dict(data: Mapping) -> PersistenceCell:
-    """Rebuild a cell from its JSON form (inverse of cell_to_dict)."""
+def cell_from_dict(data: dict, where: str = "") -> PersistenceCell:
+    """Rebuild a cell from its JSON form (inverse of cell_to_dict). Each
+    field must have its JSON type; ``where`` is the record's path in error
+    messages, e.g. ``cells[3]``."""
+    prefix = f"{where}." if where else ""
     try:
-        return PersistenceCell(
-            *[
-                decode(data[name]) if default is MISSING or name in data else default
-                for name, _, decode, default in _FIELDS
-            ]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        json_typed(data, dict, where or "the record")
+        values = []
+        for (name, kind, _, decode, null, default), value in zip(_FIELDS, map(data.get, _NAMES)):
+            # Only a value of another type (or none) takes json_member's path.
+            if type(value) is not kind:
+                value = json_member(data, name, kind, where, default, null)
+            values.append(value if decode is None else decode(value, prefix + name))
+        return PersistenceCell(*values)
+    except (TypeError, ValueError) as exc:
         raise DataError(f"malformed persistence cell record: {exc}") from exc

@@ -29,17 +29,19 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DataError, ParseError
+from .errors import DataError
 from .measures import MeasureId, TopicScoreVector
 from .persistence import (
     EEPair,
     PersistenceCell,
     cell_from_dict,
     cell_to_dict,
+    check_across,
     check_same_topics,
     result_delta,
     topic_deltas,
 )
+from .run_io import json_member, json_typed, parse_json
 
 SIGNIFICANCE_ALPHA = 0.05
 DEFAULT_ER_EXCLUSION = 10.0
@@ -47,6 +49,8 @@ DEFAULT_ER_EXCLUSION = 10.0
 # How a table cell's field came to be empty.
 NOT_APPLICABLE = "-"
 UNDEFINED = "undef"
+# The cell fields that are None when undefined.
+_UNDEFINABLE = ("result_delta", "delta_ri", "effect_ratio")
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,14 +177,12 @@ def persistence_table(
                 row_cells[measure.name] = TableCell()
                 continue
             rd: float | None = 0.0
-            undefined: set[str] = set()
             base_label = pivot_base_label.get(key)
             if base_label is not None:
                 rd = result_delta(pivot_arps[(measure.name, base_label)], pivot_arps[key])
-                if rd is None:
-                    undefined.add("result_delta")
+            undefined = frozenset() if rd is not None else frozenset({"result_delta"})
             row_cells[measure.name] = TableCell(
-                arp=pivot_arps[key], result_delta=rd, undefined_fields=frozenset(undefined)
+                arp=pivot_arps[key], result_delta=rd, undefined_fields=undefined
             )
         rows.append(TableRow(system_tag=pivot_tag, ee_label=ee, cells=row_cells))
 
@@ -191,15 +193,7 @@ def persistence_table(
                 target_cell = by_target.get((system, measure.name, ee))
                 base_cell = by_base.get((system, measure.name, ee))
                 if target_cell is not None:
-                    undefined = {
-                        name
-                        for name, value in (
-                            ("result_delta", target_cell.result_delta),
-                            ("delta_ri", target_cell.delta_ri),
-                            ("effect_ratio", target_cell.effect_ratio),
-                        )
-                        if value is None
-                    }
+                    undefined = {n for n in _UNDEFINABLE if getattr(target_cell, n) is None}
                     row_cells[measure.name] = TableCell(
                         arp=target_cell.arp_target.value,
                         result_delta=target_cell.result_delta,
@@ -254,43 +248,30 @@ def _cell_strings(cell: TableCell) -> list[str]:
 
 def render_table_text(table: PersistenceTable) -> str:
     """Aligned plain-text table, one column group per measure."""
-    id_headers = ["system", "EE"]
-    id_rows = [[row.system_tag, row.ee_label] for row in table.rows]
-    id_widths = [
-        max(len(header), *(len(r[i]) for r in id_rows))
-        for i, header in enumerate(id_headers)
+    # A line is a list of column groups: the system and EE, then one group
+    # of VALUE_COLUMNS per measure. The header line counts toward the widths.
+    lines = [[["system", "EE"], *([list(VALUE_COLUMNS)] * len(table.measures))]]
+    for row in table.rows:
+        groups = [_cell_strings(row.cells[m.name]) for m in table.measures]
+        lines.append([[row.system_tag, row.ee_label], *groups])
+    widths = [
+        [max(len(line[g][i]) for line in lines) for i in range(len(group))]
+        for g, group in enumerate(lines[0])
     ]
-    group_rows: list[list[list[str]]] = [
-        [_cell_strings(row.cells[m.name]) for m in table.measures] for row in table.rows
-    ]
-    group_widths: list[list[int]] = []
-    for g, measure in enumerate(table.measures):
-        widths = [
-            max(len(VALUE_COLUMNS[i]), *(len(rows[g][i]) for rows in group_rows))
-            for i in range(len(VALUE_COLUMNS))
+
+    def fmt(line: list[list[str]]) -> str:
+        ids = "  ".join(v.ljust(w) for v, w in zip(line[0], widths[0]))
+        groups = [
+            "  ".join(v.rjust(w) for v, w in zip(values, ws))
+            for values, ws in zip(line[1:], widths[1:])
         ]
-        group_widths.append(widths)
+        return " | ".join([ids, *groups])
 
-    def fmt_id(values: list[str]) -> str:
-        return "  ".join(v.ljust(id_widths[i]) for i, v in enumerate(values))
-
-    def fmt_group(g: int, values: list[str]) -> str:
-        return "  ".join(v.rjust(group_widths[g][i]) for i, v in enumerate(values))
-
-    lines = [f"pivot: {table.pivot_tag}"]
-    group_titles = " | ".join(
-        measure.name.ljust(sum(group_widths[g]) + 2 * (len(VALUE_COLUMNS) - 1))
-        for g, measure in enumerate(table.measures)
+    titles = " | ".join(
+        m.name.ljust(sum(ws) + 2 * (len(ws) - 1)) for m, ws in zip(table.measures, widths[1:])
     )
-    lines.append(f"{fmt_id(['', ''])} | {group_titles}".rstrip())
-    header_groups = " | ".join(
-        fmt_group(g, list(VALUE_COLUMNS)) for g in range(len(table.measures))
-    )
-    lines.append(f"{fmt_id(id_headers)} | {header_groups}")
-    for r, row in enumerate(table.rows):
-        body = " | ".join(fmt_group(g, group_rows[r][g]) for g in range(len(table.measures)))
-        lines.append(f"{fmt_id(id_rows[r])} | {body}")
-    return "\n".join(lines) + "\n"
+    head = [f"pivot: {table.pivot_tag}", f"{fmt([['', '']])} | {titles}".rstrip()]
+    return "\n".join(head + [fmt(line) for line in lines]) + "\n"
 
 
 def _csv(header: str, rows: Iterable[Sequence[str | float | None]]) -> str:
@@ -342,17 +323,20 @@ def table_to_json(table: PersistenceTable) -> str:
 
 
 def table_from_json(text: str, *, path: str | None = None) -> PersistenceTable:
+    """Rebuild a table from table_to_json's form. Each field must have its
+    JSON type; the cells are checked as persistence_table checks them."""
+    payload = parse_json(text, path=path)
     try:
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise ParseError(
-            f"invalid JSON: {exc}", line=getattr(exc, "lineno", None), path=path
-        ) from exc
-    try:
-        cells = [cell_from_dict(entry) for entry in payload["cells"]]
-        ee_order = [str(label) for label in payload["ee_order"]]
+        payload = json_typed(payload, dict, "the cells file")
+        cells = [
+            cell_from_dict(entry, f"cells[{i}]")
+            for i, entry in enumerate(json_member(payload, "cells", list))
+        ]
+        ee_order = json_member(payload, "ee_order", list)
+        for i, label in enumerate(ee_order):
+            json_typed(label, str, f"ee_order[{i}]")
         return persistence_table(cells, ee_order)
-    except (KeyError, TypeError, DataError) as exc:
+    except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"malformed table JSON: {exc}", path=path) from exc
 
 
@@ -411,10 +395,7 @@ def _series(
 ) -> TopicDeltaSeries:
     """Per-topic target-minus-base values, sorted by delta descending (ties
     by topic id), labelled with the system vectors' tag, measure and EEs."""
-    if sys_base.run_tag != sys_target.run_tag:
-        raise DataError(f"run tags differ: {sys_base.run_tag!r} vs {sys_target.run_tag!r}")
-    if sys_base.measure != sys_target.measure:
-        raise DataError(f"measures differ: {sys_base.measure.name} vs {sys_target.measure.name}")
+    check_across(sys_base, sys_target, "system")
     check_same_topics(base.keys(), target.keys(), "base", "target")
     entries = sorted(((t, target[t] - base[t]) for t in base), key=lambda e: (-e[1], e[0]))
     return TopicDeltaSeries(

@@ -20,12 +20,13 @@ map, topic -> doc -> grade.
 
 from __future__ import annotations
 
-import math
+import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
+from math import isfinite
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError, DiagnosticWarning, ParseError
 
@@ -35,16 +36,6 @@ MAX_DEPTH = 1000
 GRADES = (0, 1, 2)
 
 TopicSet = frozenset[str]
-
-
-def _iter_lines(text: str | Iterable[str]) -> Iterator[tuple[int, str]]:
-    """Yield (line_number, stripped_line) for non-blank lines; accepts a
-    string or any iterable of lines (e.g. an open file)."""
-    lines = text.splitlines() if isinstance(text, str) else text
-    for number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line:
-            yield number, line
 
 
 @dataclass(frozen=True)
@@ -65,10 +56,10 @@ class Run:
         ordered: dict[str, tuple[str, ...]] = {}
         truncated = 0
         for topic in sorted(rankings):
-            pairs = sorted(rankings[topic], key=itemgetter(1, 0), reverse=True)
+            pairs = sorted(((score, doc) for doc, score in rankings[topic]), reverse=True)
             if not pairs:
                 raise DataError(f"run {run_tag!r}: topic {topic!r} has an empty ranking")
-            docs = tuple(doc for doc, _ in pairs)
+            docs = tuple(map(itemgetter(1), pairs))
             if len(set(docs)) != len(docs):
                 raise DataError(f"run {run_tag!r}: duplicate document in topic {topic!r}")
             if len(docs) > MAX_DEPTH:
@@ -123,15 +114,19 @@ def parse_run(
     per_topic: dict[str, dict[str, float]] = {}
     tag: str | None = None
     tag_line = 0
-    for number, line in _iter_lines(text):
+    # The list of lines is bound to no name, so it is freed when the loop ends.
+    for number, line in enumerate(text.splitlines() if isinstance(text, str) else text, start=1):
         fields = line.split()
-        if len(fields) != 6:
+        if not fields:
+            continue
+        try:
+            topic, _iteration, doc, rank_text, score_text, line_tag = fields
+        except ValueError:
             raise ParseError(
                 f"expected 6 fields (topic iteration doc rank score tag), got {len(fields)}",
                 line=number,
                 path=path,
-            )
-        topic, _iteration, doc, rank_text, score_text, line_tag = fields
+            ) from None
         try:
             rank = int(rank_text)
         except ValueError:
@@ -142,16 +137,18 @@ def parse_run(
             score = float(score_text)
         except ValueError:
             raise ParseError(f"non-numeric score {score_text!r}", line=number, path=path) from None
-        if not math.isfinite(score):
+        if not isfinite(score):
             raise ParseError(f"non-finite score {score_text!r}", line=number, path=path)
-        if tag is None:
+        if line_tag != tag:
+            if tag is not None:
+                raise DataError(
+                    f"conflicting run tags {tag!r} and {line_tag!r}", line=number, path=path
+                )
             tag, tag_line = line_tag, number
-        elif line_tag != tag:
-            raise DataError(
-                f"conflicting run tags {tag!r} and {line_tag!r}", line=number, path=path
-            )
-        docs = per_topic.setdefault(topic, {})
-        if doc in docs:
+        docs = per_topic.get(topic)
+        if docs is None:
+            docs = per_topic[topic] = {}
+        elif doc in docs:
             raise DataError(
                 f"duplicate document {doc!r} for topic {topic!r}", line=number, path=path
             )
@@ -173,15 +170,18 @@ def parse_qrels(text: str | Iterable[str], *, path: str | None = None) -> Qrels:
     which case the duplicate is accepted with a warning."""
     judgments: dict[str, dict[str, int]] = {}
     duplicates = 0
-    for number, line in _iter_lines(text):
+    for number, line in enumerate(text.splitlines() if isinstance(text, str) else text, start=1):
         fields = line.split()
-        if len(fields) != 4:
+        if not fields:
+            continue
+        try:
+            topic, _iteration, doc, grade_text = fields
+        except ValueError:
             raise ParseError(
                 f"expected 4 fields (topic iteration doc grade), got {len(fields)}",
                 line=number,
                 path=path,
-            )
-        topic, _iteration, doc, grade_text = fields
+            ) from None
         try:
             grade = int(grade_text)
         except ValueError:
@@ -213,8 +213,9 @@ def parse_qrels(text: str | Iterable[str], *, path: str | None = None) -> Qrels:
 def parse_topics(text: str | Iterable[str], *, path: str | None = None) -> TopicSet:
     """Parse a topic list: one id per line, ``#`` comments and blanks ignored."""
     topics: set[str] = set()
-    for number, line in _iter_lines(text):
-        if line.startswith("#"):
+    for number, line in enumerate(text.splitlines() if isinstance(text, str) else text, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
         if len(line.split()) != 1:
             raise ParseError(f"topic id may not contain whitespace: {line!r}", line=number, path=path)
@@ -239,6 +240,59 @@ def read_input(path: str | Path) -> str:
         ) from None
 
 
+def parse_json(text: str, *, path: str | None = None):
+    """Decode a JSON document. Text the decoder refuses is a ParseError
+    naming the path (and the line, when the decoder gives one)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ParseError(
+            f"invalid JSON: {exc}", line=getattr(exc, "lineno", None), path=path
+        ) from exc
+
+
+_JSON_TYPES = {
+    dict: "an object", list: "a list", str: "a string", bool: "true or false",
+    float: "a number", int: "an integer",
+}
+
+
+def json_typed(value, kind: type, where: str):
+    """``value`` if it has the JSON type ``kind``, else a ValueError naming
+    the field path ``where``. A number (``float``) is a JSON integer or
+    float and is returned as a float; a boolean is neither a number nor an
+    integer."""
+    if type(value) is kind:
+        return value
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{where} is out of range, got {value}") from None
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+    return value
+
+
+def json_member(
+    obj: Mapping, key: str, kind: type, where: str = "", default=MISSING, null=MISSING
+):
+    """``obj[key]`` checked by ``json_typed`` at the path ``where.key`` (or
+    ``key``). ``default`` stands in for an absent key and ``null`` for a JSON
+    null; MISSING forbids either."""
+    value = obj.get(key, MISSING)
+    # A value of the right type is returned before any path is built.
+    if type(value) is kind:
+        return value
+    if value is MISSING:
+        if default is MISSING:
+            raise ValueError(f"{where}.{key} is missing" if where else f"{key} is missing")
+        return default
+    if value is None and null is not MISSING:
+        return null
+    return json_typed(value, kind, f"{where}.{key}" if where else key)
+
+
 def load_run(path: str | Path, expected_tag: str | None = None) -> Run:
     return parse_run(read_input(path), expected_tag, path=str(path))
 
@@ -259,9 +313,7 @@ def core_topics(sets: Sequence[TopicSet]) -> TopicSet:
     """
     if not sets:
         raise DataError("core_topics needs at least one topic set")
-    core = frozenset(sets[0])
-    for topic_set in sets[1:]:
-        core &= topic_set
+    core = frozenset(sets[0]).intersection(*sets[1:])
     if not core:
         warnings.warn("topic intersection is empty", DiagnosticWarning, stacklevel=2)
     return core

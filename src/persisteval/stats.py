@@ -120,11 +120,7 @@ def t_cdf(t: float, df: float) -> float:
     Built so that t_cdf(0, df) == 0.5 exactly and
     t_cdf(-t, df) + t_cdf(t, df) == 1 exactly.
     """
-    if df <= 0:
-        raise DataError(f"degrees of freedom must be positive, got {df}")
-    if math.isinf(t):
-        return 0.0 if t < 0 else 1.0
-    tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
+    tail = 0.5 * two_sided_p(t, df)
     return tail if t < 0 else 1.0 - tail
 
 

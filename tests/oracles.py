@@ -123,3 +123,55 @@ def oracle_pooled_t(a, b):
     pooled = (ss_a + ss_b) / df
     se = math.sqrt(pooled * (1.0 / len(a) + 1.0 / len(b)))
     return (mean_a - mean_b) / se, df
+
+
+def oracle_run_error(text, expected_tag=None):
+    """The first fault of a TREC run file as (error class name, line,
+    message), or None when the file is valid. Each non-blank line is
+    checked in order for: six fields, an integer rank, a rank of at least
+    1, a numeric score, a finite score, the tag of the first record, and a
+    document not yet seen for its topic. Then the file must hold a record,
+    and its tag must be the expected one."""
+    seen_pairs = []
+    first_tag = None
+    first_tag_line = None
+    line_number = 0
+    for raw_line in text.splitlines():
+        line_number += 1
+        fields = raw_line.split()
+        if len(fields) == 0:
+            continue
+        if len(fields) != 6:
+            message = "expected 6 fields (topic iteration doc rank score tag), got " + str(len(fields))
+            return ("ParseError", line_number, message)
+        topic = fields[0]
+        doc = fields[2]
+        rank_text = fields[3]
+        score_text = fields[4]
+        tag = fields[5]
+        try:
+            rank = int(rank_text)
+        except ValueError:
+            return ("ParseError", line_number, "non-integer rank " + repr(rank_text))
+        if rank < 1:
+            return ("ParseError", line_number, "rank must be >= 1, got " + str(rank))
+        try:
+            score = float(score_text)
+        except ValueError:
+            return ("ParseError", line_number, "non-numeric score " + repr(score_text))
+        if math.isnan(score) or math.isinf(score):
+            return ("ParseError", line_number, "non-finite score " + repr(score_text))
+        if first_tag is None:
+            first_tag = tag
+            first_tag_line = line_number
+        elif tag != first_tag:
+            return ("DataError", line_number, f"conflicting run tags {first_tag!r} and {tag!r}")
+        if (topic, doc) in seen_pairs:
+            return ("DataError", line_number, f"duplicate document {doc!r} for topic {topic!r}")
+        seen_pairs.append((topic, doc))
+    if first_tag is None:
+        return ("DataError", None, "run file contains no records")
+    if expected_tag is not None and first_tag != expected_tag:
+        message = f"run tag {first_tag!r} does not match expected tag {expected_tag!r}"
+        return ("DataError", first_tag_line, message)
+    return None

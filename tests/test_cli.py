@@ -649,6 +649,17 @@ class TestReportCommand:
         assert f"error: {bad}:2: invalid JSON" in capsys.readouterr().err
 
 
+    def test_wrongly_typed_cell_exits_3_naming_the_field(self, tmp_path, capsys):
+        payload = json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))
+        payload["cells"][2]["degenerate_t"] = "false"
+        bad = tmp_path / "cells.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli("report", bad, "--output", tmp_path / "out") == EXIT_DATA
+        assert (
+            f'error: {bad}: malformed table JSON: malformed persistence cell record: '
+            'cells[2].degenerate_t must be true or false, got "false"'
+        ) in capsys.readouterr().err
+
     def test_sorts_each_cell_once(self, tmp_path, monkeypatch):
         calls = []
         sort_key = report._cell_sort_key

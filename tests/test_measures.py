@@ -47,6 +47,7 @@ class TestMeasureId:
         assert P_AT_10.name == "P@10" and P_AT_10.key == "p_at_10"
         assert NDCG.name == "nDCG" and NDCG.key == "ndcg"
         assert MeasureId("ndcg", cutoff=20).key == "ndcg_at_20"
+        assert BPREF.key == "bpref" and MeasureId("precision_at_k", k=5).key == "p_at_5"
 
     @pytest.mark.parametrize("bad", ["map", "p@", "ndcg@x", "p@0", ""])
     def test_invalid_names(self, bad):

@@ -416,6 +416,67 @@ class TestCellCodec:
             cell_from_dict({**GOLDEN_CELL, key: value})
 
 
+class TestTypedCellCodec:
+    """Each cells.json field has one JSON type; a value of another type is a
+    DataError naming the field's path, and nothing is coerced."""
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("degenerate_t", "false", 'cells[3].degenerate_t must be true or false, got "false"'),
+            ("degenerate_t", 0, "cells[3].degenerate_t must be true or false, got 0"),
+            ("undefined_flags", "ab", 'cells[3].undefined_flags must be a list, got "ab"'),
+            ("undefined_flags", ["a", 1], "cells[3].undefined_flags[1] must be a string, got 1"),
+            ("p_value", "0.5", 'cells[3].p_value must be a number, got "0.5"'),
+            ("p_value", None, "cells[3].p_value must be a number, got null"),
+            ("effect_ratio", True, "cells[3].effect_ratio must be a number, got true"),
+            ("t_statistic", "inf", 'cells[3].t_statistic must be a number, got "inf"'),
+            ("system_tag", 7, "cells[3].system_tag must be a string, got 7"),
+            ("measure", ["ndcg"], 'cells[3].measure must be a string, got ["ndcg"]'),
+            ("pair", {"base": "t1", "target": 2}, "cells[3].pair.target must be a string, got 2"),
+            ("pair", ["t1", "t2"], 'cells[3].pair must be an object, got ["t1", "t2"]'),
+            (
+                "arp_base",
+                {"value": 0.5, "n_topics": True},
+                "cells[3].arp_base.n_topics must be an integer, got true",
+            ),
+            (
+                "arp_base",
+                {"value": 0.5, "n_topics": 4.0},
+                "cells[3].arp_base.n_topics must be an integer, got 4.0",
+            ),
+            ("arp_target", {"value": 0.5}, "cells[3].arp_target.n_topics is missing"),
+        ],
+    )
+    def test_wrong_type_names_the_path(self, key, value, message):
+        with pytest.raises(DataError) as excinfo:
+            cell_from_dict({**GOLDEN_CELL, key: value}, "cells[3]")
+        assert str(excinfo.value) == f"malformed persistence cell record: {message}"
+
+    def test_missing_key_names_the_path(self):
+        record = dict(GOLDEN_CELL)
+        del record["ri_base"]
+        with pytest.raises(DataError, match=r"record: cells\[0\]\.ri_base is missing$"):
+            cell_from_dict(record, "cells[0]")
+
+    def test_record_must_be_an_object(self):
+        with pytest.raises(DataError, match=r"cells\[2\] must be an object, got \[1\]"):
+            cell_from_dict([1], "cells[2]")
+
+    def test_without_a_path_the_field_is_named_alone(self):
+        with pytest.raises(DataError, match='record: degenerate_t must be true or false, got "no"'):
+            cell_from_dict({**GOLDEN_CELL, "degenerate_t": "no"})
+
+    def test_integers_read_as_numbers(self):
+        cell = cell_from_dict({**GOLDEN_CELL, "p_value": 1, "arp_base": {"value": 0, "n_topics": 3}})
+        assert cell.p_value == 1.0 and type(cell.p_value) is float
+        assert cell.arp_base == ARPValue(0.0, 3) and type(cell.arp_base.value) is float
+
+    @pytest.mark.parametrize("key", ["result_delta", "ri_base", "ri_target", "delta_ri", "effect_ratio"])
+    def test_undefined_values_may_be_null(self, key):
+        assert getattr(cell_from_dict({**GOLDEN_CELL, key: None}), key) is None
+
+
 class TestArpOnScoredRuns:
     def test_arp_uses_common_topic_base(self):
         qrels, runs, topics = synthetic_environment(81)

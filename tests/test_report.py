@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -149,6 +150,32 @@ class TestRendering:
         assert render_table_text(rebuilt) == render_table_text(table)
         assert render_table_csv(rebuilt) == render_table_csv(table)
         assert table_to_json(rebuilt) == blob
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.update(ee_order="t1t2"), 'ee_order must be a list, got "t1t2"'),
+            (lambda p: p.update(ee_order=["t1", 2]), "ee_order[1] must be a string, got 2"),
+            (lambda p: p.pop("ee_order"), "ee_order is missing"),
+            (lambda p: p.update(cells={}), "cells must be a list, got {}"),
+            (
+                lambda p: p["cells"][1].update(degenerate_t="false"),
+                'cells[1].degenerate_t must be true or false, got "false"',
+            ),
+            (lambda p: p["cells"].__setitem__(2, "x"), 'cells[2] must be an object, got "x"'),
+        ],
+    )
+    def test_typed_json_names_the_path(self, table, edit, message):
+        payload = json.loads(table_to_json(table))
+        edit(payload)
+        with pytest.raises(DataError) as excinfo:
+            table_from_json(json.dumps(payload), path="cells.json")
+        assert "cells.json: malformed table JSON: " in str(excinfo.value)
+        assert str(excinfo.value).endswith(message)
+
+    def test_json_document_must_be_an_object(self):
+        with pytest.raises(DataError, match=r"the cells file must be an object, got \[\]"):
+            table_from_json("[]")
 
     def test_significant_arp_is_starred(self, cells):
         import dataclasses

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import io
 import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persisteval.corpus_diff import load_manifest, parse_manifest
+from persisteval import errors
 from persisteval.errors import DataError, DiagnosticWarning, EvaluationError, ParseError
 from persisteval.run_io import (
     MAX_DEPTH,
@@ -21,6 +23,7 @@ from persisteval.run_io import (
     parse_run,
     parse_topics,
 )
+from oracles import oracle_run_error
 from trec_format import format_qrels, format_run
 
 tokens = st.text(alphabet="abcdefghij0123456789", min_size=1, max_size=6)
@@ -147,6 +150,22 @@ class TestParseTopics:
             parse_topics("q1 extra")
 
 
+class TestParseJson:
+    def test_decoder_error_names_path_and_line(self):
+        from persisteval.run_io import parse_json
+
+        with pytest.raises(ParseError) as excinfo:
+            parse_json('{"a": 1,\n  oops}', path="job.json")
+        assert excinfo.value.path == "job.json" and excinfo.value.line == 2
+        assert str(excinfo.value).startswith("job.json:2: invalid JSON: Expecting")
+
+    def test_nesting_too_deep_names_the_path(self):
+        from persisteval.run_io import parse_json
+
+        with pytest.raises(ParseError, match=r"^deep\.json: invalid JSON"):
+            parse_json("[" * 100_000, path="deep.json")
+
+
 class TestCoreTopics:
     def test_intersection(self):
         sets = [frozenset("ABC"), frozenset("BCD"), frozenset("CB")]
@@ -263,3 +282,181 @@ class TestInputBoundary:
         with pytest.raises(ParseError) as excinfo:
             load_run(path)
         assert excinfo.value.path == str(path) and excinfo.value.line == 2
+
+
+def _error(parse, *args):
+    """(class name, line, message) of the error ``parse(*args)`` raises."""
+    with pytest.raises(EvaluationError) as excinfo:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DiagnosticWarning)
+            parse(*args)
+    return type(excinfo.value).__name__, excinfo.value.line, str(excinfo.value)
+
+
+class TestFirstFaultWins:
+    """Across kinds of fault, the one on the earliest line is reported; on
+    one line, the checks run in a fixed order."""
+
+    def test_bad_rank_before_a_later_field_count(self):
+        text = "q1 Q0 d1 1 3.0 T\nq1 Q0 d2 2 2.0 T\nq1 Q0 d3 three 1.0 T\nq1 Q0 d4 4 0.5 T\nq1 Q0 d5 5"
+        assert _error(parse_run, text) == ("ParseError", 3, "3: non-integer rank 'three'")
+
+    def test_field_count_before_a_later_bad_rank(self):
+        text = "q1 Q0 d1 1 3.0 T\nq1 Q0 d2 2.0 T\nq1 Q0 d3 x 1.0 T"
+        assert _error(parse_run, text) == (
+            "ParseError", 2, "2: expected 6 fields (topic iteration doc rank score tag), got 5"
+        )
+
+    def test_duplicate_document_before_a_later_conflicting_tag(self):
+        text = "q1 Q0 d1 1 3.0 T\nq1 Q0 d1 2 2.0 T\nq1 Q0 d3 3 1.0 U"
+        assert _error(parse_run, text) == (
+            "DataError", 2, "2: duplicate document 'd1' for topic 'q1'"
+        )
+
+    def test_conflicting_tag_before_a_later_duplicate_document(self):
+        text = "q1 Q0 d1 1 3.0 T\nq1 Q0 d2 2 2.0 U\nq1 Q0 d1 3 1.0 T"
+        assert _error(parse_run, text) == ("DataError", 2, "2: conflicting run tags 'T' and 'U'")
+
+    def test_parse_error_on_a_line_before_a_data_error(self):
+        text = "q1 Q0 d1 1 3.0 T\nq1 Q0 d2 2 nan T\nq1 Q0 d1 3 1.0 U"
+        assert _error(parse_run, text) == ("ParseError", 2, "2: non-finite score 'nan'")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("q1 Q0 d1 x nan", "expected 6 fields (topic iteration doc rank score tag), got 5"),
+            ("q1 Q0 d1 x nan T", "non-integer rank 'x'"),
+            ("q1 Q0 d1 0 high T", "rank must be >= 1, got 0"),
+            ("q1 Q0 d1 1 high U", "non-numeric score 'high'"),
+            ("q1 Q0 d1 1 inf U", "non-finite score 'inf'"),
+            ("q1 Q0 d0 1 1.0 U", "conflicting run tags 'T' and 'U'"),
+        ],
+    )
+    def test_check_order_within_a_line(self, line, message):
+        kind = "ParseError" if "tags" not in message else "DataError"
+        assert _error(parse_run, f"q1 Q0 d0 1 2.0 T\n{line}") == (kind, 2, f"2: {message}")
+
+    def test_qrels_grade_before_a_later_field_count(self):
+        text = "q1 0 d1 1\nq1 0 d2 5\nq1 0 d3"
+        assert _error(parse_qrels, text) == (
+            "DataError", 2, "2: relevance grade 5 out of range {0, 1, 2}"
+        )
+
+
+class TestLineNumbers:
+    """Blank and whitespace-only lines are skipped but still counted."""
+
+    def test_run(self):
+        assert _error(parse_run, "\n   \n\t \nq1 Q0 d1 x 1.0 T")[1] == 4
+
+    def test_run_expected_tag_names_the_first_record(self):
+        assert _error(parse_run, " \n\nq1 Q0 d1 1 1.0 T\nq1 Q0 d2 2 0.5 T", "U")[1] == 3
+
+    def test_qrels(self):
+        assert _error(parse_qrels, "\t\n\nq1 0 d1 1\n  \nq1 0 d2 x")[1] == 5
+
+    def test_topics(self):
+        assert _error(parse_topics, "# header\n \n\nq1\nq2 q3")[1] == 5
+
+    def test_manifest(self):
+        assert _error(parse_manifest, "\n  \t \na\t1\nb\t-2", "m")[1] == 4
+
+
+class TestIterableInput:
+    """Any iterable of lines parses as the joined text does, with ``\\n``
+    or ``\\r\\n`` endings left on the lines."""
+
+    RUN = ["q1 Q0 d1 1 2.0 T", "", "q1 Q0 d2 2 1.0 T", "  ", "q2 Q0 d3 1 1.0 T"]
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_run(self, ending):
+        lines = [line + ending for line in self.RUN]
+        expected = parse_run("\n".join(self.RUN))
+        assert parse_run(lines) == expected
+        assert parse_run(io.StringIO("".join(lines), newline="")) == expected
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_run_error_line(self, ending):
+        lines = [line + ending for line in ["q1 Q0 d1 1 2.0 T", " ", "q1 Q0 d1 2 1.0 T"]]
+        assert _error(parse_run, lines) == ("DataError", 3, "3: duplicate document 'd1' for topic 'q1'")
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_qrels_topics_and_manifest(self, ending):
+        assert parse_qrels([f"q1 0 d1 2{ending}", ending, f"q1 0 d2 0{ending}"]).judgments == {
+            "q1": {"d1": 2, "d2": 0}
+        }
+        assert parse_topics([f"# ids{ending}", f"q1{ending}", ending, f"q2{ending}"]) == {"q1", "q2"}
+        snapshot = parse_manifest([f"a\t1{ending}", f" \t {ending}", f"b\t2{ending}"], "m")
+        assert snapshot.docs == {"a": 1, "b": 2}
+
+
+class TestManifestBlankLines:
+    @pytest.mark.parametrize("blank", ["", "   ", "\t", "  \t ", "\t\t", " \t \t "])
+    def test_whitespace_and_tabs_only_is_blank(self, blank):
+        assert parse_manifest(f"a\t1\n{blank}\nb\t2\n", "m").docs == {"a": 1, "b": 2}
+
+    def test_empty_url_next_to_a_length_is_an_error(self):
+        assert _error(parse_manifest, "a\t1\n \t 5", "m") == ("ParseError", 2, "2: empty url")
+
+    def test_field_count(self):
+        assert _error(parse_manifest, "a\t1\tx", "m") == (
+            "ParseError", 1, "1: expected 'url<TAB>length', got 3 tab-separated fields"
+        )
+
+
+# Ways to break one record of a valid run.
+FAULTS = {
+    "field count": lambda rec, rnd, _: rec[: rnd.randint(1, 5)] + (["x"] if rnd.random() < 0.3 else []),
+    "extra field": lambda rec, rnd, _: rec + ["extra"] * rnd.randint(1, 2),
+    "rank": lambda rec, rnd, _: rec[:3] + [rnd.choice(["one", "1.0", "1e3", "0x1"])] + rec[4:],
+    "rank low": lambda rec, rnd, _: rec[:3] + [rnd.choice(["0", "-3"])] + rec[4:],
+    "score": lambda rec, rnd, _: rec[:4] + [rnd.choice(["high", "1,5", "--1"])] + rec[5:],
+    "non-finite": lambda rec, rnd, _: rec[:4] + [rnd.choice(["nan", "inf", "-Infinity"])] + rec[5:],
+    "tag": lambda rec, rnd, _: rec[:5] + ["U"],
+    "duplicate": lambda rec, rnd, earlier: (
+        [earlier[0], "Q0", earlier[2]] + rec[3:] if earlier else rec[:5] + ["U"]
+    ),
+}
+
+
+class TestRunErrorOracle:
+    """``parse_run`` against ``oracle_run_error`` on valid runs with one or
+    two faults injected."""
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_injected_faults(self, data):
+        rnd = data.draw(st.randoms(use_true_random=False))
+        records = []
+        for topic in ("q1", "q2", "q3")[: rnd.randint(1, 3)]:
+            for rank in range(1, rnd.randint(2, 6)):
+                records.append([topic, "Q0", f"d{rank}", str(rank), repr(rnd.uniform(-5, 5)), "T"])
+        rnd.shuffle(records)
+        index = rnd.randrange(len(records))
+        for _ in range(data.draw(st.integers(1, 2))):
+            # A second fault lands on the same record a third of the time.
+            if rnd.random() > 1 / 3:
+                index = rnd.randrange(len(records))
+            # A record an earlier fault cut short has no doc to repeat.
+            earlier = rnd.choice([r for r in records[:index] if len(r) >= 3] or [None])
+            fault = data.draw(st.sampled_from(sorted(FAULTS)))
+            records[index] = FAULTS[fault](records[index], rnd, earlier)
+        lines = [" ".join(rec) for rec in records]
+        for _ in range(rnd.randint(0, 3)):
+            lines.insert(rnd.randint(0, len(lines)), rnd.choice(["", "  ", "\t"]))
+        text = rnd.choice(["\n", "\r\n"]).join(lines)
+        expected_tag = data.draw(st.sampled_from([None, "T", "U"]))
+        expected = oracle_run_error(text, expected_tag)
+        if expected is None:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DiagnosticWarning)
+                parse_run(text, expected_tag)
+            return
+        kind, line, message = expected
+        assert _error(parse_run, text, expected_tag) == (
+            kind, line, str(getattr(errors, kind)(message, line=line))
+        )
+
+    def test_oracle_finds_nothing_in_a_valid_run(self):
+        assert oracle_run_error("q1 Q0 d1 1 1.0 T\n\nq1 Q0 d2 2 0.5 T", "T") is None
+        assert oracle_run_error("") == ("DataError", None, "run file contains no records")
