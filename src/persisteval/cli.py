@@ -27,12 +27,11 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 from typing import Sequence
@@ -51,6 +50,7 @@ from .measures import (
 from .persistence import EEPair, PersistenceCell, persistence_cell
 from .report import (
     DEFAULT_ER_EXCLUSION,
+    check_er_exclusion,
     er_dri_points,
     persistence_table,
     pivot_delta_series,
@@ -63,10 +63,9 @@ from .report import (
     topic_delta_series,
 )
 from .run_io import (
-    Qrels,
-    Run,
     TopicSet,
     core_topics,
+    json_checked,
     json_member,
     json_typed,
     load_qrels,
@@ -166,20 +165,13 @@ class JobConfig:
             raise UsageError(f"unknown t-test variant {self.t_variant!r}")
         if self.series_mode not in ("raw", "pivot-delta"):
             raise UsageError(f"unknown series mode {self.series_mode!r}")
-        _check_er_exclude(self.er_exclude)
-        # Pivot availability is a data property of the job, not a usage bug.
+        check_er_exclusion(self.er_exclude)
+        # A missing run is a data property of the job, not a usage bug.
         pair_labels = {p.base_label for p in self.pairs} | {p.target_label for p in self.pairs}
-        for label in sorted(pair_labels):
-            if (self.pivot, label) not in seen_runs:
-                raise DataError(
-                    f"pivot {self.pivot!r} has no run in environment {label!r}"
-                )
-
-
-def _check_er_exclude(threshold: float) -> float:
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise UsageError(f"--er-exclude must be positive and finite, got {threshold}")
-    return threshold
+        for tag, label in product([self.pivot, *systems], sorted(pair_labels)):
+            if (tag, label) not in seen_runs:
+                who = "pivot" if tag == self.pivot else "system"
+                raise DataError(f"{who} {tag!r} has no run in environment {label!r}")
 
 
 def _tokens(text: str, what: str) -> list[str]:
@@ -221,7 +213,7 @@ def _manifest_pair(where: str, entry) -> EEPair:
         raise ValueError(
             f"{where}: a pair must be a [base, target] list of two strings, got {json.dumps(entry)}"
         )
-    return EEPair(*entry)
+    return json_checked(where, EEPair, *entry)
 
 
 def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
@@ -263,7 +255,10 @@ def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
             environments=[_environment(*item) for item in _items(raw, "environments")],
             runs=[_run(*item) for item in _items(raw, "runs")],
             pivot=json_member(raw, "pivot", str, default=""),
-            measures=[parse_measure(json_typed(m, str, where)) for where, m in _items(raw, "measures")],
+            measures=[
+                json_checked(where, parse_measure, json_typed(m, str, where))
+                for where, m in _items(raw, "measures")
+            ],
             pairs=[_manifest_pair(*item) for item in _items(raw, "pairs")],
             output=_resolve(output) if output else None,
             t_variant=_T_TEST_NAMES.get(t_test, t_test),
@@ -357,35 +352,20 @@ def cmd_score(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@dataclass
-class _Environment:
-    spec: EESpec
-    qrels: Qrels
-    runs: dict[str, Run] = field(default_factory=dict)
-    topics: TopicSet = frozenset()
-
-
-def _load_environments(config: JobConfig) -> dict[str, _Environment]:
-    environments: dict[str, _Environment] = {}
-    for spec in config.environments:
-        environments[spec.label] = _Environment(spec=spec, qrels=load_qrels(spec.qrels_path))
-    for run_spec in config.runs:
-        env = environments[run_spec.ee_label]
-        env.runs[run_spec.tag] = load_run(run_spec.path, expected_tag=run_spec.tag)
-    for env in environments.values():
-        if env.spec.topics_path is not None:
-            env.topics = load_topics(env.spec.topics_path)
-        else:
-            env.topics = env.qrels.topics.union(*(run.topics for run in env.runs.values()))
-    return environments
-
-
 def cmd_persist(args: argparse.Namespace) -> int:
     config = load_job_config(Path(args.config), args)
-    environments = _load_environments(config)
+    qrels = {spec.label: load_qrels(spec.qrels_path) for spec in config.environments}
+    runs = {(run.tag, run.ee_label): load_run(run.path, run.tag) for run in config.runs}
+    topics: dict[str, TopicSet] = {}
+    for spec in config.environments:
+        if spec.topics_path is not None:
+            topics[spec.label] = load_topics(spec.topics_path)
+        else:
+            run_topics = (run.topics for (_, label), run in runs.items() if label == spec.label)
+            topics[spec.label] = qrels[spec.label].topics.union(*run_topics)
     out_dir = _default_output(config.output)
 
-    core = core_topics([environments[label].topics for label in sorted(environments)])
+    core = core_topics([topics[label] for label in sorted(topics)])
     if config.strict_topics and not core:
         raise DataError("core topic intersection across environments is empty")
 
@@ -394,44 +374,33 @@ def cmd_persist(args: argparse.Namespace) -> int:
     )
     cells: list[PersistenceCell] = []
     series_blobs: list[tuple[str, str]] = []
-    # Each (tag, environment, measure) is scored once, on the core topics
-    # or, when not strict, on the environment's own topics. The pivot's
-    # vectors serve every system; a system's are dropped after it.
-    pivot_vectors: dict[tuple, TopicScoreVector] = {}
+    # Each (tag, environment, measure) is scored once, on the core topics or,
+    # when not strict, its environment's own; only the pivot's outlive a system.
+    scored: dict[tuple[str, str, MeasureId], TopicScoreVector] = {}
+
+    def vector(tag: str, label: str, measure: MeasureId) -> TopicScoreVector:
+        key = (tag, label, measure)
+        if key not in scored:
+            scope = core if config.strict_topics else topics[label]
+            scored[key] = score_run(runs[tag, label], qrels[label], measure, scope, label)
+        return scored[key]
+
     for system in system_tags:
-        system_vectors: dict[tuple, TopicScoreVector] = {}
-
-        def vector(tag: str, env: _Environment, measure: MeasureId) -> TopicScoreVector:
-            cache = pivot_vectors if tag == config.pivot else system_vectors
-            key = (tag, env.spec.label, measure)
-            if key not in cache:
-                topics = core if config.strict_topics else env.topics
-                cache[key] = score_run(env.runs[tag], env.qrels, measure, topics, env.spec.label)
-            return cache[key]
-
         for pair in config.pairs:
-            base_env = environments[pair.base_label]
-            target_env = environments[pair.target_label]
-            if system not in base_env.runs or system not in target_env.runs:
-                raise DataError(
-                    f"system {system!r} has no run in environment pair {pair.key}"
-                )
             # Series use the topics both environments share, so both series
             # modes stay defined.
             shared = core
             if not config.strict_topics:
-                if not base_env.topics or not target_env.topics:
-                    raise DataError(f"environment in pair {pair.key} has no topics")
-                shared = base_env.topics & target_env.topics
+                shared = topics[pair.base_label] & topics[pair.target_label]
                 if not shared:
                     raise DataError(
                         f"no shared topics between {pair.base_label!r} and {pair.target_label!r}"
                     )
             for measure in config.measures:
                 vectors = [
-                    vector(tag, env, measure)
+                    vector(tag, label, measure)
                     for tag in (system, config.pivot)
-                    for env in (base_env, target_env)
+                    for label in (pair.base_label, pair.target_label)
                 ]
                 cells.append(persistence_cell(*vectors, t_variant=config.t_variant))
                 vectors = [_restrict(v, shared) for v in vectors]
@@ -440,6 +409,7 @@ def cmd_persist(args: argparse.Namespace) -> int:
                 else:
                     series = pivot_delta_series(*vectors)
                 series_blobs.append((_series_name(system, measure, pair), series_csv(series)))
+        scored = {key: v for key, v in scored.items() if key[0] == config.pivot}
 
     ee_order = [spec.label for spec in config.environments]
     table = persistence_table(cells, ee_order=ee_order)
@@ -474,7 +444,7 @@ def cmd_corpus_diff(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     table = table_from_json(read_input(args.cells), path=args.cells)
     threshold = DEFAULT_ER_EXCLUSION if args.er_exclude is None else args.er_exclude
-    points = er_dri_points(table.cells, _check_er_exclude(threshold))
+    points = er_dri_points(table.cells, threshold)
     out_dir = _default_output(Path(args.output) if args.output else None)
     files = [
         ("table.txt", render_table_text(table)),

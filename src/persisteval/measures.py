@@ -30,6 +30,7 @@ from typing import Mapping, Sequence
 
 from .errors import DataError
 from .run_io import Qrels, Run, TopicSet
+from .stats import mean
 
 KINDS = ("precision_at_k", "ndcg", "bpref")
 
@@ -204,10 +205,7 @@ def arp(vector: TopicScoreVector) -> ARPValue:
 
     Uses an exactly rounded sum so the value does not depend on topic
     ordering."""
-    if not vector.scores:
-        raise DataError("cannot average an empty score vector")
-    values = list(vector.scores.values())
-    return ARPValue(value=math.fsum(values) / len(values), n_topics=len(values))
+    return ARPValue(value=mean(vector.scores.values()), n_topics=len(vector.scores))
 
 
 def format_scores(vector: TopicScoreVector) -> str:

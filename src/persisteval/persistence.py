@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Mapping, Sequence
 
 from .errors import DataError
 from .measures import ARPValue, MeasureId, TopicScoreVector, arp, parse_measure
-from .run_io import json_member, json_typed
+from .run_io import json_checked, json_member, json_strings, json_typed
 from .stats import mean, t_test_unpaired
 
 
@@ -89,29 +89,29 @@ def check_same_topics(a: AbstractSet[str], b: AbstractSet[str], a_name: str, b_n
         )
 
 
-def check_across(base: TopicScoreVector, target: TopicScoreVector, who: str) -> None:
-    """Raise a DataError unless two vectors hold one run's scores for one
-    measure, as in the base and the target environment."""
-    if base.run_tag != target.run_tag:
-        raise DataError(
-            f"{who} run tags differ across environments: {base.run_tag!r} vs {target.run_tag!r}"
-        )
-    if base.measure != target.measure:
-        raise DataError(f"measure mismatch: {base.measure.name} vs {target.measure.name}")
+def check_fit(system: Sequence[TopicScoreVector], pivot: Sequence[TopicScoreVector] = ()) -> None:
+    """Raise a DataError unless score vectors fit together. ``system`` holds
+    one run's vectors (base, then target) and ``pivot`` the pivot's in the
+    same environments, or none: one measure, one tag per run, and within an
+    environment one label and one topic set for system and pivot."""
+    measure = system[0].measure
+    for who, vectors in (("system", system), ("pivot", pivot)):
+        for vector in vectors:
+            if vector.measure != measure:
+                raise DataError(f"measure mismatch: {measure.name} vs {vector.measure.name}")
+            if vector.run_tag != vectors[0].run_tag:
+                tags = f"{vectors[0].run_tag!r} vs {vector.run_tag!r}"
+                raise DataError(f"{who} run tags differ across environments: {tags}")
+    for sys_v, piv_v in zip(system, pivot):
+        if sys_v.ee_label != piv_v.ee_label:
+            raise DataError(f"environment mismatch: {sys_v.ee_label!r} vs {piv_v.ee_label!r}")
+        check_same_topics(sys_v.scores.keys(), piv_v.scores.keys(), "system vector", "pivot vector")
 
 
 def topic_deltas(system: TopicScoreVector, pivot: TopicScoreVector) -> dict[str, float]:
     """Per-topic system-minus-pivot differences within one EE. Both vectors
     must come from the same EE and measure and cover the same topics."""
-    if system.measure != pivot.measure:
-        raise DataError(
-            f"measure mismatch: {system.measure.name} vs {pivot.measure.name}"
-        )
-    if system.ee_label != pivot.ee_label:
-        raise DataError(
-            f"environment mismatch: {system.ee_label!r} vs {pivot.ee_label!r}"
-        )
-    check_same_topics(system.topics, pivot.topics, "system vector", "pivot vector")
+    check_fit((system,), (pivot,))
     return {t: system.scores[t] - pivot.scores[t] for t in system.scores}
 
 
@@ -165,7 +165,6 @@ def persistence_cell(
     piv_target: TopicScoreVector,
     *,
     t_variant: str = "student_pooled",
-    allow_self_pivot: bool = False,
 ) -> PersistenceCell:
     """Compute one persistence cell from the system's and the pivot's score
     vectors in the base and the target EE.
@@ -175,10 +174,9 @@ def persistence_cell(
     target topic sets may differ (the non-strict mode, where each
     environment is evaluated on its own available topics).
     """
-    check_across(sys_base, sys_target, "system")
-    check_across(piv_base, piv_target, "pivot")
+    check_fit((sys_base, sys_target), (piv_base, piv_target))
     system_tag, pivot_tag = sys_base.run_tag, piv_base.run_tag
-    if system_tag == pivot_tag and not allow_self_pivot:
+    if system_tag == pivot_tag:
         raise DataError(f"system and pivot share the tag {system_tag!r}")
     pair = EEPair(sys_base.ee_label, sys_target.ee_label)
 
@@ -230,12 +228,6 @@ def persistence_cell(
     )
 
 
-def _strings(items: list, where: str) -> tuple[str, ...]:
-    for i, item in enumerate(items):
-        json_typed(item, str, f"{where}[{i}]")
-    return tuple(items)
-
-
 # (JSON type, encode, decode, null) of each PersistenceCell field, by its
 # annotation. A value is checked against its JSON type before ``decode``
 # gets it with its path; no encoder or decoder means the value is its own
@@ -245,13 +237,15 @@ _CODECS = {
     "float": (float, None, None, MISSING),
     "float | None": (float, None, None, None),
     "bool": (bool, None, None, MISSING),
-    "tuple[str, ...]": (list, list, _strings, MISSING),
-    "MeasureId": (str, lambda m: m.name, lambda name, _: parse_measure(name), MISSING),
+    "tuple[str, ...]": (list, list, json_strings, MISSING),
+    "MeasureId": (
+        str, lambda m: m.name, lambda name, where: json_checked(where, parse_measure, name), MISSING
+    ),
     "EEPair": (
         dict,
         lambda p: {"base": p.base_label, "target": p.target_label},
-        lambda d, where: EEPair(
-            json_member(d, "base", str, where), json_member(d, "target", str, where)
+        lambda d, where: json_checked(
+            where, EEPair, json_member(d, "base", str, where), json_member(d, "target", str, where)
         ),
         MISSING,
     ),

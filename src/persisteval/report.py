@@ -29,19 +29,19 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DataError
+from .errors import DataError, UsageError
 from .measures import MeasureId, TopicScoreVector
 from .persistence import (
     EEPair,
     PersistenceCell,
     cell_from_dict,
     cell_to_dict,
-    check_across,
+    check_fit,
     check_same_topics,
     result_delta,
     topic_deltas,
 )
-from .run_io import json_member, json_typed, parse_json
+from .run_io import json_member, json_strings, json_typed, parse_json
 
 SIGNIFICANCE_ALPHA = 0.05
 DEFAULT_ER_EXCLUSION = 10.0
@@ -332,12 +332,16 @@ def table_from_json(text: str, *, path: str | None = None) -> PersistenceTable:
             cell_from_dict(entry, f"cells[{i}]")
             for i, entry in enumerate(json_member(payload, "cells", list))
         ]
-        ee_order = json_member(payload, "ee_order", list)
-        for i, label in enumerate(ee_order):
-            json_typed(label, str, f"ee_order[{i}]")
+        ee_order = json_strings(json_member(payload, "ee_order", list), "ee_order")
         return persistence_table(cells, ee_order)
     except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"malformed table JSON: {exc}", path=path) from exc
+
+
+def check_er_exclusion(threshold: float) -> None:
+    """Raise a UsageError unless ``threshold`` is a positive, finite |ER| bound."""
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise UsageError(f"--er-exclude must be positive and finite, got {threshold}")
 
 
 def er_dri_points(
@@ -348,10 +352,7 @@ def er_dri_points(
     a ``PersistenceTable`` are sorted); outliers with |ER| above the
     threshold (or undefined coordinates) are flagged excluded rather than
     dropped."""
-    if not (math.isfinite(exclusion_threshold) and exclusion_threshold > 0):
-        raise DataError(
-            f"exclusion threshold must be positive and finite, got {exclusion_threshold}"
-        )
+    check_er_exclusion(exclusion_threshold)
     points = []
     for cell in cells:
         x, y = cell.effect_ratio, cell.delta_ri
@@ -395,7 +396,6 @@ def _series(
 ) -> TopicDeltaSeries:
     """Per-topic target-minus-base values, sorted by delta descending (ties
     by topic id), labelled with the system vectors' tag, measure and EEs."""
-    check_across(sys_base, sys_target, "system")
     check_same_topics(base.keys(), target.keys(), "base", "target")
     entries = sorted(((t, target[t] - base[t]) for t in base), key=lambda e: (-e[1], e[0]))
     return TopicDeltaSeries(
@@ -410,6 +410,7 @@ def topic_delta_series(
     base: TopicScoreVector, target: TopicScoreVector
 ) -> TopicDeltaSeries:
     """Per-topic target-minus-base changes of one system's own scores."""
+    check_fit((base, target))
     return _series(base, target, base.scores, target.scores)
 
 
@@ -421,6 +422,7 @@ def pivot_delta_series(
 ) -> TopicDeltaSeries:
     """Series of the change in per-topic improvement over the pivot: the
     target EE's system-minus-pivot delta minus the base EE's, per topic."""
+    check_fit((sys_base, sys_target), (piv_base, piv_target))
     base, target = topic_deltas(sys_base, piv_base), topic_deltas(sys_target, piv_target)
     return _series(sys_base, sys_target, base, target)
 

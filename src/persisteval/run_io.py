@@ -47,21 +47,17 @@ class Run:
     rankings: Mapping[str, tuple[str, ...]]
 
     @classmethod
-    def from_rankings(
-        cls, run_tag: str, rankings: Mapping[str, Iterable[tuple[str, float]]]
-    ) -> "Run":
-        """Build a Run from (doc_id, score) pairs: sort every topic by score
-        descending, then doc id descending, and keep the doc ids. Topics are
-        stored in sorted order for deterministic emission."""
+    def from_rankings(cls, run_tag: str, rankings: Mapping[str, Mapping[str, float]]) -> "Run":
+        """Build a Run from topic -> doc_id -> score maps: sort every topic by
+        score descending, then doc id descending, and keep the doc ids. Topics
+        are stored in sorted order for deterministic emission."""
         ordered: dict[str, tuple[str, ...]] = {}
         truncated = 0
-        for topic in sorted(rankings):
-            pairs = sorted(((score, doc) for doc, score in rankings[topic]), reverse=True)
+        for topic, scores in sorted(rankings.items()):
+            pairs = sorted(zip(scores.values(), scores), reverse=True)  # (score, doc)
             if not pairs:
                 raise DataError(f"run {run_tag!r}: topic {topic!r} has an empty ranking")
             docs = tuple(map(itemgetter(1), pairs))
-            if len(set(docs)) != len(docs):
-                raise DataError(f"run {run_tag!r}: duplicate document in topic {topic!r}")
             if len(docs) > MAX_DEPTH:
                 docs = docs[:MAX_DEPTH]
                 truncated += 1
@@ -161,7 +157,7 @@ def parse_run(
             line=tag_line,
             path=path,
         )
-    return Run.from_rankings(tag, {t: docs.items() for t, docs in per_topic.items()})
+    return Run.from_rankings(tag, per_topic)
 
 
 def parse_qrels(text: str | Iterable[str], *, path: str | None = None) -> Qrels:
@@ -272,6 +268,23 @@ def json_typed(value, kind: type, where: str):
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{where} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
     return value
+
+
+def json_strings(items: list, where: str) -> tuple[str, ...]:
+    """``items`` as a tuple if each is a string, else a ValueError naming
+    the path ``where[i]`` of the first that is not."""
+    for i, item in enumerate(items):
+        json_typed(item, str, f"{where}[{i}]")
+    return tuple(items)
+
+
+def json_checked(where: str, build, *args):
+    """``build(*args)``; a ValueError or DataError it raises (a value of the
+    right JSON type failed a value check) names the field path ``where``."""
+    try:
+        return build(*args)
+    except (ValueError, DataError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def json_member(

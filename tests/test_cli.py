@@ -244,6 +244,24 @@ class TestPersistCommand:
         assert code == EXIT_DATA
         assert "pivot" in capsys.readouterr().err
 
+    def test_missing_system_run_exits_3_before_any_input_is_read(
+        self, tmp_path, no_scoring, monkeypatch, capsys
+    ):
+        job = copy_job(
+            tmp_path,
+            lambda config: config["runs"].remove(
+                {"tag": "beta", "environment": "t2", "path": "runs/beta.t2.run"}
+            ),
+        )
+
+        def fail(*args, **kwargs):
+            raise AssertionError("read an input before the run check")
+
+        for name in ("load_qrels", "load_run", "load_topics"):
+            monkeypatch.setattr(cli, name, fail)
+        assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_DATA
+        assert "error: system 'beta' has no run in environment 't2'" in capsys.readouterr().err
+
     def test_welch_flag_changes_p_values(self, tmp_path):
         out1, out2 = tmp_path / "student", tmp_path / "welch"
         run_cli("persist", "--config", FIXTURE / "job.json", "--output", out1)
@@ -503,6 +521,9 @@ class TestTypedManifest:
             ("options.series", ["raw"], 'options.series must be a string, got ["raw"]'),
             ("output", False, "output must be a string, got false"),
             ("runs.0.path", "runs/\0.run", "holds a NUL character"),
+            # A value of the right type that fails a value check.
+            ("measures", ["p@0"], "measures[0]: invalid measure name 'p@0'"),
+            ("pairs", [["", "t2"]], "pairs[0]: evaluation environment labels must be non-empty"),
         ],
     )
     def test_wrong_type_is_a_named_usage_error(

@@ -241,7 +241,7 @@ class TestScoreRun:
 
 class TestArp:
     def test_mean(self):
-        run = Run.from_rankings("A", {"q1": [("d1", 1.0)], "q2": [("d2", 1.0)]})
+        run = Run.from_rankings("A", {"q1": {"d1": 1.0}, "q2": {"d2": 1.0}})
         qrels = parse_qrels("q1 0 d1 1\nq2 0 d9 1")
         vector = score_run(run, qrels, P_AT_10, run.topics)
         assert vector.scores == {"q1": 0.1, "q2": 0.0}

@@ -34,7 +34,7 @@ from persisteval.persistence import (
     topic_deltas,
 )
 from oracles import oracle_mean, oracle_pooled_t, oracle_two_sided_p
-from synth import score_tags, synthetic_environment
+from synth import MISFITS, four_vectors, misfit, score_tags, synthetic_environment
 
 
 class TestResultDelta:
@@ -240,17 +240,11 @@ class TestPersistenceCell:
     def test_self_pivot_allowed_when_requested(self):
         qrels, runs, topics = synthetic_environment(52)
         (system,) = score_tags(runs, qrels, NDCG, topics, "E1", ("sys",))
-        cell = persistence_cell(system, system, system, system, allow_self_pivot=True)
+        pivot = dataclasses.replace(system, run_tag="pivot")
+        cell = persistence_cell(system, system, pivot, pivot)
         # Deltas against itself are all zero, so the effect ratio is undefined.
         assert cell.effect_ratio is None
         assert any("effect_ratio" in flag for flag in cell.undefined_flags)
-
-    def test_mismatched_tags_rejected(self):
-        qrels, runs, topics = synthetic_environment(53, tags=("pivot", "sys", "other"))
-        sys_b, piv_b = score_tags(runs, qrels, NDCG, topics, "E1")
-        other_t, piv_t = score_tags(runs, qrels, NDCG, topics, "E2", ("other", "pivot"))
-        with pytest.raises(DataError):
-            persistence_cell(sys_b, other_t, piv_b, piv_t)
 
     def test_separate_target_topics(self):
         qrels_base, runs_base, topics = synthetic_environment(61, n_topics=8)
@@ -273,28 +267,13 @@ class TestPersistenceCell:
         assert cell.measure == BPREF
         assert cell.pair == EEPair("E1", "E2")
 
-    def test_system_measure_mismatch_rejected(self):
-        qrels, runs, topics = synthetic_environment(65)
-        sys_b, piv_b = score_tags(runs, qrels, NDCG, topics, "E1")
-        sys_t, piv_t = score_tags(runs, qrels, BPREF, topics, "E2")
-        with pytest.raises(DataError, match="measure mismatch"):
-            persistence_cell(sys_b, sys_t, piv_b, piv_t)
+    def test_four_vectors_fit(self):
+        assert persistence_cell(*four_vectors()).pair == EEPair("E1", "E2")
 
-    def test_pivot_environment_mismatch_rejected(self):
-        qrels, runs, topics = synthetic_environment(66)
-        sys_b, _ = score_tags(runs, qrels, NDCG, topics, "E1")
-        sys_t, piv_t = score_tags(runs, qrels, NDCG, topics, "E2")
-        with pytest.raises(DataError, match="environment mismatch"):
-            persistence_cell(sys_b, sys_t, piv_t, piv_t)
-
-    def test_topic_set_mismatch_within_environment_rejected(self):
-        qrels, runs, topics = synthetic_environment(67)
-        fewer = frozenset(sorted(topics)[1:])
-        sys_b = score_run(runs["sys"], qrels, NDCG, topics, "E1")
-        piv_b = score_run(runs["pivot"], qrels, NDCG, fewer, "E1")
-        sys_t, piv_t = score_tags(runs, qrels, NDCG, topics, "E2")
-        with pytest.raises(DataError, match="topic sets differ"):
-            persistence_cell(sys_b, sys_t, piv_b, piv_t)
+    @pytest.mark.parametrize("case", MISFITS, ids=lambda case: case[0])
+    def test_misfit_vector_rejected(self, case):
+        with pytest.raises(DataError, match=case[3]):
+            persistence_cell(*misfit(case))
 
 
 class TestCellSerialization:
@@ -312,8 +291,8 @@ class TestCellSerialization:
     def test_undefined_serializes_as_null_with_reason(self):
         qrels, runs, topics = synthetic_environment(73)
         (system,) = score_tags(runs, qrels, NDCG, topics, "E1", ("sys",))
-        cell = persistence_cell(system, system, system, system, allow_self_pivot=True)
-        data = cell_to_dict(cell)
+        pivot = dataclasses.replace(system, run_tag="pivot")
+        data = cell_to_dict(persistence_cell(system, system, pivot, pivot))
         assert data["effect_ratio"] is None
         assert any("effect_ratio" in flag for flag in data["undefined_flags"])
 
@@ -446,6 +425,13 @@ class TestTypedCellCodec:
                 "cells[3].arp_base.n_topics must be an integer, got 4.0",
             ),
             ("arp_target", {"value": 0.5}, "cells[3].arp_target.n_topics is missing"),
+            # A value of the right type that fails a value check.
+            ("measure", "P@0", "cells[3].measure: invalid measure name 'P@0'"),
+            (
+                "pair",
+                {"base": "", "target": "t2"},
+                "cells[3].pair: evaluation environment labels must be non-empty",
+            ),
         ],
     )
     def test_wrong_type_names_the_path(self, key, value, message):

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from persisteval.errors import DataError
+from persisteval.errors import DataError, UsageError
 from persisteval.measures import NDCG, P_AT_10, TopicScoreVector, arp
 from persisteval.persistence import EEPair, persistence_cell
 from persisteval.report import (
@@ -22,7 +22,7 @@ from persisteval.report import (
 )
 
 from reference_table import ARP, E5_P10_LT_EFFECT_RATIO
-from synth import score_tags, synthetic_cells, synthetic_environment
+from synth import MISFITS, four_vectors, misfit, score_tags, synthetic_cells, synthetic_environment
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +163,15 @@ class TestRendering:
                 'cells[1].degenerate_t must be true or false, got "false"',
             ),
             (lambda p: p["cells"].__setitem__(2, "x"), 'cells[2] must be an object, got "x"'),
+            (
+                lambda p: p["cells"][1]["pair"].update(base=""),
+                "malformed persistence cell record: "
+                "cells[1].pair: evaluation environment labels must be non-empty",
+            ),
+            (
+                lambda p: p["cells"][1].update(measure="P@0"),
+                "malformed persistence cell record: cells[1].measure: invalid measure name 'P@0'",
+            ),
         ],
     )
     def test_typed_json_names_the_path(self, table, edit, message):
@@ -241,7 +250,7 @@ class TestScatter:
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
     def test_threshold_validation(self, cells, threshold):
-        with pytest.raises(DataError):
+        with pytest.raises(UsageError, match="must be positive and finite"):
             er_dri_points(cells, exclusion_threshold=threshold)
 
     def test_csv_shape(self, cells):
@@ -292,6 +301,23 @@ class TestTopicDeltaSeries:
         target = TopicScoreVector(NDCG, "other", "t2", {"q1": 0.5})
         with pytest.raises(DataError):
             topic_delta_series(base, target)
+
+    def test_four_vectors_fit(self):
+        vectors = four_vectors()
+        assert topic_delta_series(*vectors[:2]).pair == EEPair("E1", "E2")
+        assert pivot_delta_series(*vectors).pair == EEPair("E1", "E2")
+
+    @pytest.mark.parametrize(
+        "case", [c for c in MISFITS if c[1] == (1,)], ids=lambda case: case[0]
+    )
+    def test_misfit_system_vector_rejected(self, case):
+        with pytest.raises(DataError, match=case[3]):
+            topic_delta_series(*misfit(case)[:2])
+
+    @pytest.mark.parametrize("case", MISFITS, ids=lambda case: case[0])
+    def test_misfit_vector_rejected_in_pivot_delta_series(self, case):
+        with pytest.raises(DataError, match=case[3]):
+            pivot_delta_series(*misfit(case))
 
     def test_min_max_match_loop_oracle(self):
         base, target = self._vectors()

@@ -37,9 +37,7 @@ def runs_strategy():
         min_size=1,
         max_size=5,
     )
-    return rankings.map(
-        lambda r: Run.from_rankings("tagx", {t: docs.items() for t, docs in r.items()})
-    )
+    return rankings.map(lambda r: Run.from_rankings("tagx", r))
 
 
 class TestParseRun:
