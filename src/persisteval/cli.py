@@ -50,6 +50,7 @@ from .measures import (
 from .persistence import EEPair, PersistenceCell, persistence_cell
 from .report import (
     DEFAULT_ER_EXCLUSION,
+    PersistenceTable,
     check_er_exclusion,
     er_dri_points,
     persistence_table,
@@ -74,7 +75,7 @@ from .run_io import (
     parse_json,
     read_input,
 )
-from .stats import VARIANTS
+from .stats import VARIANTS, check_t_variant
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,8 +84,6 @@ EXIT_DATA = 3
 _EXIT_CODES = {UsageError: EXIT_USAGE, ParseError: EXIT_PARSE}
 
 OUTPUT_ENV_VAR = "PERSISTEVAL_OUTPUT"
-
-_T_TEST_NAMES = {"student": "student_pooled", "student_pooled": "student_pooled", "welch": "welch"}
 
 
 @dataclass
@@ -138,15 +137,17 @@ class JobConfig:
             for label in (pair.base_label, pair.target_label):
                 if label not in declared:
                     raise UsageError(f"pair {pair.key} references undeclared environment {label!r}")
-            if pair in self.pairs[:index]:
-                raise UsageError(f"pair {pair.key} is declared twice")
+            # The table holds one cell per target; a repeated pair repeats it.
+            for first in self.pairs[:index]:
+                if first.target_label == pair.target_label:
+                    raise UsageError(
+                        f"pairs {first.key} and {pair.key} both target {pair.target_label!r}"
+                    )
         if not self.pairs:
             raise UsageError("manifest declares no environment pairs")
         if not self.measures:
             raise UsageError("manifest declares no measures")
-        for index, measure in enumerate(self.measures):
-            if measure in self.measures[:index]:
-                raise UsageError(f"measure {measure.name} is declared twice")
+        _check_distinct(self.measures)
         tags = {run.tag for run in self.runs}
         if self.pivot not in tags:
             raise UsageError(f"pivot {self.pivot!r} is not a declared run tag")
@@ -161,8 +162,7 @@ class JobConfig:
             if name in series_owners:
                 raise UsageError(f"series/{name} would hold both {series_owners[name]} and {owner}")
             series_owners[name] = owner
-        if self.t_variant not in VARIANTS:
-            raise UsageError(f"unknown t-test variant {self.t_variant!r}")
+        check_t_variant(self.t_variant)
         if self.series_mode not in ("raw", "pivot-delta"):
             raise UsageError(f"unknown series mode {self.series_mode!r}")
         check_er_exclusion(self.er_exclude)
@@ -180,6 +180,13 @@ def _tokens(text: str, what: str) -> list[str]:
     if not tokens:
         raise UsageError(f"empty {what} list")
     return tokens
+
+
+def _check_distinct(measures: Sequence[MeasureId]) -> None:
+    """Raise a UsageError if two names in ``measures`` denote one measure."""
+    for index, measure in enumerate(measures):
+        if measure in measures[:index]:
+            raise UsageError(f"measure {measure.name} is declared twice")
 
 
 def _parse_measure_list(text: str) -> list[MeasureId]:
@@ -249,7 +256,6 @@ def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
     try:
         raw = json_typed(raw, dict, "the manifest")
         options = json_member(raw, "options", dict, default={})
-        t_test = json_member(options, "t_test", str, "options", "student")
         output = json_member(raw, "output", str, default="")
         config = JobConfig(
             environments=[_environment(*item) for item in _items(raw, "environments")],
@@ -261,7 +267,7 @@ def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
             ],
             pairs=[_manifest_pair(*item) for item in _items(raw, "pairs")],
             output=_resolve(output) if output else None,
-            t_variant=_T_TEST_NAMES.get(t_test, t_test),
+            t_variant=json_member(options, "t_test", str, "options", "student"),
             er_exclude=json_member(options, "er_exclude", float, "options", DEFAULT_ER_EXCLUSION),
             strict_topics=json_member(options, "strict_topics", bool, "options", True),
             series_mode=json_member(options, "series", str, "options", "raw"),
@@ -276,7 +282,7 @@ def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
     if args.pairs is not None:
         config.pairs = _parse_pair_list(args.pairs)
     if args.t_test is not None:
-        config.t_variant = _T_TEST_NAMES.get(args.t_test, args.t_test)
+        config.t_variant = args.t_test
     if args.er_exclude is not None:
         config.er_exclude = args.er_exclude
     if args.strict_topics is not None:
@@ -301,10 +307,8 @@ def _series_name(system: str, measure: MeasureId, pair: EEPair) -> str:
 
 
 def _restrict(vector: TopicScoreVector, topics: TopicSet) -> TopicScoreVector:
-    """The vector's scores on ``topics`` alone, or the vector itself when it
-    holds just those. A topic's score does not depend on the topic set."""
-    if vector.topics == topics:
-        return vector
+    """The vector's scores on ``topics`` alone. A topic's score does not
+    depend on the topic set."""
     scores = {t: vector.scores[t] for t in sorted(topics)}
     return TopicScoreVector(vector.measure, vector.run_tag, vector.ee_label, scores)
 
@@ -326,8 +330,19 @@ def _write(out_dir: Path, files: Sequence[tuple[str, str]]) -> None:
         print(f"wrote {name}")
 
 
+def _artifacts(table: PersistenceTable, er_exclude: float) -> list[tuple[str, str]]:
+    """The table and scatter files, which ``report`` re-renders from ``cells.json``."""
+    points = er_dri_points(table.cells, er_exclude)
+    return [
+        ("table.txt", render_table_text(table)),
+        ("table.csv", render_table_csv(table)),
+        ("scatter.csv", scatter_csv(points)),
+    ]
+
+
 def cmd_score(args: argparse.Namespace) -> int:
     measures = _parse_measure_list(args.measures)
+    _check_distinct(measures)
     run = load_run(Path(args.run))
     qrels = load_qrels(Path(args.qrels))
     if args.topics:
@@ -363,65 +378,48 @@ def cmd_persist(args: argparse.Namespace) -> int:
         else:
             run_topics = (run.topics for (_, label), run in runs.items() if label == spec.label)
             topics[spec.label] = qrels[spec.label].topics.union(*run_topics)
-    out_dir = _default_output(config.output)
 
-    core = core_topics([topics[label] for label in sorted(topics)])
-    if config.strict_topics and not core:
-        raise DataError("core topic intersection across environments is empty")
+    # Strict mode scores each environment on the core topics, else on its own.
+    if config.strict_topics:
+        core = core_topics([topics[label] for label in sorted(topics)])
+        if not core:
+            raise DataError("core topic intersection across environments is empty")
+        topics = dict.fromkeys(topics, core)
+    # Series use the topics a pair shares, so both series modes stay defined.
+    shared = {pair: topics[pair.base_label] & topics[pair.target_label] for pair in config.pairs}
+    for pair, common in shared.items():
+        if not common:
+            raise DataError(
+                f"no shared topics between {pair.base_label!r} and {pair.target_label!r}"
+            )
 
     system_tags = sorted(
         {run.tag for run in config.runs if run.tag != config.pivot}
     )
+    labels = sorted({p.base_label for p in config.pairs} | {p.target_label for p in config.pairs})
     cells: list[PersistenceCell] = []
-    series_blobs: list[tuple[str, str]] = []
-    # Each (tag, environment, measure) is scored once, on the core topics or,
-    # when not strict, its environment's own; only the pivot's outlive a system.
-    scored: dict[tuple[str, str, MeasureId], TopicScoreVector] = {}
+    files = []
+    for measure in config.measures:
+        # Each (tag, environment) is scored once per measure.
+        scored = {
+            (tag, label): score_run(runs[tag, label], qrels[label], measure, topics[label], label)
+            for tag in (config.pivot, *system_tags)
+            for label in labels
+        }
+        for system, pair in product(system_tags, config.pairs):
+            keys = product((system, config.pivot), (pair.base_label, pair.target_label))
+            vectors = [scored[key] for key in keys]
+            cells.append(persistence_cell(*vectors, t_variant=config.t_variant))
+            vectors = [_restrict(v, shared[pair]) for v in vectors]
+            if config.series_mode == "raw":
+                series = topic_delta_series(*vectors[:2])
+            else:
+                series = pivot_delta_series(*vectors)
+            files.append((f"series/{_series_name(system, measure, pair)}", series_csv(series)))
 
-    def vector(tag: str, label: str, measure: MeasureId) -> TopicScoreVector:
-        key = (tag, label, measure)
-        if key not in scored:
-            scope = core if config.strict_topics else topics[label]
-            scored[key] = score_run(runs[tag, label], qrels[label], measure, scope, label)
-        return scored[key]
-
-    for system in system_tags:
-        for pair in config.pairs:
-            # Series use the topics both environments share, so both series
-            # modes stay defined.
-            shared = core
-            if not config.strict_topics:
-                shared = topics[pair.base_label] & topics[pair.target_label]
-                if not shared:
-                    raise DataError(
-                        f"no shared topics between {pair.base_label!r} and {pair.target_label!r}"
-                    )
-            for measure in config.measures:
-                vectors = [
-                    vector(tag, label, measure)
-                    for tag in (system, config.pivot)
-                    for label in (pair.base_label, pair.target_label)
-                ]
-                cells.append(persistence_cell(*vectors, t_variant=config.t_variant))
-                vectors = [_restrict(v, shared) for v in vectors]
-                if config.series_mode == "raw":
-                    series = topic_delta_series(*vectors[:2])
-                else:
-                    series = pivot_delta_series(*vectors)
-                series_blobs.append((_series_name(system, measure, pair), series_csv(series)))
-        scored = {key: v for key, v in scored.items() if key[0] == config.pivot}
-
-    ee_order = [spec.label for spec in config.environments]
-    table = persistence_table(cells, ee_order=ee_order)
-    points = er_dri_points(table.cells, config.er_exclude)
-
-    files = [
-        ("table.txt", render_table_text(table)),
-        ("table.csv", render_table_csv(table)),
-        ("cells.json", table_to_json(table)),
-        ("scatter.csv", scatter_csv(points)),
-    ]
-    _write(out_dir, sorted(files + [(f"series/{name}", blob) for name, blob in series_blobs]))
+    table = persistence_table(cells, ee_order=[spec.label for spec in config.environments])
+    files += [("cells.json", table_to_json(table)), *_artifacts(table, config.er_exclude)]
+    _write(_default_output(config.output), sorted(files))
     return EXIT_OK
 
 
@@ -443,15 +441,8 @@ def cmd_corpus_diff(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     table = table_from_json(read_input(args.cells), path=args.cells)
-    threshold = DEFAULT_ER_EXCLUSION if args.er_exclude is None else args.er_exclude
-    points = er_dri_points(table.cells, threshold)
-    out_dir = _default_output(Path(args.output) if args.output else None)
-    files = [
-        ("table.txt", render_table_text(table)),
-        ("table.csv", render_table_csv(table)),
-        ("scatter.csv", scatter_csv(points)),
-    ]
-    _write(out_dir, files)
+    files = _artifacts(table, args.er_exclude)
+    _write(_default_output(Path(args.output) if args.output else None), files)
     return EXIT_OK
 
 
@@ -481,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     persist.add_argument("--pivot", help="pivot run tag (overrides manifest)")
     persist.add_argument("--measures", help="comma list, e.g. p@10,ndcg,bpref")
     persist.add_argument("--pairs", help="comma list of BASE:TARGET environment pairs")
-    persist.add_argument("--t-test", choices=sorted(_T_TEST_NAMES), help="t-test variant")
+    persist.add_argument("--t-test", choices=sorted(VARIANTS), help="t-test variant")
     persist.add_argument("--er-exclude", type=float, help="|ER| threshold for scatter exclusion")
     persist.add_argument(
         "--strict-topics",
@@ -509,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("cells", help="cells.json written by the persist command")
     report.add_argument("--er-exclude", type=float, help="|ER| threshold for scatter exclusion")
     report.add_argument("--output", help="output directory")
-    report.set_defaults(handler=cmd_report)
+    report.set_defaults(handler=cmd_report, er_exclude=DEFAULT_ER_EXCLUSION)
     return parser
 
 

@@ -83,16 +83,13 @@ def parse_measure(text: str) -> MeasureId:
         return BPREF
     if lowered == "ndcg":
         return NDCG
-    if lowered.startswith("ndcg@"):
-        try:
+    try:
+        if lowered.startswith("ndcg@"):
             return MeasureId("ndcg", cutoff=int(lowered[5:]))
-        except ValueError:
-            raise ValueError(f"invalid measure name {text!r}") from None
-    if lowered.startswith("p@"):
-        try:
+        if lowered.startswith("p@"):
             return MeasureId("precision_at_k", k=int(lowered[2:]))
-        except ValueError:
-            raise ValueError(f"invalid measure name {text!r}") from None
+    except ValueError:
+        pass
     raise ValueError(f"invalid measure name {text!r}")
 
 
@@ -105,10 +102,6 @@ class TopicScoreVector:
     run_tag: str
     ee_label: str
     scores: Mapping[str, float]
-
-    @property
-    def topics(self) -> TopicSet:
-        return frozenset(self.scores)
 
 
 @dataclass(frozen=True, slots=True)

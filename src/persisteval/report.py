@@ -149,6 +149,8 @@ def persistence_table(
         missing = labels - set(ee_order)
         if missing:
             raise DataError(f"ee_order does not cover {sorted(missing)}")
+        if len(set(ee_order)) < len(ee_order):
+            raise DataError(f"ee_order repeats a label: {json.dumps(list(ee_order))}")
         order = tuple(label for label in ee_order if label in labels)
     systems = sorted({c.system_tag for c in ordered_cells})
 

@@ -236,11 +236,15 @@ def read_input(path: str | Path) -> str:
         ) from None
 
 
+def _non_finite(literal: str):
+    raise ValueError(f"{literal} is not a JSON number")
+
+
 def parse_json(text: str, *, path: str | None = None):
-    """Decode a JSON document. Text the decoder refuses is a ParseError
-    naming the path (and the line, when the decoder gives one)."""
+    """Decode a JSON document. Text the decoder refuses, or a NaN or Infinity
+    literal, is a ParseError naming the path (and the line, if it gives one)."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_non_finite)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(
             f"invalid JSON: {exc}", line=getattr(exc, "lineno", None), path=path

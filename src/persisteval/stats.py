@@ -3,7 +3,7 @@
 The test compares two topic score distributions and reports a two-sided
 p-value. Two variants are supported:
 
-- ``student_pooled`` (default): pooled variance, df = n_a + n_b - 2.
+- ``student_pooled`` or ``student`` (default): pooled variance, df = n_a + n_b - 2.
 - ``welch``: separate variances with Welch-Satterthwaite degrees of freedom.
 
 The p-value comes from the t cumulative distribution, evaluated through
@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Sequence
 
-from .errors import DataError
+from .errors import DataError, UsageError
 
-VARIANTS = ("student_pooled", "welch")
+VARIANTS = {"student": "student_pooled", "student_pooled": "student_pooled", "welch": "welch"}
 
 _CF_TINY = 1e-300
 _CF_EPS = 1e-15
@@ -66,25 +66,18 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + numerator / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        numerator = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + numerator / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        step = d * c
-        h *= step
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for numerator in (even, odd):
+            d = 1.0 + numerator * d
+            if abs(d) < _CF_TINY:
+                d = _CF_TINY
+            c = 1.0 + numerator / c
+            if abs(c) < _CF_TINY:
+                c = _CF_TINY
+            d = 1.0 / d
+            step = d * c
+            h *= step
         if abs(step - 1.0) < _CF_EPS:
             return h
     raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
@@ -134,12 +127,18 @@ def two_sided_p(t: float, df: float) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
 
 
+def check_t_variant(name: str) -> str:
+    """The t-test variant that ``name`` selects; a UsageError if it names none."""
+    if name not in VARIANTS:
+        raise UsageError(f"unknown t-test variant {name!r}; expected one of {sorted(VARIANTS)}")
+    return VARIANTS[name]
+
+
 def t_test_unpaired(
     a: Sequence[float], b: Sequence[float], variant: str = "student_pooled"
 ) -> TTestResult:
     """Two-sided unpaired t-test between two samples of size >= 2 each."""
-    if variant not in VARIANTS:
-        raise DataError(f"unknown t-test variant {variant!r}; expected one of {VARIANTS}")
+    variant = check_t_variant(variant)
     n_a, n_b = len(a), len(b)
     if n_a < 2 or n_b < 2:
         raise DataError(f"both samples need >= 2 observations, got {n_a} and {n_b}")

@@ -119,6 +119,15 @@ class TestScoreCommand:
         )
         assert code == EXIT_USAGE
 
+    def test_repeated_measure_exits_1_before_scoring(self, tmp_path, no_scoring, capsys):
+        code = run_cli(
+            "score", FIXTURE / "runs" / "alpha.t1.run", FIXTURE / "qrels.t1.txt",
+            "--measures", "p@10,P@10", "--output", tmp_path,
+        )
+        assert code == EXIT_USAGE
+        assert "measure P@10 is declared twice" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_malformed_run_exits_2(self, tmp_path):
         bad = tmp_path / "bad.run"
         bad.write_text("q1 Q0 d1 one 1.0 A\n", encoding="utf-8")
@@ -344,6 +353,45 @@ class TestPersistCommand:
         assert code == EXIT_USAGE
         assert "t1-t2" in capsys.readouterr().err
 
+    def test_pairs_sharing_a_target_exit_1_before_scoring(self, tmp_path, no_scoring, capsys):
+        code = run_cli(
+            "persist", "--config", FIXTURE / "job.json",
+            "--pairs", "t1:t2,t2:t2", "--output", tmp_path,
+        )
+        assert code == EXIT_USAGE
+        assert "pairs t1-t2 and t2-t2 both target 't2'" in capsys.readouterr().err
+
+    def test_unknown_t_test_exits_1_before_scoring(self, tmp_path, no_scoring, capsys):
+        job = copy_job(tmp_path, set_at("options.t_test", "bogus"))
+        assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_USAGE
+        assert "unknown t-test variant 'bogus'" in capsys.readouterr().err
+
+    def test_non_strict_job_ignores_the_topics_of_an_unpaired_environment(
+        self, tmp_path, capsys
+    ):
+        def add_t3(config):
+            config["options"]["strict_topics"] = False
+            config["environments"].append(
+                {"label": "t3", "qrels": "qrels.t1.txt", "topics": "topics.t3.txt"}
+            )
+
+        job = copy_job(tmp_path, add_t3)
+        (job.parent / "topics.t3.txt").write_text("z01\n", encoding="utf-8")
+        assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_OK
+        assert "topic intersection is empty" not in capsys.readouterr().err
+
+    def test_pair_without_shared_topics_exits_3_before_scoring(
+        self, tmp_path, no_scoring, capsys
+    ):
+        def disjoint_t2(config):
+            config["options"]["strict_topics"] = False
+            config["environments"][1]["topics"] = "topics.t2.txt"
+
+        job = copy_job(tmp_path, disjoint_t2)
+        (job.parent / "topics.t2.txt").write_text("z01\n", encoding="utf-8")
+        assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_DATA
+        assert "no shared topics between 't1' and 't2'" in capsys.readouterr().err
+
     def test_repeated_measure_exits_1_before_scoring(self, tmp_path, no_scoring, capsys):
         code = run_cli(
             "persist", "--config", FIXTURE / "job.json",
@@ -487,8 +535,13 @@ MANIFEST_FIELDS = {
     "runs.0.path": lambda v: isinstance(v, str),
 }
 
+# NaN and Infinity are not JSON; test_json_the_decoder_refuses_exits_2 covers them.
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(st.text(max_size=6), children, max_size=3),
     max_leaves=6,
@@ -640,6 +693,15 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert f"error: {cells}:" in err and "cells mix pivots" in err
 
+    def test_repeated_ee_order_label_exits_3_with_path(self, tmp_path, capsys):
+        payload = json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))
+        payload["ee_order"] = ["t1", "t2", "t1"]
+        bad = tmp_path / "cells.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli("report", bad, "--output", tmp_path / "out") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"error: {bad}: malformed table JSON" in err and "ee_order repeats" in err
+
     def test_malformed_cells_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "cells.json"
         bad.write_text('{"cells": [{"bogus": 1}], "ee_order": []}', encoding="utf-8")
@@ -696,8 +758,15 @@ class TestReportCommand:
         "command", [["report"], ["persist", "--config"]], ids=["report", "persist"]
     )
     @pytest.mark.parametrize(
-        "text", ['{"cells": 1%s}' % ("0" * 5000), "[" * 100_000 + "]" * 100_000],
-        ids=["int-over-4300-digits", "nested-100000-deep"],
+        "text",
+        [
+            '{"cells": 1%s}' % ("0" * 5000),
+            "[" * 100_000 + "]" * 100_000,
+            '{"p_value": NaN}',
+            "[Infinity]",
+            '{"er_exclude": -Infinity}',
+        ],
+        ids=["int-over-4300-digits", "nested-100000-deep", "nan", "infinity", "minus-infinity"],
     )
     def test_json_the_decoder_refuses_exits_2(self, tmp_path, capsys, command, text):
         bad = tmp_path / "input.json"

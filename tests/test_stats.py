@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from persisteval.errors import DataError
+from persisteval.errors import DataError, UsageError
 from persisteval.stats import (
     mean,
     regularized_incomplete_beta,
@@ -123,7 +123,7 @@ class TestTTest:
             t_test_unpaired([1], [2, 3])
 
     def test_unknown_variant(self):
-        with pytest.raises(DataError):
+        with pytest.raises(UsageError):
             t_test_unpaired([1, 2], [3, 4], "bogus")
 
     def test_pooled_matches_textbook_oracle(self):
