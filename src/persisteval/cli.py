@@ -153,6 +153,8 @@ class JobConfig:
             raise UsageError(f"pivot {self.pivot!r} is not a declared run tag")
         series_owners: dict[str, str] = {}
         systems = sorted(tags - {self.pivot})
+        if not systems:
+            raise UsageError(f"no system run besides the pivot {self.pivot!r}")
         for system, measure, pair in product(systems, self.measures, self.pairs):
             name = _series_name(system, measure, pair)
             owner = (
@@ -324,8 +326,11 @@ def _write(out_dir: Path, files: Sequence[tuple[str, str]]) -> None:
     """Write each (name, content) under ``out_dir``, then list the names."""
     for name, content in files:
         path = out_dir / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(content, encoding="utf-8")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(content, encoding="utf-8")
+        except OSError as exc:  # e.g. a file where a directory should be
+            raise UsageError(f"cannot write {path}: {exc}") from exc
     for name, _ in files:
         print(f"wrote {name}")
 
@@ -393,9 +398,7 @@ def cmd_persist(args: argparse.Namespace) -> int:
                 f"no shared topics between {pair.base_label!r} and {pair.target_label!r}"
             )
 
-    system_tags = sorted(
-        {run.tag for run in config.runs if run.tag != config.pivot}
-    )
+    system_tags = sorted({run.tag for run in config.runs if run.tag != config.pivot})
     labels = sorted({p.base_label for p in config.pairs} | {p.target_label for p in config.pairs})
     cells: list[PersistenceCell] = []
     files = []

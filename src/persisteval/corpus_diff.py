@@ -110,21 +110,20 @@ def snapshot_from_dir(path: str | Path, label: str | None = None) -> CorpusSnaps
 
 
 def diff_collections(a: CorpusSnapshot, b: CorpusSnapshot) -> DiffSummary:
-    """Classify every URL of the two snapshots."""
-    a_urls, b_urls = set(a.docs), set(b.docs)
-    added = sorted(b_urls - a_urls)
-    removed = sorted(a_urls - b_urls)
-    shared = a_urls & b_urls
-    changed = sorted(url for url in shared if a.docs[url] != b.docs[url])
-    unchanged = sorted(url for url in shared if a.docs[url] == b.docs[url])
-    return DiffSummary(tuple(added), tuple(removed), tuple(changed), tuple(unchanged))
+    """Classify every URL of the two snapshots: one pass over each, no sets."""
+    removed, changed, unchanged, missing = [], [], [], object()
+    for url, length in a.docs.items():
+        other = b.docs.get(url, missing)
+        (removed if other is missing else unchanged if other == length else changed).append(url)
+    added = [url for url in b.docs if url not in a.docs]
+    return DiffSummary(*(tuple(sorted(urls)) for urls in (added, removed, changed, unchanged)))
 
 
 def format_diff(summary: DiffSummary, a_label: str, b_label: str, *, verbose: bool = False) -> str:
-    """Human-readable summary; with ``verbose`` the per-class URL lists are
-    appended one URL per line."""
+    """Human-readable summary; with ``verbose`` each non-empty class then
+    lists its URLs, one ``class<TAB>url`` line each."""
     lines = [f"comparing {a_label} -> {b_label}"]
     lines.extend(f"{name:<9} {len(urls)}" for name, urls in summary.urls())
     if verbose:
-        lines.extend(f"{name}\t{url}" for name, urls in summary.urls() for url in urls)
+        lines.extend(f"{name}\t" + f"\n{name}\t".join(urls) for name, urls in summary.urls() if urls)
     return "\n".join(lines) + "\n"

@@ -27,6 +27,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError, UsageError
@@ -51,6 +52,14 @@ NOT_APPLICABLE = "-"
 UNDEFINED = "undef"
 # The cell fields that are None when undefined.
 _UNDEFINABLE = ("result_delta", "delta_ri", "effect_ratio")
+# The numbers of a cell, all finite in a table (a JSON number too large for a
+# float decodes to inf); a degenerate t-test's infinite statistic is not one.
+_NUMBERS = (
+    "arp_base.value", "arp_target.value", "pivot_arp_base.value", "pivot_arp_target.value",
+    "result_delta", "ri_base", "ri_target", "delta_ri", "effect_ratio", "p_value",
+    "p_vs_pivot_base", "p_vs_pivot_target",
+)
+_numbers = attrgetter(*_NUMBERS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,7 +126,10 @@ def _check_cells(cells: Sequence[PersistenceCell]) -> tuple[PersistenceCell, ...
         raise DataError(f"cells mix pivots: {sorted(pivots)}")
     # A target row shows one cell per measure; a repeated pair repeats its target.
     targets: set[tuple] = set()
-    for cell in cells:
+    for i, cell in enumerate(cells):
+        for name, value in zip(_NUMBERS, _numbers(cell)):
+            if value is not None and not math.isfinite(value):
+                raise DataError(f"cells[{i}].{name} must be finite, got {value}")
         key = (cell.system_tag, cell.measure.name, cell.pair.target_label)
         if key in targets:
             raise DataError(
@@ -138,9 +150,7 @@ def persistence_table(
     """
     ordered_cells = _check_cells(cells)
     pivot_tag = ordered_cells[0].pivot_tag
-    measures = tuple(
-        sorted({c.measure for c in ordered_cells}, key=lambda m: m.name)
-    )
+    measures = tuple(sorted({c.measure for c in ordered_cells}, key=lambda m: m.name))
     bases = {c.pair.base_label for c in ordered_cells}
     labels = bases | {c.pair.target_label for c in ordered_cells}
     if ee_order is None:
@@ -408,9 +418,7 @@ def _series(
     )
 
 
-def topic_delta_series(
-    base: TopicScoreVector, target: TopicScoreVector
-) -> TopicDeltaSeries:
+def topic_delta_series(base: TopicScoreVector, target: TopicScoreVector) -> TopicDeltaSeries:
     """Per-topic target-minus-base changes of one system's own scores."""
     check_fit((base, target))
     return _series(base, target, base.scores, target.scores)

@@ -85,6 +85,18 @@ def oracle_diff_counts(a_docs, b_docs):
     return {"added": added, "removed": removed, "changed": changed, "unchanged": unchanged}
 
 
+def oracle_diff_urls(a_docs, b_docs):
+    """The sorted URLs of each class, from set algebra over the two maps."""
+    a_urls, b_urls = set(a_docs), set(b_docs)
+    shared = a_urls & b_urls
+    return {
+        "added": sorted(b_urls - a_urls),
+        "removed": sorted(a_urls - b_urls),
+        "changed": sorted(url for url in shared if a_docs[url] != b_docs[url]),
+        "unchanged": sorted(url for url in shared if a_docs[url] == b_docs[url]),
+    }
+
+
 def _t_pdf(x, df):
     log_density = (
         math.lgamma((df + 1.0) / 2.0)

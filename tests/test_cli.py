@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import gc
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from persisteval import cli, report
 from persisteval.cli import EXIT_DATA, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+
+from oracles import oracle_diff_urls
 
 FIXTURE = Path(__file__).parent / "fixtures" / "two_ee"
 GOLDEN_CELLS = Path(__file__).parent / "golden" / "two_ee" / "cells.json"
@@ -270,6 +273,31 @@ class TestPersistCommand:
             monkeypatch.setattr(cli, name, fail)
         assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_DATA
         assert "error: system 'beta' has no run in environment 't2'" in capsys.readouterr().err
+
+    def test_pivot_only_job_exits_1_before_any_input_is_read(
+        self, tmp_path, no_scoring, monkeypatch, capsys
+    ):
+        def pivot_only(config):
+            config["runs"] = [
+                {"tag": "baseline", "environment": ee, "path": f"missing/baseline.{ee}.run"}
+                for ee in ("t1", "t2")
+            ]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("read an input before the usage check")
+
+        job = copy_job(tmp_path, pivot_only)
+        for name in ("load_qrels", "load_run", "load_topics"):
+            monkeypatch.setattr(cli, name, fail)
+        assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_USAGE
+        assert "error: no system run besides the pivot 'baseline'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_er_exclude_too_large_for_a_float_exits_1(self, tmp_path, no_scoring, capsys):
+        job = copy_job(tmp_path, lambda config: config["options"].update(er_exclude="BIG"))
+        job.write_text(job.read_text(encoding="utf-8").replace('"BIG"', "1e999"))
+        assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_USAGE
+        assert "got inf" in capsys.readouterr().err
 
     def test_welch_flag_changes_p_values(self, tmp_path):
         out1, out2 = tmp_path / "student", tmp_path / "welch"
@@ -660,6 +688,22 @@ class TestCorpusDiffCommand:
         payload = json.loads((tmp_path / "corpus_diff.json").read_text())
         assert payload["added"] == len(payload["added_urls"])
 
+    def test_verbose_json_lists_match_the_oracle(self, tmp_path, capsys):
+        a, b = FIXTURE / "manifest.t1.tsv", FIXTURE / "manifest.t2.tsv"
+        code = run_cli("corpus-diff", a, b, "--verbose", "--output", tmp_path)
+        assert code == EXIT_OK
+        rows = [[line.split("\t") for line in p.read_text().splitlines() if line] for p in (a, b)]
+        docs = [{url: int(length) for url, length in lines} for lines in rows]
+        expected = {"a": a.name, "b": b.name}
+        for name, urls in oracle_diff_urls(*docs).items():
+            expected.update({name: len(urls), f"{name}_urls": urls})
+        assert json.loads((tmp_path / "corpus_diff.json").read_text(encoding="utf-8")) == expected
+        out = capsys.readouterr().out.splitlines()
+        assert out[5:-1] == [
+            f"{name}\t{url}" for name, urls in oracle_diff_urls(*docs).items() for url in urls
+        ]
+        assert out[-1] == "wrote corpus_diff.json"
+
     def test_directory_mode(self, tmp_path, capsys):
         old = tmp_path / "old"
         new = tmp_path / "new"
@@ -731,6 +775,17 @@ class TestReportCommand:
         assert run_cli("report", bad, "--output", tmp_path) == EXIT_PARSE
         assert f"error: {bad}:2: invalid JSON" in capsys.readouterr().err
 
+
+    def test_number_too_large_for_a_float_exits_3_naming_the_field(self, tmp_path, capsys):
+        payload = json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))
+        payload["cells"][0]["p_value"] = "OVERFLOW"
+        bad = tmp_path / "cells.json"
+        bad.write_text(json.dumps(payload).replace('"OVERFLOW"', "1e999"), encoding="utf-8")
+        assert run_cli("report", bad, "--output", tmp_path / "out") == EXIT_DATA
+        assert (
+            f"error: {bad}: malformed table JSON: cells[0].p_value must be finite, got inf"
+        ) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_wrongly_typed_cell_exits_3_naming_the_field(self, tmp_path, capsys):
         payload = json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))
@@ -878,6 +933,31 @@ class TestDataErrorsNamePathAndLine:
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert f"error: {path}:25: " in err and message in err
+
+
+class TestOutputThatIsAFile:
+    """Every writing command turns an --output it cannot write under into a
+    usage error (exit 1), not a traceback."""
+
+    COMMANDS = {
+        "score": ["score", FIXTURE / "runs" / "alpha.t1.run", FIXTURE / "qrels.t1.txt",
+                  "--measures", "p@10"],
+        "persist": ["persist", "--config", FIXTURE / "job.json"],
+        "report": ["report", GOLDEN_CELLS],
+        "corpus-diff": ["corpus-diff", FIXTURE / "manifest.t1.tsv", FIXTURE / "manifest.t2.tsv"],
+    }
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "path-under-file"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_exits_1_naming_the_path(self, tmp_path, capsys, command, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        output = blocker / "x" if under else blocker
+        assert run_cli(*self.COMMANDS[command], "--output", output) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {output}{os.sep}")
+        assert "Traceback" not in err
+        assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
 
 class TestUsage:

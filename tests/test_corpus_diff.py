@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from persisteval.corpus_diff import (
@@ -15,13 +15,20 @@ from persisteval.corpus_diff import (
 )
 from persisteval.errors import DataError, ParseError
 
-from oracles import oracle_diff_counts
+from oracles import oracle_diff_counts, oracle_diff_urls
 
 lengths = st.integers(min_value=0, max_value=10_000)
 url_maps = st.dictionaries(
     keys=st.text(alphabet="abcdefgh/.:-0123456789", min_size=1, max_size=12),
     values=lengths,
     max_size=20,
+)
+# URLs as --from-dirs file names can hold them: spaces, tabs, non-ASCII
+# characters and line breaks; few lengths, so shared URLs often keep theirs.
+odd_url_maps = st.dictionaries(
+    keys=st.text(alphabet="ab/ \t\né東", max_size=4) | st.text(max_size=3),
+    values=st.integers(min_value=0, max_value=2),
+    max_size=12,
 )
 
 
@@ -122,6 +129,26 @@ class TestDiff:
         summary = diff_collections(snap("a", docs), snap("a", dict(docs)))
         assert summary.added == summary.removed == summary.changed == 0
         assert summary.unchanged == len(docs)
+
+
+class TestOneScanDiff:
+    """diff_collections and format_diff against the set-algebra oracle."""
+
+    @given(odd_url_maps, odd_url_maps)
+    @example({}, {})
+    @example({}, {"a b": 0})
+    @example({"é\t東": 0}, {})
+    @example({"u": 0, "v": 1}, {"u": 0, "v": 1})
+    @example({"u": 0, "v": 1}, {"u": 1, "v": 0})
+    def test_url_lists_and_verbose_text_match_the_oracle(self, a_docs, b_docs):
+        summary = diff_collections(snap("a", a_docs), snap("b", b_docs))
+        expected = oracle_diff_urls(a_docs, b_docs)
+        assert [(name, list(urls)) for name, urls in summary.urls()] == list(expected.items())
+        lines = ["comparing a -> b"]
+        lines += [f"{name:<9} {len(urls)}" for name, urls in expected.items()]
+        lines += [f"{name}\t{url}" for name, urls in expected.items() for url in urls]
+        assert format_diff(summary, "a", "b", verbose=True) == "\n".join(lines) + "\n"
+        assert format_diff(summary, "a", "b") == "\n".join(lines[:5]) + "\n"
 
 
 class TestFormatting:

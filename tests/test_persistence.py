@@ -33,6 +33,7 @@ from persisteval.persistence import (
     result_delta,
     topic_deltas,
 )
+from persisteval.report import table_from_json
 from oracles import oracle_mean, oracle_pooled_t, oracle_two_sided_p
 from synth import MISFITS, four_vectors, misfit, score_tags, synthetic_environment
 
@@ -316,9 +317,8 @@ class TestCellSerialization:
         assert second == first
 
 
-GOLDEN_CELL = json.loads(
-    (Path(__file__).parent / "golden" / "two_ee" / "cells.json").read_text(encoding="utf-8")
-)["cells"][0]
+GOLDEN_CELLS = Path(__file__).parent / "golden" / "two_ee" / "cells.json"
+GOLDEN_CELL = json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))["cells"][0]
 REQUIRED_KEYS = [
     (key,) for key in GOLDEN_CELL if key not in ("degenerate_t", "undefined_flags")
 ] + [
@@ -461,6 +461,26 @@ class TestTypedCellCodec:
     @pytest.mark.parametrize("key", ["result_delta", "ri_base", "ri_target", "delta_ri", "effect_ratio"])
     def test_undefined_values_may_be_null(self, key):
         assert getattr(cell_from_dict({**GOLDEN_CELL, key: None}), key) is None
+
+    @pytest.mark.parametrize(
+        "path", ["p_value", "effect_ratio", "arp_base.value", "pivot_arp_target.value"]
+    )
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_number_too_large_for_a_float_names_the_path(self, path, sign):
+        """1e999 decodes to inf. The table check refuses it and names the
+        field, while the codec alone round-trips inf (see
+        test_round_trip_with_none_nan_and_inf). A degenerate t-test's
+        statistic is infinite, so the t statistic is exempt."""
+        payload = json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))
+        record = payload["cells"][1]
+        *outer, key = path.split(".")
+        (record[outer[0]] if outer else record)[key] = "OVERFLOW"
+        text = json.dumps(payload).replace('"OVERFLOW"', f"{sign}1e999")
+        with pytest.raises(DataError) as excinfo:
+            table_from_json(text, path="cells.json")
+        assert str(excinfo.value) == (
+            f"cells.json: malformed table JSON: cells[1].{path} must be finite, got {sign}inf"
+        )
 
 
 class TestArpOnScoredRuns:
