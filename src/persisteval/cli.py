@@ -110,11 +110,11 @@ class JobConfig:
     pivot: str
     measures: list[MeasureId]
     pairs: list[EEPair]
-    output: Path | None = None
-    t_variant: str = "student_pooled"
-    er_exclude: float = DEFAULT_ER_EXCLUSION
-    strict_topics: bool = True
-    series_mode: str = "raw"  # "raw" or "pivot-delta"
+    output: Path | None
+    t_variant: str
+    er_exclude: float
+    strict_topics: bool
+    series_mode: str  # "raw" or "pivot-delta"
 
     def validate(self) -> None:
         labels = [ee.label for ee in self.environments]

@@ -220,15 +220,15 @@ def parse_topics(text: str | Iterable[str], *, path: str | None = None) -> Topic
 
 
 def read_input(path: str | Path) -> str:
-    """Read a UTF-8 input file. An unreadable file, or one that is not
-    valid UTF-8, is a ParseError naming the path (and the line of the first
-    undecodable byte)."""
+    """Read a UTF-8 input file, without a leading byte-order mark. An
+    unreadable file, or one that is not valid UTF-8, is a ParseError naming
+    the path (and the line of the first undecodable byte)."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}", path=str(path)) from exc
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(

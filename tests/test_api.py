@@ -1,16 +1,79 @@
 from __future__ import annotations
 
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import persisteval
 
 README = Path(__file__).parent.parent / "README.md"
 FIXTURE = Path(__file__).parent / "fixtures" / "two_ee"
+SRC = Path(__file__).parent.parent / "src"
+# The modules `import persisteval.cli` loads: cli imports every stage.
+CLI_MODULES = [
+    "persisteval",
+    "persisteval.cli",
+    "persisteval.corpus_diff",
+    "persisteval.errors",
+    "persisteval.measures",
+    "persisteval.persistence",
+    "persisteval.report",
+    "persisteval.run_io",
+    "persisteval.stats",
+]
+
+
+def loaded_modules(statement: str) -> list[str]:
+    """The persisteval modules a fresh interpreter holds after ``statement``."""
+    code = f"{statement}; import sys; print(*sorted(m for m in sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    return [name for name in result.stdout.split() if name.startswith("persisteval")]
 
 
 def test_all_exports_resolve():
     for name in persisteval.__all__:
         assert hasattr(persisteval, name), f"__all__ names missing attribute {name}"
+
+
+def test_bare_import_loads_no_stage():
+    assert loaded_modules("import persisteval") == ["persisteval"]
+
+
+def test_cli_import_loads_every_stage():
+    assert loaded_modules("import persisteval.cli") == CLI_MODULES
+
+
+def test_star_import_binds_exactly_all():
+    namespace: dict = {}
+    exec("from persisteval import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(persisteval.__all__)
+    stages = [vars(module) for name, module in sys.modules.items() if name.startswith("persisteval.")]
+    for name, value in namespace.items():
+        holders = [stage[name] for stage in stages if name in stage]
+        assert holders and all(held is value for held in holders), name
+
+
+def test_stage_module_resolves_after_a_bare_import():
+    assert persisteval.report is importlib.import_module("persisteval.report")
+    assert "persisteval.report" in loaded_modules("import persisteval; persisteval.report")
+
+
+def test_dir_lists_the_exports():
+    assert set(persisteval.__all__) <= set(dir(persisteval))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        persisteval.nonesuch
+    assert not hasattr(persisteval, "cli_main")
 
 
 def test_version():

@@ -508,6 +508,21 @@ class TestPersistCommand:
             assert all(len(row) == width for row in rows)
             assert "a,b" in {row[0] for row in rows}
 
+    def test_empty_qrels_is_a_result(self, tmp_path, capsys):
+        """Qrels with no judgments score every topic 0: the job still gives
+        a table, with every ARP of that snapshot 0.000 and DRI undefined."""
+        job = copy_job(tmp_path, lambda config: None)
+        (job.parent / "qrels.t2.txt").write_text("", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("persist", "--config", job, "--output", out) == EXIT_OK
+        rows = (out / "table.txt").read_text(encoding="utf-8").splitlines()[3:]
+        t2_rows = [row.split("|") for row in rows if row.split()[1] == "t2"]
+        assert len(t2_rows) == 3
+        for system, *measures in t2_rows:
+            for columns in map(str.split, measures):
+                assert columns[0] == "0.000"
+                assert columns[2] == ("-" if system.startswith("baseline") else "undef")
+
 
 def set_at(path: str, value):
     """An edit of the parsed manifest that sets the field at ``path``
@@ -958,6 +973,42 @@ class TestOutputThatIsAFile:
         assert err.startswith(f"error: cannot write {output}{os.sep}")
         assert "Traceback" not in err
         assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of an input changes nothing."""
+
+    PERSIST = ["persist", "--config", "job.json"]
+    INPUTS = {
+        "run": ("runs/alpha.t1.run", PERSIST),
+        "qrels": ("qrels.t1.txt", PERSIST),
+        "topics": ("topics.t1.txt", PERSIST),
+        "job-manifest": ("job.json", PERSIST),
+        "cells": ("cells.json", ["report", "cells.json"]),
+        "corpus-manifest": (
+            "manifest.t1.tsv", ["corpus-diff", "manifest.t1.tsv", "manifest.t2.tsv", "--verbose"]
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", INPUTS)
+    def test_outputs_are_byte_identical(self, tmp_path, monkeypatch, capsys, kind):
+        name, command = self.INPUTS[kind]
+        outputs = []
+        for variant in ("plain", "bom"):
+            root = tmp_path / variant
+            shutil.copytree(FIXTURE, root)
+            shutil.copy(GOLDEN_CELLS, root / "cells.json")
+            path = root / name
+            if kind == "qrels":  # lead with a relevant judgment, for the mark to move
+                lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+                lines.sort(key=lambda line: line.split()[3] == "0")
+                path.write_text("".join(lines), encoding="utf-8")
+            if variant == "bom":
+                path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            monkeypatch.chdir(root)
+            assert run_cli(*command, "--output", "out") == EXIT_OK
+            outputs.append((tree(root / "out"), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
 
 
 class TestUsage:
