@@ -31,51 +31,12 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from itertools import product
 from pathlib import Path
-from typing import Sequence
 
-from .corpus_diff import diff_collections, format_diff, load_manifest, snapshot_from_dir
 from .errors import DataError, DiagnosticWarning, EvaluationError, ParseError, UsageError
-from .measures import (
-    MeasureId,
-    TopicScoreVector,
-    arp,
-    format_scores,
-    parse_measure,
-    score_run,
-    scores_to_json,
-)
-from .persistence import EEPair, PersistenceCell, persistence_cell
-from .report import (
-    DEFAULT_ER_EXCLUSION,
-    PersistenceTable,
-    check_er_exclusion,
-    er_dri_points,
-    persistence_table,
-    pivot_delta_series,
-    render_table_csv,
-    render_table_text,
-    scatter_csv,
-    series_csv,
-    table_from_json,
-    table_to_json,
-    topic_delta_series,
-)
-from .run_io import (
-    TopicSet,
-    core_topics,
-    json_checked,
-    json_member,
-    json_typed,
-    load_qrels,
-    load_run,
-    load_topics,
-    parse_json,
-    read_input,
-)
-from .stats import VARIANTS, check_t_variant
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,37 +45,24 @@ EXIT_DATA = 3
 _EXIT_CODES = {UsageError: EXIT_USAGE, ParseError: EXIT_PARSE}
 
 OUTPUT_ENV_VAR = "PERSISTEVAL_OUTPUT"
+SERIES_MODES = ("pivot-delta", "raw")
+
+EESpec = namedtuple("EESpec", "label qrels_path topics_path")
+RunSpec = namedtuple("RunSpec", "tag ee_label path")
 
 
-@dataclass
-class EESpec:
-    label: str
-    qrels_path: Path
-    topics_path: Path | None = None
-
-
-@dataclass
-class RunSpec:
-    tag: str
-    ee_label: str
-    path: Path
-
-
-@dataclass
-class JobConfig:
+class JobConfig(
+    namedtuple(
+        "JobConfig",
+        "environments runs pivot measures pairs output t_test er_exclude strict_topics series",
+    )
+):
     """A persistence job: environments, runs, pivot, measures, pairs, and
-    output options. Paths are resolved relative to the manifest file."""
+    output options. Paths are resolved relative to the manifest file. The
+    options are checked where they are read, so that an error names the
+    manifest field or the flag a bad value came from."""
 
-    environments: list[EESpec]
-    runs: list[RunSpec]
-    pivot: str
-    measures: list[MeasureId]
-    pairs: list[EEPair]
-    output: Path | None
-    t_variant: str
-    er_exclude: float
-    strict_topics: bool
-    series_mode: str  # "raw" or "pivot-delta"
+    __slots__ = ()
 
     def validate(self) -> None:
         labels = [ee.label for ee in self.environments]
@@ -164,10 +112,6 @@ class JobConfig:
             if name in series_owners:
                 raise UsageError(f"series/{name} would hold both {series_owners[name]} and {owner}")
             series_owners[name] = owner
-        check_t_variant(self.t_variant)
-        if self.series_mode not in ("raw", "pivot-delta"):
-            raise UsageError(f"unknown series mode {self.series_mode!r}")
-        check_er_exclusion(self.er_exclude)
         # A missing run is a data property of the job, not a usage bug.
         pair_labels = {p.base_label for p in self.pairs} | {p.target_label for p in self.pairs}
         for tag, label in product([self.pivot, *systems], sorted(pair_labels)):
@@ -192,6 +136,8 @@ def _check_distinct(measures: Sequence[MeasureId]) -> None:
 
 
 def _parse_measure_list(text: str) -> list[MeasureId]:
+    from .measures import parse_measure
+
     measures = []
     for token in _tokens(text, "measure"):
         try:
@@ -202,6 +148,8 @@ def _parse_measure_list(text: str) -> list[MeasureId]:
 
 
 def _parse_pair_list(text: str) -> list[EEPair]:
+    from .persistence import EEPair
+
     pairs = []
     for token in _tokens(text, "pair"):
         parts = token.split(":")
@@ -211,24 +159,37 @@ def _parse_pair_list(text: str) -> list[EEPair]:
     return pairs
 
 
-def _items(obj: dict, key: str) -> list[tuple[str, object]]:
-    """(path, item) for each item of the list ``obj[key]``; none if absent."""
-    items = json_member(obj, key, list, default=[])
-    return [(f"{key}[{i}]", item) for i, item in enumerate(items)]
+def _check_series(mode: str) -> None:
+    if mode not in SERIES_MODES:
+        raise UsageError(f"unknown series mode {mode!r}; expected one of {list(SERIES_MODES)}")
 
 
-def _manifest_pair(where: str, entry) -> EEPair:
-    if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, str) for x in entry)):
-        raise ValueError(
-            f"{where}: a pair must be a [base, target] list of two strings, got {json.dumps(entry)}"
-        )
-    return json_checked(where, EEPair, *entry)
+def _check_flag(flag: str, check, value) -> None:
+    """``check(value)``; its UsageError names ``flag``, which gave the value."""
+    try:
+        check(value)
+    except UsageError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
     """Read the JSON manifest and apply command-line overrides. Each
-    manifest field has one JSON type; a value of another type is a usage
-    error that names the field's path."""
+    manifest field has one JSON type; a value of another type, or one its
+    check refuses, is a usage error that names the field's path. A flag
+    overrides its field only after the manifest has passed."""
+    from .measures import parse_measure
+    from .persistence import EEPair
+    from .report import DEFAULT_ER_EXCLUSION, check_er_exclusion
+    from .run_io import json_checked, json_member, json_typed, parse_json, read_input
+    from .stats import check_t_variant
+
+    # The checked options: key in "options" (also the flag --<key> that
+    # overrides it and the JobConfig field), JSON type, default and check.
+    checked_options = (
+        ("t_test", str, "student", check_t_variant),
+        ("er_exclude", float, DEFAULT_ER_EXCLUSION, check_er_exclusion),
+        ("series", str, "raw", _check_series),
+    )
     raw = parse_json(read_input(path), path=str(path))
     base_dir = path.parent
 
@@ -237,6 +198,11 @@ def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
             raise ValueError(f"path {json.dumps(p)} holds a NUL character")
         candidate = Path(p)
         return candidate if candidate.is_absolute() else base_dir / candidate
+
+    def _items(obj: dict, key: str) -> list[tuple[str, object]]:
+        """(path, item) for each item of the list ``obj[key]``; none if absent."""
+        items = json_member(obj, key, list, default=[])
+        return [(f"{key}[{i}]", item) for i, item in enumerate(items)]
 
     def _environment(where: str, entry) -> EESpec:
         entry = json_typed(entry, dict, where)
@@ -255,6 +221,22 @@ def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
             path=_resolve(json_member(entry, "path", str, where)),
         )
 
+    def _pair(where: str, entry) -> EEPair:
+        strings = isinstance(entry, list) and all(isinstance(x, str) for x in entry)
+        if not (strings and len(entry) == 2):
+            raise ValueError(
+                f"{where}: a pair must be a [base, target] list of two strings, "
+                f"got {json.dumps(entry)}"
+            )
+        return json_checked(where, EEPair, *entry)
+
+    def _options(options: dict) -> dict:
+        settings = {"strict_topics": json_member(options, "strict_topics", bool, "options", True)}
+        for key, kind, default, check in checked_options:
+            settings[key] = json_member(options, key, kind, "options", default)
+            json_checked(f"options.{key}", check, settings[key])
+        return settings
+
     try:
         raw = json_typed(raw, dict, "the manifest")
         options = json_member(raw, "options", dict, default={})
@@ -267,32 +249,29 @@ def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
                 json_checked(where, parse_measure, json_typed(m, str, where))
                 for where, m in _items(raw, "measures")
             ],
-            pairs=[_manifest_pair(*item) for item in _items(raw, "pairs")],
+            pairs=[_pair(*item) for item in _items(raw, "pairs")],
             output=_resolve(output) if output else None,
-            t_variant=json_member(options, "t_test", str, "options", "student"),
-            er_exclude=json_member(options, "er_exclude", float, "options", DEFAULT_ER_EXCLUSION),
-            strict_topics=json_member(options, "strict_topics", bool, "options", True),
-            series_mode=json_member(options, "series", str, "options", "raw"),
+            **_options(options),
         )
     except (ValueError, DataError) as exc:
         raise UsageError(f"malformed manifest {path}: {exc}") from exc
 
+    overrides = {}
     if args.pivot is not None:
-        config.pivot = args.pivot
+        overrides["pivot"] = args.pivot
     if args.measures is not None:
-        config.measures = _parse_measure_list(args.measures)
+        overrides["measures"] = _parse_measure_list(args.measures)
     if args.pairs is not None:
-        config.pairs = _parse_pair_list(args.pairs)
-    if args.t_test is not None:
-        config.t_variant = args.t_test
-    if args.er_exclude is not None:
-        config.er_exclude = args.er_exclude
+        overrides["pairs"] = _parse_pair_list(args.pairs)
     if args.strict_topics is not None:
-        config.strict_topics = args.strict_topics
-    if args.series is not None:
-        config.series_mode = args.series
+        overrides["strict_topics"] = args.strict_topics
+    for key, _, _, check in checked_options:
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
+            _check_flag(f"--{key.replace('_', '-')}", check, overrides[key])
     if args.output is not None:
-        config.output = Path(args.output)
+        overrides["output"] = Path(args.output)
+    config = config._replace(**overrides)
     config.validate()
     return config
 
@@ -312,7 +291,7 @@ def _restrict(vector: TopicScoreVector, topics: TopicSet) -> TopicScoreVector:
     """The vector's scores on ``topics`` alone. A topic's score does not
     depend on the topic set."""
     scores = {t: vector.scores[t] for t in sorted(topics)}
-    return TopicScoreVector(vector.measure, vector.run_tag, vector.ee_label, scores)
+    return type(vector)(vector.measure, vector.run_tag, vector.ee_label, scores)
 
 
 def _default_output(explicit: Path | None) -> Path:
@@ -337,6 +316,8 @@ def _write(out_dir: Path, files: Sequence[tuple[str, str]]) -> None:
 
 def _artifacts(table: PersistenceTable, er_exclude: float) -> list[tuple[str, str]]:
     """The table and scatter files, which ``report`` re-renders from ``cells.json``."""
+    from .report import er_dri_points, render_table_csv, render_table_text, scatter_csv
+
     points = er_dri_points(table.cells, er_exclude)
     return [
         ("table.txt", render_table_text(table)),
@@ -346,6 +327,9 @@ def _artifacts(table: PersistenceTable, er_exclude: float) -> list[tuple[str, st
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    from .measures import arp, format_scores, score_run, scores_to_json
+    from .run_io import load_qrels, load_run, load_topics
+
     measures = _parse_measure_list(args.measures)
     _check_distinct(measures)
     run = load_run(Path(args.run))
@@ -373,6 +357,13 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_persist(args: argparse.Namespace) -> int:
+    from .measures import score_run
+    from .persistence import persistence_cell
+    from .report import (
+        persistence_table, pivot_delta_series, series_csv, table_to_json, topic_delta_series,
+    )
+    from .run_io import core_topics, load_qrels, load_run, load_topics
+
     config = load_job_config(Path(args.config), args)
     qrels = {spec.label: load_qrels(spec.qrels_path) for spec in config.environments}
     runs = {(run.tag, run.ee_label): load_run(run.path, run.tag) for run in config.runs}
@@ -412,9 +403,9 @@ def cmd_persist(args: argparse.Namespace) -> int:
         for system, pair in product(system_tags, config.pairs):
             keys = product((system, config.pivot), (pair.base_label, pair.target_label))
             vectors = [scored[key] for key in keys]
-            cells.append(persistence_cell(*vectors, t_variant=config.t_variant))
+            cells.append(persistence_cell(*vectors, t_variant=config.t_test))
             vectors = [_restrict(v, shared[pair]) for v in vectors]
-            if config.series_mode == "raw":
+            if config.series == "raw":
                 series = topic_delta_series(*vectors[:2])
             else:
                 series = pivot_delta_series(*vectors)
@@ -427,6 +418,8 @@ def cmd_persist(args: argparse.Namespace) -> int:
 
 
 def cmd_corpus_diff(args: argparse.Namespace) -> int:
+    from .corpus_diff import diff_collections, format_diff, load_manifest, snapshot_from_dir
+
     load = snapshot_from_dir if args.from_dirs else load_manifest
     snapshot_a, snapshot_b = load(Path(args.manifest_a)), load(Path(args.manifest_b))
     summary = diff_collections(snapshot_a, snapshot_b)
@@ -443,8 +436,14 @@ def cmd_corpus_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .report import DEFAULT_ER_EXCLUSION, check_er_exclusion, table_from_json
+    from .run_io import read_input
+
     table = table_from_json(read_input(args.cells), path=args.cells)
-    files = _artifacts(table, args.er_exclude)
+    # cells.json does not hold the threshold persist used (README).
+    er_exclude = DEFAULT_ER_EXCLUSION if args.er_exclude is None else args.er_exclude
+    _check_flag("--er-exclude", check_er_exclusion, er_exclude)
+    files = _artifacts(table, er_exclude)
     _write(_default_output(Path(args.output) if args.output else None), files)
     return EXIT_OK
 
@@ -475,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     persist.add_argument("--pivot", help="pivot run tag (overrides manifest)")
     persist.add_argument("--measures", help="comma list, e.g. p@10,ndcg,bpref")
     persist.add_argument("--pairs", help="comma list of BASE:TARGET environment pairs")
-    persist.add_argument("--t-test", choices=sorted(VARIANTS), help="t-test variant")
+    persist.add_argument("--t-test", help="t-test variant: student (default) or welch")
     persist.add_argument("--er-exclude", type=float, help="|ER| threshold for scatter exclusion")
     persist.add_argument(
         "--strict-topics",
@@ -485,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     persist.add_argument(
         "--series",
-        choices=["raw", "pivot-delta"],
-        help="per-topic series: raw score changes or changes of the improvement over the pivot",
+        help="per-topic series: raw score changes, or pivot-delta: changes of the improvement"
+        " over the pivot",
     )
     persist.add_argument("--output", help="output directory (overrides manifest)")
     persist.set_defaults(handler=cmd_persist)
@@ -503,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("cells", help="cells.json written by the persist command")
     report.add_argument("--er-exclude", type=float, help="|ER| threshold for scatter exclusion")
     report.add_argument("--output", help="output directory")
-    report.set_defaults(handler=cmd_report, er_exclude=DEFAULT_ER_EXCLUSION)
+    report.set_defaults(handler=cmd_report)
     return parser
 
 

@@ -16,9 +16,9 @@ of text files, using each file's relative path as its URL.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
 
 from .errors import DataError, ParseError
 from .run_io import read_input

@@ -25,8 +25,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .errors import DataError
 from .run_io import Qrels, Run, TopicSet

@@ -31,8 +31,8 @@ significance marking in reports, between system and pivot within each EE.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence, Set
 from dataclasses import MISSING, dataclass, field, fields
-from typing import AbstractSet, Mapping, Sequence
 
 from .errors import DataError
 from .measures import ARPValue, MeasureId, TopicScoreVector, arp, parse_measure
@@ -79,7 +79,7 @@ def delta_ri(ri_base: float | None, ri_target: float | None) -> float | None:
     return ri_base - ri_target
 
 
-def check_same_topics(a: AbstractSet[str], b: AbstractSet[str], a_name: str, b_name: str) -> None:
+def check_same_topics(a: Set[str], b: Set[str], a_name: str, b_name: str) -> None:
     """Raise a DataError naming the topics only one of two sets holds."""
     only_a, only_b = a - b, b - a
     if only_a or only_b:

@@ -26,9 +26,9 @@ import csv
 import io
 import json
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError, UsageError
 from .measures import MeasureId, TopicScoreVector
@@ -353,7 +353,7 @@ def table_from_json(text: str, *, path: str | None = None) -> PersistenceTable:
 def check_er_exclusion(threshold: float) -> None:
     """Raise a UsageError unless ``threshold`` is a positive, finite |ER| bound."""
     if not (math.isfinite(threshold) and threshold > 0):
-        raise UsageError(f"--er-exclude must be positive and finite, got {threshold}")
+        raise UsageError(f"the |ER| threshold must be positive and finite, got {threshold}")
 
 
 def er_dri_points(

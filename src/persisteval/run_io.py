@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import MISSING, dataclass
 from math import isfinite
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
-from .errors import DataError, DiagnosticWarning, ParseError
+from .errors import DataError, DiagnosticWarning, ParseError, UsageError
 
 # Deepest ranking position that is ever evaluated per topic.
 MAX_DEPTH = 1000
@@ -283,11 +283,12 @@ def json_strings(items: list, where: str) -> tuple[str, ...]:
 
 
 def json_checked(where: str, build, *args):
-    """``build(*args)``; a ValueError or DataError it raises (a value of the
-    right JSON type failed a value check) names the field path ``where``."""
+    """``build(*args)``; a ValueError, DataError or UsageError it raises (a
+    value of the right JSON type failed a value check) names the field path
+    ``where``."""
     try:
         return build(*args)
-    except (ValueError, DataError) as exc:
+    except (ValueError, DataError, UsageError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
 
 

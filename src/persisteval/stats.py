@@ -17,8 +17,8 @@ NaN: equal means yield t = 0, p = 1; unequal means yield p = 0 with the
 from __future__ import annotations
 
 import math
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
-from typing import Collection, Sequence
 
 from .errors import DataError, UsageError
 

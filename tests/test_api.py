@@ -13,28 +13,21 @@ import persisteval
 README = Path(__file__).parent.parent / "README.md"
 FIXTURE = Path(__file__).parent / "fixtures" / "two_ee"
 SRC = Path(__file__).parent.parent / "src"
-# The modules `import persisteval.cli` loads: cli imports every stage.
-CLI_MODULES = [
-    "persisteval",
-    "persisteval.cli",
-    "persisteval.corpus_diff",
-    "persisteval.errors",
-    "persisteval.measures",
-    "persisteval.persistence",
-    "persisteval.report",
-    "persisteval.run_io",
-    "persisteval.stats",
-]
+# The modules `import persisteval.cli` loads: each command imports its stages.
+CLI_MODULES = ["persisteval", "persisteval.cli", "persisteval.errors"]
+STAGES = ["corpus_diff", "measures", "persistence", "report", "run_io", "stats"]
 
 
 def loaded_modules(statement: str) -> list[str]:
     """The persisteval modules a fresh interpreter holds after ``statement``."""
-    code = f"{statement}; import sys; print(*sorted(m for m in sys.modules))"
+    code = f"{statement}\nimport sys; print(*sorted(m for m in sys.modules))"
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
-    return [name for name in result.stdout.split() if name.startswith("persisteval")]
+    # The last line; a command's own output comes before it.
+    names = result.stdout.splitlines()[-1].split()
+    return [name for name in names if name.startswith("persisteval")]
 
 
 def test_all_exports_resolve():
@@ -46,8 +39,26 @@ def test_bare_import_loads_no_stage():
     assert loaded_modules("import persisteval") == ["persisteval"]
 
 
-def test_cli_import_loads_every_stage():
+def test_cli_import_loads_no_stage():
     assert loaded_modules("import persisteval.cli") == CLI_MODULES
+
+
+def run_command(argv: list) -> str:
+    """A statement that runs the CLI on ``argv`` and checks it exits 0."""
+    return f"from persisteval.cli import main\nassert main({[str(a) for a in argv]!r}) == 0"
+
+
+def test_corpus_diff_loads_only_its_stages():
+    manifests = [FIXTURE / "manifest.t1.tsv", FIXTURE / "manifest.t2.tsv"]
+    loaded = loaded_modules(run_command(["corpus-diff", *manifests, "--verbose"]))
+    assert loaded == sorted([*CLI_MODULES, "persisteval.corpus_diff", "persisteval.run_io"])
+
+
+def test_report_loads_no_corpus_diff(tmp_path):
+    cells = Path(__file__).parent / "golden" / "two_ee" / "cells.json"
+    loaded = loaded_modules(run_command(["report", cells, "--output", tmp_path]))
+    expected = [f"persisteval.{stage}" for stage in STAGES if stage != "corpus_diff"]
+    assert loaded == sorted([*CLI_MODULES, *expected])
 
 
 def test_star_import_binds_exactly_all():

@@ -4,14 +4,16 @@ import csv
 import gc
 import json
 import os
+import random
 import shutil
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from persisteval import cli, report
+from persisteval import cli, measures, report, run_io
 from persisteval.cli import EXIT_DATA, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
 from oracles import oracle_diff_urls
@@ -40,7 +42,18 @@ def no_scoring(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("scored before the usage check")
 
-    monkeypatch.setattr(cli, "score_run", fail)
+    monkeypatch.setattr(measures, "score_run", fail)
+
+
+@pytest.fixture
+def no_reading(monkeypatch, no_scoring):
+    """Fail the test if persist reads a run, qrels or topics file."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("read an input before the check")
+
+    for name in ("load_qrels", "load_run", "load_topics"):
+        monkeypatch.setattr(run_io, name, fail)
 
 
 def copy_job(tmp_path: Path, edit) -> Path:
@@ -257,7 +270,7 @@ class TestPersistCommand:
         assert "pivot" in capsys.readouterr().err
 
     def test_missing_system_run_exits_3_before_any_input_is_read(
-        self, tmp_path, no_scoring, monkeypatch, capsys
+        self, tmp_path, no_reading, capsys
     ):
         job = copy_job(
             tmp_path,
@@ -265,17 +278,11 @@ class TestPersistCommand:
                 {"tag": "beta", "environment": "t2", "path": "runs/beta.t2.run"}
             ),
         )
-
-        def fail(*args, **kwargs):
-            raise AssertionError("read an input before the run check")
-
-        for name in ("load_qrels", "load_run", "load_topics"):
-            monkeypatch.setattr(cli, name, fail)
         assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_DATA
         assert "error: system 'beta' has no run in environment 't2'" in capsys.readouterr().err
 
     def test_pivot_only_job_exits_1_before_any_input_is_read(
-        self, tmp_path, no_scoring, monkeypatch, capsys
+        self, tmp_path, no_reading, capsys
     ):
         def pivot_only(config):
             config["runs"] = [
@@ -283,21 +290,52 @@ class TestPersistCommand:
                 for ee in ("t1", "t2")
             ]
 
-        def fail(*args, **kwargs):
-            raise AssertionError("read an input before the usage check")
-
         job = copy_job(tmp_path, pivot_only)
-        for name in ("load_qrels", "load_run", "load_topics"):
-            monkeypatch.setattr(cli, name, fail)
         assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_USAGE
         assert "error: no system run besides the pivot 'baseline'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_er_exclude_too_large_for_a_float_exits_1(self, tmp_path, no_scoring, capsys):
+    def test_er_exclude_too_large_for_a_float_exits_1(self, tmp_path, no_reading, capsys):
         job = copy_job(tmp_path, lambda config: config["options"].update(er_exclude="BIG"))
         job.write_text(job.read_text(encoding="utf-8").replace('"BIG"', "1e999"))
         assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_USAGE
-        assert "got inf" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "got inf" in err
+        assert err.startswith(f"error: malformed manifest {job}: options.er_exclude: ")
+
+    @pytest.mark.parametrize("source", ["manifest", "flag"])
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("er_exclude", 0, "the |ER| threshold must be positive and finite, got 0.0"),
+            ("t_test", "bogus", "unknown t-test variant 'bogus'; expected one of"),
+            ("series", "sideways", "unknown series mode 'sideways'; expected one of"),
+        ],
+    )
+    def test_bad_option_value_exits_1_naming_its_source(
+        self, tmp_path, no_reading, capsys, source, option, value, message
+    ):
+        """A bad value names the manifest field or the flag it came from,
+        and no run, qrels or topics file is read."""
+        flag = "--" + option.replace("_", "-")
+        if source == "manifest":
+            job, argv = copy_job(tmp_path, set_at(f"options.{option}", value)), []
+            prefix = f"error: malformed manifest {job}: options.{option}: "
+        else:
+            job, argv = copy_job(tmp_path, lambda config: None), [flag, value]
+            prefix = f"error: {flag}: "
+        code = run_cli("persist", "--config", job, *argv, "--output", tmp_path / "out")
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(prefix + message)
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_manifest_option_is_refused_under_a_flag(self, tmp_path, no_reading, capsys):
+        """The manifest is checked whole before a flag overrides a field."""
+        job = copy_job(tmp_path, set_at("options.t_test", "bogus"))
+        code = run_cli("persist", "--config", job, "--t-test", "welch", "--output", tmp_path)
+        assert code == EXIT_USAGE
+        assert f"malformed manifest {job}: options.t_test: " in capsys.readouterr().err
 
     def test_welch_flag_changes_p_values(self, tmp_path):
         out1, out2 = tmp_path / "student", tmp_path / "welch"
@@ -340,13 +378,13 @@ class TestPersistCommand:
 
     def test_scores_each_vector_once(self, tmp_path, monkeypatch):
         calls = []
-        score_run = cli.score_run
+        score_run = measures.score_run
 
         def recording_score_run(run, qrels, measure, topics, ee_label=""):
             calls.append((id(run), id(qrels), measure))
             return score_run(run, qrels, measure, topics, ee_label)
 
-        monkeypatch.setattr(cli, "score_run", recording_score_run)
+        monkeypatch.setattr(measures, "score_run", recording_score_run)
         code = run_cli(
             "persist", "--config", FIXTURE / "job.json", "--no-strict-topics",
             "--series", "pivot-delta", "--output", tmp_path,
@@ -768,13 +806,15 @@ class TestReportCommand:
         assert f"error: {bad}: malformed table JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
-    def test_bad_er_exclude_exits_1(self, tmp_path, threshold):
+    def test_bad_er_exclude_exits_1(self, tmp_path, capsys, threshold):
         run_cli("persist", "--config", FIXTURE / "job.json", "--output", tmp_path / "persist")
+        capsys.readouterr()
         code = run_cli(
             "report", tmp_path / "persist" / "cells.json",
             "--er-exclude", threshold, "--output", tmp_path / "report",
         )
         assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: --er-exclude: the |ER| threshold")
 
     def test_non_utf8_cells_exits_2(self, tmp_path):
         bad = tmp_path / "cells.json"
@@ -874,8 +914,8 @@ class TestCycleCollectorState:
             cells, argv = tmp_path / "cells.json", []
             cells.write_text('{"cells": [{}], "ee_order": []}', encoding="utf-8")
         during = []
-        read_input = cli.read_input
-        monkeypatch.setattr(cli, "read_input", lambda path: during.append(gc.isenabled()) or read_input(path))
+        read_input = run_io.read_input
+        monkeypatch.setattr(run_io, "read_input", lambda path: during.append(gc.isenabled()) or read_input(path))
         (gc.enable if enabled else gc.disable)()
         assert run_cli("report", cells, *argv, "--output", tmp_path / "out") == code
         assert gc.isenabled() is enabled
@@ -1009,6 +1049,84 @@ class TestByteOrderMark:
             assert run_cli(*command, "--output", "out") == EXIT_OK
             outputs.append((tree(root / "out"), capsys.readouterr().out))
         assert outputs[0] == outputs[1]
+
+
+def rewrite_bytes(edit):
+    """A variant that rewrites a file's bytes as ``edit`` of them."""
+    return lambda path: path.write_bytes(edit(path.read_bytes()))
+
+
+def shuffle_lines(path: Path) -> None:
+    lines = path.read_bytes().splitlines(keepends=True)
+    random.Random(7).shuffle(lines)
+    path.write_bytes(b"".join(lines))
+
+
+def replace_by_directory(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
+class TestInputVariants:
+    """One two_ee input rewritten. A variant that keeps the input's meaning
+    gives the golden artifacts byte for byte; one that breaks it exits 1, 2
+    or 3 with an error naming the file, and the line where there is one."""
+
+    RUN, QRELS = "runs/alpha.t1.run", "qrels.t1.txt"
+    VARIANTS = {
+        "crlf": rewrite_bytes(lambda data: data.replace(b"\n", b"\r\n")),
+        "trailing-blank-lines": rewrite_bytes(lambda data: data + b"\n\n\n"),
+        "tabs": rewrite_bytes(lambda data: data.replace(b" ", b"\t")),
+        "shuffled": shuffle_lines,
+        "cut-mid-line": rewrite_bytes(lambda data: data[:-3]),
+        "utf-16": rewrite_bytes(lambda data: data.decode("utf-8").encode("utf-16")),
+        "directory": replace_by_directory,
+        "no-records": rewrite_bytes(lambda data: b""),
+    }
+
+    def persist(self, tmp_path: Path, name: str, variant: str) -> tuple[int, Path]:
+        root = tmp_path / "two_ee"
+        shutil.copytree(FIXTURE, root)
+        self.VARIANTS[variant](root / name)
+        code = run_cli("persist", "--config", root / "job.json", "--output", tmp_path / "out")
+        return code, root / name
+
+    @pytest.mark.parametrize(
+        "variant, name",
+        [
+            *product(("crlf", "trailing-blank-lines", "tabs"), (RUN, QRELS)),
+            ("shuffled", QRELS),
+        ],
+    )
+    def test_meaning_kept_gives_identical_artifacts(self, tmp_path, variant, name):
+        code, path = self.persist(tmp_path, name, variant)
+        assert path.read_bytes() != (FIXTURE / name).read_bytes()
+        assert code == EXIT_OK
+        assert tree(tmp_path / "out") == tree(GOLDEN_CELLS.parent)
+
+    def test_shuffled_qrels_repeat_no_judgment(self):
+        pairs = [line.split()[::2] for line in (FIXTURE / self.QRELS).read_text().splitlines()]
+        assert len({(topic, doc) for topic, doc in pairs}) == len(pairs)
+
+    @pytest.mark.parametrize(
+        "variant, name, code, line",
+        [
+            # The last line ends inside the run tag: "alp" is another tag.
+            ("cut-mid-line", RUN, EXIT_DATA, 132),
+            ("utf-16", RUN, EXIT_PARSE, 1),
+            ("utf-16", QRELS, EXIT_PARSE, 1),
+            ("directory", RUN, EXIT_PARSE, None),
+            ("directory", QRELS, EXIT_PARSE, None),
+            ("no-records", RUN, EXIT_DATA, None),
+        ],
+    )
+    def test_broken_input_names_path_and_line(self, tmp_path, capsys, variant, name, code, line):
+        assert self.persist(tmp_path, name, variant) == (code, tmp_path / "two_ee" / name)
+        err = capsys.readouterr().err
+        where = f"{tmp_path / 'two_ee' / name}:" + (f"{line}:" if line else "")
+        assert err.startswith(f"error: {where} ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsage:
