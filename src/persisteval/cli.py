@@ -439,10 +439,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     from .report import DEFAULT_ER_EXCLUSION, check_er_exclusion, table_from_json
     from .run_io import read_input
 
-    table = table_from_json(read_input(args.cells), path=args.cells)
     # cells.json does not hold the threshold persist used (README).
     er_exclude = DEFAULT_ER_EXCLUSION if args.er_exclude is None else args.er_exclude
     _check_flag("--er-exclude", check_er_exclusion, er_exclude)
+    table = table_from_json(read_input(args.cells), path=args.cells)
     files = _artifacts(table, er_exclude)
     _write(_default_output(Path(args.output) if args.output else None), files)
     return EXIT_OK

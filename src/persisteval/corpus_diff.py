@@ -16,31 +16,29 @@ of text files, using each file's relative path as its URL.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from pathlib import Path
 
-from .errors import DataError, ParseError
+from .errors import DataError, ParseError, Record
 from .run_io import read_input
 
 
-@dataclass(frozen=True)
-class CorpusSnapshot:
-    label: str
-    docs: Mapping[str, int]
+class CorpusSnapshot(Record, namedtuple("CorpusSnapshot", "label docs")):
+    """A snapshot's label and its url -> length map."""
+
+    __slots__ = ()
 
 
 _CLASSES = ("added", "removed", "changed", "unchanged")
 
 
-@dataclass(frozen=True)
-class DiffSummary:
+class DiffSummary(
+    Record, namedtuple("DiffSummary", [f"{name}_urls" for name in _CLASSES], defaults=((),) * 4)
+):
     """The sorted URLs of each class; each count is the length of its list."""
 
-    added_urls: tuple[str, ...] = ()
-    removed_urls: tuple[str, ...] = ()
-    changed_urls: tuple[str, ...] = ()
-    unchanged_urls: tuple[str, ...] = ()
+    __slots__ = ()
 
     added = property(lambda self: len(self.added_urls))
     removed = property(lambda self: len(self.removed_urls))
@@ -49,7 +47,7 @@ class DiffSummary:
 
     def urls(self) -> list[tuple[str, tuple[str, ...]]]:
         """(class, sorted URLs) for each class, in the order of _CLASSES."""
-        return [(name, getattr(self, f"{name}_urls")) for name in _CLASSES]
+        return list(zip(_CLASSES, self))
 
     def to_dict(self, *, include_urls: bool = False) -> dict:
         payload = {name: len(urls) for name, urls in self.urls()}

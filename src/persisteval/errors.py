@@ -1,7 +1,8 @@
-"""Exception and warning types shared across the toolkit.
+"""Exception and warning types, and the base of the value records, shared
+across the toolkit.
 
-The CLI maps these onto its exit codes: usage problems exit 1, ParseError
-exits 2, DataError exits 3. Non-fatal diagnostics are emitted as
+The CLI maps the errors onto its exit codes: usage problems exit 1,
+ParseError exits 2, DataError exits 3. Non-fatal diagnostics are emitted as
 DiagnosticWarning through the standard warnings machinery.
 """
 
@@ -40,3 +41,25 @@ class UsageError(EvaluationError):
 class DiagnosticWarning(UserWarning):
     """Non-fatal diagnostic: empty topic intersections, truncated rankings,
     duplicate-but-consistent judgments."""
+
+
+class Record(tuple):
+    """Base of the value records, each a ``collections.namedtuple`` class
+    with ``__slots__ = ()``, as in ``class R(Record, namedtuple("R", ...))``.
+    A record equals only a record of its own class, never a plain tuple,
+    and ``_make`` and ``_replace`` build through the class's ``__new__``,
+    so they run its checks."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

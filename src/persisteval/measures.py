@@ -25,37 +25,36 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 
-from .errors import DataError
+from .errors import DataError, Record
 from .run_io import Qrels, Run, TopicSet
 from .stats import mean
 
 KINDS = ("precision_at_k", "ndcg", "bpref")
 
 
-@dataclass(frozen=True)
-class MeasureId:
+class MeasureId(Record, namedtuple("MeasureId", "kind k cutoff")):
     """Identifies one measure variant. ``k`` applies to precision only,
     ``cutoff`` to nDCG only (None = full retrieved depth)."""
 
-    kind: str
-    k: int = 10
-    cutoff: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown measure kind {self.kind!r}; expected one of {KINDS}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.cutoff is not None and self.cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
+    def __new__(cls, kind: str, k: int = 10, cutoff: int | None = None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown measure kind {kind!r}; expected one of {KINDS}")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if cutoff is not None and cutoff < 1:
+            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+        return tuple.__new__(cls, (kind, k, cutoff))
 
-    @functools.cached_property
+    @property
+    @functools.cache
     def name(self) -> str:
         """Display name: P@10, nDCG, nDCG@20, bpref. Computed once per
-        instance; it is not a field, so ``==``, ``hash`` and ``repr`` ignore it."""
+        measure; it is not a field, so ``==``, ``hash`` and ``repr`` ignore it."""
         if self.kind == "precision_at_k":
             return f"P@{self.k}"
         if self.kind == "ndcg":
@@ -93,23 +92,17 @@ def parse_measure(text: str) -> MeasureId:
     raise ValueError(f"invalid measure name {text!r}")
 
 
-@dataclass(frozen=True)
-class TopicScoreVector:
+class TopicScoreVector(Record, namedtuple("TopicScoreVector", "measure run_tag ee_label scores")):
     """One measure's per-topic scores for one run in one evaluation
     environment. Scores lie in [0, 1]."""
 
-    measure: MeasureId
-    run_tag: str
-    ee_label: str
-    scores: Mapping[str, float]
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ARPValue:
+class ARPValue(Record, namedtuple("ARPValue", "value n_topics")):
     """Mean of a per-topic score vector plus the topic count behind it."""
 
-    value: float
-    n_topics: int
+    __slots__ = ()
 
 
 def p_at_k(ranking: Sequence[str], topic_qrels: Mapping[str, int], k: int) -> float:

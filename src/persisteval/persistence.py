@@ -31,26 +31,26 @@ significance marking in reports, between system and pivot within each EE.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Mapping, Sequence, Set
-from dataclasses import MISSING, dataclass, field, fields
+from operator import attrgetter
 
-from .errors import DataError
-from .measures import ARPValue, MeasureId, TopicScoreVector, arp, parse_measure
-from .run_io import json_checked, json_member, json_strings, json_typed
+from .errors import DataError, Record
+from .measures import ARPValue, TopicScoreVector, arp, parse_measure
+from .run_io import MISSING, json_checked, json_member, json_strings, json_typed
 from .stats import mean, t_test_unpaired
 
 
-@dataclass(frozen=True, slots=True)
-class EEPair:
+class EEPair(Record, namedtuple("EEPair", "base_label target_label")):
     """A (base, target) pair of evaluation environment labels. Equal labels
     are allowed for self-replication checks."""
 
-    base_label: str
-    target_label: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.base_label or not self.target_label:
+    def __new__(cls, base_label: str, target_label: str):
+        if not base_label or not target_label:
             raise DataError("evaluation environment labels must be non-empty")
+        return tuple.__new__(cls, (base_label, target_label))
 
     @property
     def key(self) -> str:
@@ -130,32 +130,59 @@ def effect_ratio(
     return target_mean / base_mean
 
 
-@dataclass(frozen=True, slots=True)
-class PersistenceCell:
+# The JSON form of a PersistenceCell field that is not its own: (encode, decode).
+_MEASURE = (attrgetter("name"), lambda name, where: json_checked(where, parse_measure, name))
+_PAIR = (
+    lambda p: {"base": p.base_label, "target": p.target_label},
+    lambda d, where: json_checked(
+        where, EEPair, json_member(d, "base", str, where), json_member(d, "target", str, where)
+    ),
+)
+_ARP = (
+    ARPValue._asdict,
+    lambda d, where: ARPValue(
+        json_member(d, "value", float, where), json_member(d, "n_topics", int, where)
+    ),
+)
+# Each PersistenceCell field, in order: (name, JSON type, encode, decode,
+# null, default). A value is checked against its JSON type before ``decode``
+# gets it with its path; no encoder or decoder means the value is its own
+# JSON form. ``null`` is what a JSON null reads as, and ``default`` what an
+# absent key reads as (MISSING: not allowed).
+_FIELDS = (
+    ("system_tag", str, None, None, MISSING, MISSING),
+    ("pivot_tag", str, None, None, MISSING, MISSING),
+    ("measure", str, *_MEASURE, MISSING, MISSING),
+    ("pair", dict, *_PAIR, MISSING, MISSING),
+    ("arp_base", dict, *_ARP, MISSING, MISSING),
+    ("arp_target", dict, *_ARP, MISSING, MISSING),
+    ("pivot_arp_base", dict, *_ARP, MISSING, MISSING),
+    ("pivot_arp_target", dict, *_ARP, MISSING, MISSING),
+    ("result_delta", float, None, None, None, MISSING),
+    ("ri_base", float, None, None, None, MISSING),
+    ("ri_target", float, None, None, None, MISSING),
+    ("delta_ri", float, None, None, None, MISSING),
+    ("effect_ratio", float, None, None, None, MISSING),
+    # A degenerate t-test's statistic is infinite; JSON holds it as null.
+    ("t_statistic", float, None, None, math.inf, MISSING),
+    ("p_value", float, None, None, MISSING, MISSING),
+    ("p_vs_pivot_base", float, None, None, MISSING, MISSING),
+    ("p_vs_pivot_target", float, None, None, MISSING, MISSING),
+    ("degenerate_t", bool, None, None, MISSING, False),
+    ("undefined_flags", list, list, json_strings, MISSING, ()),
+)
+_NAMES = [f[0] for f in _FIELDS]
+_DEFAULTS = [f[5] for f in _FIELDS if f[5] is not MISSING]
+
+
+class PersistenceCell(Record, namedtuple("PersistenceCell", _NAMES, defaults=_DEFAULTS)):
     """Everything measured for one (system, measure, EE pair) against one
     pivot: the four mean scores, the persistence quantities, the cross-EE
     t-test on the system's own topic scores, and the within-EE
-    system-vs-pivot p-values used for significance marking."""
+    system-vs-pivot p-values used for significance marking. A quantity
+    that is undefined is None, with its reason in ``undefined_flags``."""
 
-    system_tag: str
-    pivot_tag: str
-    measure: MeasureId
-    pair: EEPair
-    arp_base: ARPValue
-    arp_target: ARPValue
-    pivot_arp_base: ARPValue
-    pivot_arp_target: ARPValue
-    result_delta: float | None
-    ri_base: float | None
-    ri_target: float | None
-    delta_ri: float | None
-    effect_ratio: float | None
-    t_statistic: float
-    p_value: float
-    p_vs_pivot_base: float
-    p_vs_pivot_target: float
-    degenerate_t: bool = False
-    undefined_flags: tuple[str, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
 
 def persistence_cell(
@@ -228,49 +255,6 @@ def persistence_cell(
     )
 
 
-# (JSON type, encode, decode, null) of each PersistenceCell field, by its
-# annotation. A value is checked against its JSON type before ``decode``
-# gets it with its path; no encoder or decoder means the value is its own
-# JSON form. ``null`` is what a JSON null reads as (MISSING: not allowed).
-_CODECS = {
-    "str": (str, None, None, MISSING),
-    "float": (float, None, None, MISSING),
-    "float | None": (float, None, None, None),
-    "bool": (bool, None, None, MISSING),
-    "tuple[str, ...]": (list, list, json_strings, MISSING),
-    "MeasureId": (
-        str, lambda m: m.name, lambda name, where: json_checked(where, parse_measure, name), MISSING
-    ),
-    "EEPair": (
-        dict,
-        lambda p: {"base": p.base_label, "target": p.target_label},
-        lambda d, where: json_checked(
-            where, EEPair, json_member(d, "base", str, where), json_member(d, "target", str, where)
-        ),
-        MISSING,
-    ),
-    "ARPValue": (
-        dict,
-        lambda a: {"value": a.value, "n_topics": a.n_topics},
-        lambda d, where: ARPValue(
-            json_member(d, "value", float, where), json_member(d, "n_topics", int, where)
-        ),
-        MISSING,
-    ),
-}
-# A degenerate t-test's statistic is infinite; JSON holds it as null.
-_T_CODEC = (float, None, None, math.inf)
-# (name, JSON type, encode, decode, null, default) per field; a field with a
-# default may be absent.
-_FIELDS = [
-    (
-        f.name,
-        *(_T_CODEC if f.name == "t_statistic" else _CODECS[f.type]),
-        f.default if f.default_factory is MISSING else f.default_factory(),
-    )
-    for f in fields(PersistenceCell)
-]
-_NAMES = [f[0] for f in _FIELDS]
 _NONFINITE_T_FLAG = "t_statistic: non-finite (degenerate variance)"
 
 
@@ -278,8 +262,7 @@ def cell_to_dict(cell: PersistenceCell) -> dict:
     """JSON-ready form with fixed field names. Undefined values and a
     non-finite t statistic become null; the reasons live in undefined_flags."""
     record = {}
-    for name, _, encode, _, _, _ in _FIELDS:
-        value = getattr(cell, name)
+    for (name, _, encode, *_), value in zip(_FIELDS, cell):
         record[name] = value if encode is None else encode(value)
     if not math.isfinite(cell.t_statistic):
         record["t_statistic"] = None

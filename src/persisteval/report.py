@@ -26,12 +26,12 @@ import csv
 import io
 import json
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import DataError, UsageError
-from .measures import MeasureId, TopicScoreVector
+from .errors import DataError, Record, UsageError
+from .measures import TopicScoreVector
 from .persistence import (
     EEPair,
     PersistenceCell,
@@ -62,56 +62,48 @@ _NUMBERS = (
 _numbers = attrgetter(*_NUMBERS)
 
 
-@dataclass(frozen=True, slots=True)
-class TableCell:
+class TableCell(
+    Record,
+    namedtuple(
+        "TableCell",
+        "arp result_delta delta_ri effect_ratio p_value significant undefined_fields",
+        defaults=(None, None, None, None, None, None, frozenset()),
+    ),
+):
     """One measure's values for one (system, EE) row. ``None`` fields are
     rendered as undefined when named in ``undefined_fields``, otherwise as
     structurally not applicable."""
 
-    arp: float | None = None
-    result_delta: float | None = None
-    delta_ri: float | None = None
-    effect_ratio: float | None = None
-    p_value: float | None = None
-    significant: bool | None = None
-    undefined_fields: frozenset[str] = frozenset()
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class TableRow:
-    system_tag: str
-    ee_label: str
-    cells: Mapping[str, TableCell]  # keyed by measure name
+class TableRow(Record, namedtuple("TableRow", "system_tag ee_label cells")):
+    """One (system, EE) row; ``cells`` maps each measure name to a TableCell."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class PersistenceTable:
+class PersistenceTable(
+    Record, namedtuple("PersistenceTable", "pivot_tag measures ee_order rows cells")
+):
     """The rows to render plus the cells behind them, sorted by system,
-    measure name, base and target label."""
+    measure name, base and target label. ``measures`` are the MeasureIds
+    sorted by name and ``ee_order`` the row chronology."""
 
-    pivot_tag: str
-    measures: tuple[MeasureId, ...]
-    ee_order: tuple[str, ...]
-    rows: tuple[TableRow, ...]
-    cells: tuple[PersistenceCell, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ScatterPoint:
-    system_tag: str
-    measure: MeasureId
-    pair: EEPair
-    x: float | None  # effect ratio
-    y: float | None  # delta of relative improvements
-    excluded: bool
+class ScatterPoint(Record, namedtuple("ScatterPoint", "system_tag measure pair x y excluded")):
+    """One cell's point: ``x`` is its effect ratio, ``y`` its delta of
+    relative improvements."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class TopicDeltaSeries:
-    system_tag: str
-    measure: MeasureId
-    pair: EEPair
-    entries: tuple[tuple[str, float], ...]  # (topic, delta), delta descending
+class TopicDeltaSeries(Record, namedtuple("TopicDeltaSeries", "system_tag measure pair entries")):
+    """One system's (topic, delta) entries, delta descending."""
+
+    __slots__ = ()
 
 
 def _cell_sort_key(cell: PersistenceCell) -> tuple:
@@ -151,6 +143,7 @@ def persistence_table(
     ordered_cells = _check_cells(cells)
     pivot_tag = ordered_cells[0].pivot_tag
     measures = tuple(sorted({c.measure for c in ordered_cells}, key=lambda m: m.name))
+    names = [m.name for m in measures]
     bases = {c.pair.base_label for c in ordered_cells}
     labels = bases | {c.pair.target_label for c in ordered_cells}
     if ee_order is None:
@@ -183,17 +176,17 @@ def persistence_table(
     rows: list[TableRow] = []
     for ee in order:
         row_cells: dict[str, TableCell] = {}
-        for measure in measures:
-            key = (measure.name, ee)
+        for name in names:
+            key = (name, ee)
             if key not in pivot_arps:
-                row_cells[measure.name] = TableCell()
+                row_cells[name] = TableCell()
                 continue
             rd: float | None = 0.0
             base_label = pivot_base_label.get(key)
             if base_label is not None:
-                rd = result_delta(pivot_arps[(measure.name, base_label)], pivot_arps[key])
+                rd = result_delta(pivot_arps[(name, base_label)], pivot_arps[key])
             undefined = frozenset() if rd is not None else frozenset({"result_delta"})
-            row_cells[measure.name] = TableCell(
+            row_cells[name] = TableCell(
                 arp=pivot_arps[key], result_delta=rd, undefined_fields=undefined
             )
         rows.append(TableRow(system_tag=pivot_tag, ee_label=ee, cells=row_cells))
@@ -201,12 +194,12 @@ def persistence_table(
     for system in systems:
         for ee in order:
             row_cells = {}
-            for measure in measures:
-                target_cell = by_target.get((system, measure.name, ee))
-                base_cell = by_base.get((system, measure.name, ee))
+            for name in names:
+                target_cell = by_target.get((system, name, ee))
+                base_cell = by_base.get((system, name, ee))
                 if target_cell is not None:
                     undefined = {n for n in _UNDEFINABLE if getattr(target_cell, n) is None}
-                    row_cells[measure.name] = TableCell(
+                    row_cells[name] = TableCell(
                         arp=target_cell.arp_target.value,
                         result_delta=target_cell.result_delta,
                         delta_ri=target_cell.delta_ri,
@@ -216,7 +209,7 @@ def persistence_table(
                         undefined_fields=frozenset(undefined),
                     )
                 elif base_cell is not None:
-                    row_cells[measure.name] = TableCell(
+                    row_cells[name] = TableCell(
                         arp=base_cell.arp_base.value,
                         result_delta=0.0,
                         delta_ri=0.0,
@@ -225,7 +218,7 @@ def persistence_table(
                         significant=base_cell.p_vs_pivot_base < SIGNIFICANCE_ALPHA,
                     )
                 else:
-                    row_cells[measure.name] = TableCell()
+                    row_cells[name] = TableCell()
             rows.append(TableRow(system_tag=system, ee_label=ee, cells=row_cells))
 
     return PersistenceTable(
@@ -262,9 +255,10 @@ def render_table_text(table: PersistenceTable) -> str:
     """Aligned plain-text table, one column group per measure."""
     # A line is a list of column groups: the system and EE, then one group
     # of VALUE_COLUMNS per measure. The header line counts toward the widths.
-    lines = [[["system", "EE"], *([list(VALUE_COLUMNS)] * len(table.measures))]]
+    names = [m.name for m in table.measures]
+    lines = [[["system", "EE"], *([list(VALUE_COLUMNS)] * len(names))]]
     for row in table.rows:
-        groups = [_cell_strings(row.cells[m.name]) for m in table.measures]
+        groups = [_cell_strings(row.cells[name]) for name in names]
         lines.append([[row.system_tag, row.ee_label], *groups])
     widths = [
         [max(len(line[g][i]) for line in lines) for i in range(len(group))]
@@ -280,7 +274,7 @@ def render_table_text(table: PersistenceTable) -> str:
         return " | ".join([ids, *groups])
 
     titles = " | ".join(
-        m.name.ljust(sum(ws) + 2 * (len(ws) - 1)) for m, ws in zip(table.measures, widths[1:])
+        name.ljust(sum(ws) + 2 * (len(ws) - 1)) for name, ws in zip(names, widths[1:])
     )
     head = [f"pivot: {table.pivot_tag}", f"{fmt([['', '']])} | {titles}".rstrip()]
     return "\n".join(head + [fmt(line) for line in lines]) + "\n"
@@ -299,16 +293,17 @@ def _csv(header: str, rows: Iterable[Sequence[str | float | None]]) -> str:
 
 def render_table_csv(table: PersistenceTable) -> str:
     """One row per system x EE x measure, full precision."""
+    names = [m.name for m in table.measures]
     rows = []
     for row in table.rows:
-        for measure in table.measures:
-            cell = row.cells[measure.name]
+        for name in names:
+            cell = row.cells[name]
             significant = "" if cell.significant is None else str(cell.significant).lower()
             rows.append(
                 [
                     row.system_tag,
                     row.ee_label,
-                    measure.name,
+                    name,
                     cell.arp,
                     cell.result_delta,
                     cell.delta_ri,

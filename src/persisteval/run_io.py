@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import MISSING, dataclass
 from math import isfinite
 from operator import itemgetter
 from pathlib import Path
 
-from .errors import DataError, DiagnosticWarning, ParseError, UsageError
+from .errors import DataError, DiagnosticWarning, ParseError, Record, UsageError
 
 # Deepest ranking position that is ever evaluated per topic.
 MAX_DEPTH = 1000
@@ -37,14 +37,15 @@ GRADES = (0, 1, 2)
 
 TopicSet = frozenset[str]
 
+# No value: an absent key, or (as json_member's default or null) none allowed.
+MISSING = object()
 
-@dataclass(frozen=True)
-class Run:
+
+class Run(Record, namedtuple("Run", "run_tag rankings")):
     """A system's ranked output: per-topic doc ids in canonical order, keyed
     by topic and identified by a run tag."""
 
-    run_tag: str
-    rankings: Mapping[str, tuple[str, ...]]
+    __slots__ = ()
 
     @classmethod
     def from_rankings(cls, run_tag: str, rankings: Mapping[str, Mapping[str, float]]) -> "Run":
@@ -80,11 +81,10 @@ class Run:
         return self.rankings.get(topic_id, ())
 
 
-@dataclass(frozen=True)
-class Qrels:
+class Qrels(Record, namedtuple("Qrels", "judgments")):
     """Graded relevance judgments: topic_id -> doc_id -> grade."""
 
-    judgments: Mapping[str, Mapping[str, int]]
+    __slots__ = ()
 
     @property
     def topics(self) -> TopicSet:

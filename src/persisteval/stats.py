@@ -17,10 +17,10 @@ NaN: equal means yield t = 0, p = 1; unequal means yield p = 0 with the
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Collection, Sequence
-from dataclasses import dataclass
 
-from .errors import DataError, UsageError
+from .errors import DataError, Record, UsageError
 
 VARIANTS = {"student": "student_pooled", "student_pooled": "student_pooled", "welch": "welch"}
 
@@ -29,13 +29,15 @@ _CF_EPS = 1e-15
 _CF_MAX_ITER = 500
 
 
-@dataclass(frozen=True)
-class TTestResult:
-    t_statistic: float
-    degrees_of_freedom: float
-    p_value: float
-    variant: str
-    degenerate: bool = False
+class TTestResult(
+    Record,
+    namedtuple(
+        "TTestResult",
+        "t_statistic degrees_of_freedom p_value variant degenerate",
+        defaults=(False,),
+    ),
+):
+    __slots__ = ()
 
 
 def mean(sample: Collection[float]) -> float:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 from persisteval.measures import BPREF, NDCG, parse_measure, score_run
@@ -49,11 +48,11 @@ def four_vectors(seed=90):
 
 
 def _change(**fields):
-    return lambda vector: dataclasses.replace(vector, **fields)
+    return lambda vector: vector._replace(**fields)
 
 
 def _drop_a_topic(vector):
-    return dataclasses.replace(vector, scores=dict(list(vector.scores.items())[1:]))
+    return vector._replace(scores=dict(list(vector.scores.items())[1:]))
 
 
 # Ways to break the fit of four_vectors: (id, the indices of the vectors to

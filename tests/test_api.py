@@ -18,8 +18,9 @@ CLI_MODULES = ["persisteval", "persisteval.cli", "persisteval.errors"]
 STAGES = ["corpus_diff", "measures", "persistence", "report", "run_io", "stats"]
 
 
-def loaded_modules(statement: str) -> list[str]:
-    """The persisteval modules a fresh interpreter holds after ``statement``."""
+def loaded_modules(statement: str, prefix: str = "persisteval") -> list[str]:
+    """The modules whose names start with ``prefix`` in a fresh interpreter
+    after ``statement``."""
     code = f"{statement}\nimport sys; print(*sorted(m for m in sys.modules))"
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
@@ -27,7 +28,7 @@ def loaded_modules(statement: str) -> list[str]:
     )
     # The last line; a command's own output comes before it.
     names = result.stdout.splitlines()[-1].split()
-    return [name for name in names if name.startswith("persisteval")]
+    return [name for name in names if name.startswith(prefix)]
 
 
 def test_all_exports_resolve():
@@ -59,6 +60,14 @@ def test_report_loads_no_corpus_diff(tmp_path):
     loaded = loaded_modules(run_command(["report", cells, "--output", tmp_path]))
     expected = [f"persisteval.{stage}" for stage in STAGES if stage != "corpus_diff"]
     assert loaded == sorted([*CLI_MODULES, *expected])
+
+
+def test_persist_and_report_load_neither_dataclasses_nor_inspect(tmp_path):
+    persist = run_command(["persist", "--config", FIXTURE / "job.json", "--output", tmp_path])
+    report = run_command(["report", tmp_path / "cells.json", "--output", tmp_path / "report"])
+    loaded = loaded_modules(f"{persist}\n{report}", prefix="")
+    assert (tmp_path / "report" / "table.txt").exists()
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 def test_star_import_binds_exactly_all():

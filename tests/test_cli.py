@@ -816,6 +816,12 @@ class TestReportCommand:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: --er-exclude: the |ER| threshold")
 
+    def test_bad_er_exclude_exits_1_before_the_cells_are_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(run_io, "read_input", lambda path: pytest.fail(f"read {path}"))
+        missing = tmp_path / "missing.json"
+        assert run_cli("report", missing, "--er-exclude", "0", "--output", tmp_path) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: --er-exclude: the |ER| threshold")
+
     def test_non_utf8_cells_exits_2(self, tmp_path):
         bad = tmp_path / "cells.json"
         bad.write_bytes(b'{"cells": "\xff"}')
@@ -919,7 +925,8 @@ class TestCycleCollectorState:
         (gc.enable if enabled else gc.disable)()
         assert run_cli("report", cells, *argv, "--output", tmp_path / "out") == code
         assert gc.isenabled() is enabled
-        assert during == [False]
+        # A bad --er-exclude exits before cells.json is read.
+        assert during == ([] if code == EXIT_USAGE else [False])
 
     def test_state_restored_after_an_unexpected_exception(self, monkeypatch):
         def boom(args):
@@ -1062,6 +1069,17 @@ def shuffle_lines(path: Path) -> None:
     path.write_bytes(b"".join(lines))
 
 
+def shuffle_within_topics(path: Path) -> None:
+    """Shuffle the lines of each topic, keeping the topics in their order."""
+    topics: dict[bytes, list[bytes]] = {}
+    for line in path.read_bytes().splitlines(keepends=True):
+        topics.setdefault(line.split()[0], []).append(line)
+    rng = random.Random(7)
+    for lines in topics.values():
+        rng.shuffle(lines)
+    path.write_bytes(b"".join(line for lines in topics.values() for line in lines))
+
+
 def replace_by_directory(path: Path) -> None:
     path.unlink()
     path.mkdir()
@@ -1078,6 +1096,7 @@ class TestInputVariants:
         "trailing-blank-lines": rewrite_bytes(lambda data: data + b"\n\n\n"),
         "tabs": rewrite_bytes(lambda data: data.replace(b" ", b"\t")),
         "shuffled": shuffle_lines,
+        "shuffled-within-topics": shuffle_within_topics,
         "cut-mid-line": rewrite_bytes(lambda data: data[:-3]),
         "utf-16": rewrite_bytes(lambda data: data.decode("utf-8").encode("utf-16")),
         "directory": replace_by_directory,
@@ -1096,6 +1115,7 @@ class TestInputVariants:
         [
             *product(("crlf", "trailing-blank-lines", "tabs"), (RUN, QRELS)),
             ("shuffled", QRELS),
+            ("shuffled-within-topics", RUN),
         ],
     )
     def test_meaning_kept_gives_identical_artifacts(self, tmp_path, variant, name):
@@ -1107,6 +1127,10 @@ class TestInputVariants:
     def test_shuffled_qrels_repeat_no_judgment(self):
         pairs = [line.split()[::2] for line in (FIXTURE / self.QRELS).read_text().splitlines()]
         assert len({(topic, doc) for topic, doc in pairs}) == len(pairs)
+
+    def test_shuffled_run_ties_no_score(self):
+        fields = [line.split() for line in (FIXTURE / self.RUN).read_text().splitlines()]
+        assert len({(topic, score) for topic, _, _, _, score, _ in fields}) == len(fields)
 
     @pytest.mark.parametrize(
         "variant, name, code, line",

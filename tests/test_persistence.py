@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import random
@@ -241,7 +240,7 @@ class TestPersistenceCell:
     def test_self_pivot_allowed_when_requested(self):
         qrels, runs, topics = synthetic_environment(52)
         (system,) = score_tags(runs, qrels, NDCG, topics, "E1", ("sys",))
-        pivot = dataclasses.replace(system, run_tag="pivot")
+        pivot = system._replace(run_tag="pivot")
         cell = persistence_cell(system, system, pivot, pivot)
         # Deltas against itself are all zero, so the effect ratio is undefined.
         assert cell.effect_ratio is None
@@ -292,7 +291,7 @@ class TestCellSerialization:
     def test_undefined_serializes_as_null_with_reason(self):
         qrels, runs, topics = synthetic_environment(73)
         (system,) = score_tags(runs, qrels, NDCG, topics, "E1", ("sys",))
-        pivot = dataclasses.replace(system, run_tag="pivot")
+        pivot = system._replace(run_tag="pivot")
         data = cell_to_dict(persistence_cell(system, system, pivot, pivot))
         assert data["effect_ratio"] is None
         assert any("effect_ratio" in flag for flag in data["undefined_flags"])
@@ -302,7 +301,6 @@ class TestCellSerialization:
             cell_from_dict({"system_tag": "x"})
 
     def test_non_finite_t_serializes_stably(self):
-        import dataclasses
         import math
 
         qrels_base, runs_base, topics = synthetic_environment(74)
@@ -310,7 +308,7 @@ class TestCellSerialization:
         sys_b, piv_b = score_tags(runs_base, qrels_base, NDCG, topics, "E1")
         sys_t, piv_t = score_tags(runs_target, qrels_target, NDCG, topics, "E2")
         cell = persistence_cell(sys_b, sys_t, piv_b, piv_t)
-        degenerate = dataclasses.replace(cell, t_statistic=math.inf, degenerate_t=True)
+        degenerate = cell._replace(t_statistic=math.inf, degenerate_t=True)
         first = cell_to_dict(degenerate)
         assert first["t_statistic"] is None
         second = cell_to_dict(cell_from_dict(first))
@@ -361,9 +359,7 @@ class TestCellCodec:
     def test_round_trip_with_none_nan_and_inf(self, cell):
         expected = cell
         if math.isinf(cell.t_statistic) and NONFINITE_T_FLAG not in cell.undefined_flags:
-            expected = dataclasses.replace(
-                cell, undefined_flags=cell.undefined_flags + (NONFINITE_T_FLAG,)
-            )
+            expected = cell._replace(undefined_flags=cell.undefined_flags + (NONFINITE_T_FLAG,))
         assert cell_from_dict(cell_to_dict(cell)) == expected
 
     def test_golden_record_round_trips_to_the_same_json(self):

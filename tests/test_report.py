@@ -80,16 +80,12 @@ class TestTableConstruction:
             persistence_table(list(cells) + [cells[0]])
 
     def test_two_cells_with_one_target_rejected(self, cells):
-        import dataclasses
-
-        other_base = dataclasses.replace(cells[0], pair=EEPair("t0", cells[0].pair.target_label))
+        other_base = cells[0]._replace(pair=EEPair("t0", cells[0].pair.target_label))
         with pytest.raises(DataError, match="duplicate cell"):
             persistence_table(list(cells) + [other_base])
 
     def test_mixed_pivots_rejected(self, cells):
-        import dataclasses
-
-        other = dataclasses.replace(cells[0], pivot_tag="other")
+        other = cells[0]._replace(pivot_tag="other")
         with pytest.raises(DataError):
             persistence_table([cells[1], other])
 
@@ -187,9 +183,7 @@ class TestRendering:
             table_from_json("[]")
 
     def test_significant_arp_is_starred(self, cells):
-        import dataclasses
-
-        marked = [dataclasses.replace(cells[0], p_vs_pivot_target=0.001)]
+        marked = [cells[0]._replace(p_vs_pivot_target=0.001)]
         text = render_table_text(persistence_table(marked))
         target_label = marked[0].pair.target_label
         row = next(
@@ -217,16 +211,12 @@ class TestScatter:
                 assert not point.excluded
 
     def test_outlier_exclusion_uses_reported_outlier_value(self, cells):
-        import dataclasses
-
-        outlier = dataclasses.replace(cells[0], effect_ratio=E5_P10_LT_EFFECT_RATIO)
+        outlier = cells[0]._replace(effect_ratio=E5_P10_LT_EFFECT_RATIO)
         points = er_dri_points([outlier])
         assert points[0].excluded and points[0].x == E5_P10_LT_EFFECT_RATIO
 
     def test_undefined_er_excluded(self, cells):
-        import dataclasses
-
-        undefined = dataclasses.replace(cells[0], effect_ratio=None)
+        undefined = cells[0]._replace(effect_ratio=None)
         points = er_dri_points([undefined])
         assert points[0].excluded and points[0].x is None
 
