@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Mapping, Sequence, Set
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import DataError, Record
 from .measures import ARPValue, TopicScoreVector, arp, parse_measure
@@ -106,6 +106,14 @@ def check_fit(system: Sequence[TopicScoreVector], pivot: Sequence[TopicScoreVect
         if sys_v.ee_label != piv_v.ee_label:
             raise DataError(f"environment mismatch: {sys_v.ee_label!r} vs {piv_v.ee_label!r}")
         check_same_topics(sys_v.scores.keys(), piv_v.scores.keys(), "system vector", "pivot vector")
+
+
+def check_distinct_tags(system_tag: str, pivot_tag: str, where: str = "") -> None:
+    """Raise a DataError if a system and its pivot share one run tag;
+    ``where`` prefixes the message with the path of the cell."""
+    if system_tag == pivot_tag:
+        prefix = f"{where}: " if where else ""
+        raise DataError(f"{prefix}system and pivot share the tag {system_tag!r}")
 
 
 def topic_deltas(system: TopicScoreVector, pivot: TopicScoreVector) -> dict[str, float]:
@@ -203,8 +211,7 @@ def persistence_cell(
     """
     check_fit((sys_base, sys_target), (piv_base, piv_target))
     system_tag, pivot_tag = sys_base.run_tag, piv_base.run_tag
-    if system_tag == pivot_tag:
-        raise DataError(f"system and pivot share the tag {system_tag!r}")
+    check_distinct_tags(system_tag, pivot_tag)
     pair = EEPair(sys_base.ee_label, sys_target.ee_label)
 
     arp_sys_base, arp_sys_target = arp(sys_base), arp(sys_target)
@@ -271,10 +278,46 @@ def cell_to_dict(cell: PersistenceCell) -> dict:
     return record
 
 
+# The one-check path of cell_from_dict reads a record's fields, its pair's
+# labels and its ARPs' values and counts at once. It takes a record only if
+# each of them has exactly its JSON type: no null, no integer for a number,
+# no absent optional key and no flag that is not a string.
+_fields_of = itemgetter(*_NAMES)
+_pair_of = itemgetter("base", "target")
+_arp_of = itemgetter("value", "n_topics")
+_EXACT = (*(f[1] for f in _FIELDS), str, str, *(float, int) * 4)
+
+
 def cell_from_dict(data: dict, where: str = "") -> PersistenceCell:
     """Rebuild a cell from its JSON form (inverse of cell_to_dict). Each
     field must have its JSON type; ``where`` is the record's path in error
     messages, e.g. ``cells[3]``."""
+    try:
+        fields = _fields_of(data)
+        flags = fields[-1]
+        pair, ab, at = _pair_of(fields[3]), _arp_of(fields[4]), _arp_of(fields[5])
+        pb, pt = _arp_of(fields[6]), _arp_of(fields[7])
+        kinds = tuple(map(type, (*fields, *pair, *ab, *at, *pb, *pt, *flags)))
+        exact = kinds == _EXACT + (str,) * len(flags)
+    except (KeyError, TypeError):
+        exact = False
+    if exact:
+        # Neither record class checks its values, so each is built as the tuple it is.
+        new = tuple.__new__
+        try:
+            return new(PersistenceCell, (
+                fields[0], fields[1], parse_measure(fields[2]), EEPair(*pair),
+                new(ARPValue, ab), new(ARPValue, at), new(ARPValue, pb), new(ARPValue, pt),
+                *fields[8:-1], tuple(flags),
+            ))
+        except (ValueError, DataError):
+            pass  # a value check failed: the per-field path names the field
+    return _cell_per_field(data, where)
+
+
+def _cell_per_field(data, where: str) -> PersistenceCell:
+    """cell_from_dict one field at a time: each value is checked against its
+    JSON type, and the first that fails raises a DataError naming its path."""
     prefix = f"{where}." if where else ""
     try:
         json_typed(data, dict, where or "the record")

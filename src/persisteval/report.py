@@ -28,6 +28,7 @@ import json
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import repeat
 from operator import attrgetter
 
 from .errors import DataError, Record, UsageError
@@ -37,6 +38,7 @@ from .persistence import (
     PersistenceCell,
     cell_from_dict,
     cell_to_dict,
+    check_distinct_tags,
     check_fit,
     check_same_topics,
     result_delta,
@@ -77,6 +79,9 @@ class TableCell(
     __slots__ = ()
 
 
+_EMPTY = TableCell()
+
+
 class TableRow(Record, namedtuple("TableRow", "system_tag ee_label cells")):
     """One (system, EE) row; ``cells`` maps each measure name to a TableCell."""
 
@@ -106,11 +111,14 @@ class TopicDeltaSeries(Record, namedtuple("TopicDeltaSeries", "system_tag measur
     __slots__ = ()
 
 
-def _cell_sort_key(cell: PersistenceCell) -> tuple:
-    return (cell.system_tag, cell.measure.name, cell.pair.base_label, cell.pair.target_label)
+# A cell's place in the table, unique to it: system, measure name, base and target label.
+_cell_sort_key = attrgetter("system_tag", "measure.name", "pair.base_label", "pair.target_label")
+_undefinable = attrgetter(*_UNDEFINABLE)
+_pivot_means = attrgetter("pivot_arp_base.value", "pivot_arp_target.value")
 
 
-def _check_cells(cells: Sequence[PersistenceCell]) -> tuple[PersistenceCell, ...]:
+def _check_cells(cells: Sequence[PersistenceCell]) -> Iterable[tuple]:
+    """The places of the cells, sorted, and the cells in that order."""
     if not cells:
         raise DataError("cannot build a table from zero cells")
     pivots = {c.pivot_tag for c in cells}
@@ -119,9 +127,14 @@ def _check_cells(cells: Sequence[PersistenceCell]) -> tuple[PersistenceCell, ...
     # A target row shows one cell per measure; a repeated pair repeats its target.
     targets: set[tuple] = set()
     for i, cell in enumerate(cells):
-        for name, value in zip(_NUMBERS, _numbers(cell)):
-            if value is not None and not math.isfinite(value):
-                raise DataError(f"cells[{i}].{name} must be finite, got {value}")
+        # Numbers with a finite sum are each finite. Only a cell this screen
+        # stops is checked field by field, and a finite sum may overflow.
+        numbers = _numbers(cell)
+        if cell.system_tag in pivots or None in numbers or not math.isfinite(sum(numbers)):
+            check_distinct_tags(cell.system_tag, cell.pivot_tag, f"cells[{i}]")
+            for name, value in zip(_NUMBERS, numbers):
+                if value is not None and not math.isfinite(value):
+                    raise DataError(f"cells[{i}].{name} must be finite, got {value}")
         key = (cell.system_tag, cell.measure.name, cell.pair.target_label)
         if key in targets:
             raise DataError(
@@ -129,7 +142,7 @@ def _check_cells(cells: Sequence[PersistenceCell]) -> tuple[PersistenceCell, ...
                 f"{cell.pair.target_label!r} for {cell.measure.name}"
             )
         targets.add(key)
-    return tuple(sorted(cells, key=_cell_sort_key))
+    return zip(*sorted(zip(map(_cell_sort_key, cells), cells)))
 
 
 def persistence_table(
@@ -139,13 +152,15 @@ def persistence_table(
 
     ``ee_order`` fixes the row chronology (base snapshots first); when
     omitted it falls back to base labels then target labels, each sorted.
+    A cell whose system is the pivot, or whose number (other than the t
+    statistic) is not finite, is a DataError naming the cell.
     """
-    ordered_cells = _check_cells(cells)
+    places, ordered_cells = _check_cells(cells)
     pivot_tag = ordered_cells[0].pivot_tag
-    measures = tuple(sorted({c.measure for c in ordered_cells}, key=lambda m: m.name))
+    measures = tuple(sorted({c.measure for c in ordered_cells}, key=attrgetter("name")))
     names = [m.name for m in measures]
-    bases = {c.pair.base_label for c in ordered_cells}
-    labels = bases | {c.pair.target_label for c in ordered_cells}
+    bases = {base for _, _, base, _ in places}
+    labels = bases | {target for *_, target in places}
     if ee_order is None:
         order = tuple(sorted(bases) + sorted(labels - bases))
     else:
@@ -155,23 +170,35 @@ def persistence_table(
         if len(set(ee_order)) < len(ee_order):
             raise DataError(f"ee_order repeats a label: {json.dumps(list(ee_order))}")
         order = tuple(label for label in ee_order if label in labels)
-    systems = sorted({c.system_tag for c in ordered_cells})
 
-    by_target: dict[tuple[str, str, str], PersistenceCell] = {}
-    by_base: dict[tuple[str, str, str], PersistenceCell] = {}
+    # (system, EE) -> measure name -> TableCell. A system's cell targeting
+    # an EE fills its row there; else its first cell based there shows the
+    # ideal values.
+    found: dict[tuple[str, str], dict[str, TableCell]] = {}
     pivot_base_label: dict[tuple[str, str], str] = {}  # (measure name, target) -> base
     pivot_arps: dict[tuple[str, str], float] = {}  # (measure name, ee) -> pivot mean
-    for c in ordered_cells:
-        name, base, target = c.measure.name, c.pair.base_label, c.pair.target_label
-        by_target[(c.system_tag, name, target)] = c
-        by_base.setdefault((c.system_tag, name, base), c)
+    for c, (system, name, base, target) in zip(ordered_cells, places):
         pivot_base_label.setdefault((name, target), base)
-        for ee, value in ((base, c.pivot_arp_base.value), (target, c.pivot_arp_target.value)):
+        for ee, value in zip((base, target), _pivot_means(c)):
             known = pivot_arps.setdefault((name, ee), value)
             if known != value:
                 raise DataError(
                     f"inconsistent pivot means for {name} in {ee!r}: {known} vs {value}"
                 )
+        undefined = _undefinable(c)
+        if None in undefined:
+            undefined = frozenset(n for n, v in zip(_UNDEFINABLE, undefined) if v is None)
+        else:
+            undefined = frozenset()
+        found.setdefault((system, target), {})[name] = TableCell(
+            c.arp_target.value, c.result_delta, c.delta_ri, c.effect_ratio, c.p_value,
+            c.p_vs_pivot_target < SIGNIFICANCE_ALPHA, undefined,
+        )
+        row = found.setdefault((system, base), {})
+        if name not in row:
+            row[name] = TableCell(
+                c.arp_base.value, 0.0, 0.0, 1.0, 1.0, c.p_vs_pivot_base < SIGNIFICANCE_ALPHA
+            )
 
     rows: list[TableRow] = []
     for ee in order:
@@ -179,141 +206,121 @@ def persistence_table(
         for name in names:
             key = (name, ee)
             if key not in pivot_arps:
-                row_cells[name] = TableCell()
+                row_cells[name] = _EMPTY
                 continue
             rd: float | None = 0.0
             base_label = pivot_base_label.get(key)
             if base_label is not None:
                 rd = result_delta(pivot_arps[(name, base_label)], pivot_arps[key])
             undefined = frozenset() if rd is not None else frozenset({"result_delta"})
-            row_cells[name] = TableCell(
-                arp=pivot_arps[key], result_delta=rd, undefined_fields=undefined
-            )
-        rows.append(TableRow(system_tag=pivot_tag, ee_label=ee, cells=row_cells))
-
-    for system in systems:
+            row_cells[name] = TableCell(pivot_arps[key], rd, undefined_fields=undefined)
+        rows.append(TableRow(pivot_tag, ee, row_cells))
+    for system in dict.fromkeys(place[0] for place in places):
         for ee in order:
-            row_cells = {}
-            for name in names:
-                target_cell = by_target.get((system, name, ee))
-                base_cell = by_base.get((system, name, ee))
-                if target_cell is not None:
-                    undefined = {n for n in _UNDEFINABLE if getattr(target_cell, n) is None}
-                    row_cells[name] = TableCell(
-                        arp=target_cell.arp_target.value,
-                        result_delta=target_cell.result_delta,
-                        delta_ri=target_cell.delta_ri,
-                        effect_ratio=target_cell.effect_ratio,
-                        p_value=target_cell.p_value,
-                        significant=target_cell.p_vs_pivot_target < SIGNIFICANCE_ALPHA,
-                        undefined_fields=frozenset(undefined),
-                    )
-                elif base_cell is not None:
-                    row_cells[name] = TableCell(
-                        arp=base_cell.arp_base.value,
-                        result_delta=0.0,
-                        delta_ri=0.0,
-                        effect_ratio=1.0,
-                        p_value=1.0,
-                        significant=base_cell.p_vs_pivot_base < SIGNIFICANCE_ALPHA,
-                    )
-                else:
-                    row_cells[name] = TableCell()
-            rows.append(TableRow(system_tag=system, ee_label=ee, cells=row_cells))
+            row = found.get((system, ee), {})
+            rows.append(TableRow(system, ee, {name: row.get(name, _EMPTY) for name in names}))
 
-    return PersistenceTable(
-        pivot_tag=pivot_tag,
-        measures=measures,
-        ee_order=order,
-        rows=tuple(rows),
-        cells=ordered_cells,
-    )
-
-
-def _fmt3(value: float | None, *, undefined: bool = False, star: bool = False) -> str:
-    if value is None:
-        return UNDEFINED if undefined else NOT_APPLICABLE
-    if value == 0:
-        value = 0.0
-    return f"{value:.3f}" + ("*" if star else "")
+    return PersistenceTable(pivot_tag, measures, order, tuple(rows), ordered_cells)
 
 
 VALUE_COLUMNS = ("ARP", "RD", "DRI", "ER", "p")
 
 
-def _cell_strings(cell: TableCell) -> list[str]:
+def _columns(records: Sequence[tuple], width: int) -> list[tuple]:
+    """The ``width`` columns of ``records``, all empty if there are none."""
+    return list(zip(*records)) or [()] * width
+
+
+def _fmt3(
+    values: Sequence[float | None], undefined: Sequence[frozenset[str]], field: str | None = None
+) -> list[str]:
+    """Each value to 3 decimals (adding 0.0 turns -0.0 into 0.0). A None is
+    UNDEFINED where ``field`` is among the row's ``undefined`` fields, else
+    NOT_APPLICABLE."""
     return [
-        _fmt3(cell.arp, star=bool(cell.significant)),
-        _fmt3(cell.result_delta, undefined="result_delta" in cell.undefined_fields),
-        _fmt3(cell.delta_ri, undefined="delta_ri" in cell.undefined_fields),
-        _fmt3(cell.effect_ratio, undefined="effect_ratio" in cell.undefined_fields),
-        _fmt3(cell.p_value),
+        f"{v + 0.0:.3f}" if v is not None else UNDEFINED if field in u else NOT_APPLICABLE
+        for v, u in zip(values, undefined)
     ]
+
+
+def _aligned(column: list[str], justify) -> list[str]:
+    """``column`` padded by ``justify`` (str.ljust or str.rjust) to its widest string."""
+    return list(map(justify, column, repeat(max(map(len, column)))))
 
 
 def render_table_text(table: PersistenceTable) -> str:
     """Aligned plain-text table, one column group per measure."""
-    # A line is a list of column groups: the system and EE, then one group
-    # of VALUE_COLUMNS per measure. The header line counts toward the widths.
+    # Each column holds its title, then one string per row. A group of
+    # columns (the system and EE, then VALUE_COLUMNS per measure) joins
+    # them with two spaces, and a line joins its groups with " | ".
     names = [m.name for m in table.measures]
-    lines = [[["system", "EE"], *([list(VALUE_COLUMNS)] * len(names))]]
-    for row in table.rows:
-        groups = [_cell_strings(row.cells[name]) for name in names]
-        lines.append([[row.system_tag, row.ee_label], *groups])
-    widths = [
-        [max(len(line[g][i]) for line in lines) for i in range(len(group))]
-        for g, group in enumerate(lines[0])
-    ]
-
-    def fmt(line: list[list[str]]) -> str:
-        ids = "  ".join(v.ljust(w) for v, w in zip(line[0], widths[0]))
-        groups = [
-            "  ".join(v.rjust(w) for v, w in zip(values, ws))
-            for values, ws in zip(line[1:], widths[1:])
+    rows = table.rows
+    groups = [[
+        _aligned(["system", *[row.system_tag for row in rows]], str.ljust),
+        _aligned(["EE", *[row.ee_label for row in rows]], str.ljust),
+    ]]
+    for name in names:
+        arp, rd, dri, er, p, significant, undefined = _columns([r.cells[name] for r in rows], 7)
+        starred = [
+            text + "*" if star and value is not None else text
+            for text, star, value in zip(_fmt3(arp, undefined), significant, arp)
         ]
-        return " | ".join([ids, *groups])
+        columns = (
+            starred, _fmt3(rd, undefined, "result_delta"), _fmt3(dri, undefined, "delta_ri"),
+            _fmt3(er, undefined, "effect_ratio"), _fmt3(p, undefined),
+        )
+        groups.append(
+            [_aligned([title, *column], str.rjust) for title, column in zip(VALUE_COLUMNS, columns)]
+        )
+    lines = [list(map("  ".join, zip(*group))) for group in groups]
+    titles = " | ".join(name.ljust(len(group[0])) for name, group in zip(names, lines[1:]))
+    head = [f"pivot: {table.pivot_tag}", f"{' ' * len(lines[0][0])} | {titles}".rstrip()]
+    return "\n".join(head + list(map(" | ".join, zip(*lines)))) + "\n"
 
-    titles = " | ".join(
-        name.ljust(sum(ws) + 2 * (len(ws) - 1)) for name, ws in zip(names, widths[1:])
-    )
-    head = [f"pivot: {table.pivot_tag}", f"{fmt([['', '']])} | {titles}".rstrip()]
-    return "\n".join(head + [fmt(line) for line in lines]) + "\n"
 
-
-def _csv(header: str, rows: Iterable[Sequence[str | float | None]]) -> str:
-    """CSV text with a header line, quoting fields that hold a comma, a
-    quote or a line break. ``None`` is written as an empty field and a
-    float as its repr, which keeps full precision."""
+def _csv(header: str, columns: Sequence[Sequence[str | float | None]]) -> str:
+    """CSV text with a header line and one line per index of ``columns``.
+    In a column of strings each distinct label is written once by
+    csv.writer, quoted if it holds a comma, a quote or a line break (CR or
+    LF). Any other column holds numbers, each written as its repr (which
+    keeps full precision), or None, written as an empty field."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header.split(","))
-    writer.writerows(rows)
-    return buffer.getvalue()
+    # csv.writer quotes a field holding a character of its line terminator.
+    writer = csv.writer(buffer, lineterminator="\r\n")
+
+    def field(label: str) -> str:
+        buffer.seek(0)
+        buffer.truncate()
+        # Alone in a row, an empty label would be written as "".
+        writer.writerow((label, None))
+        return buffer.getvalue()[:-3]
+
+    fields = []
+    for column in columns:
+        if column and type(column[0]) is str:
+            quoted = {label: field(label) for label in set(column)}
+            fields.append(map(quoted.__getitem__, column))
+        else:
+            fields.append(["" if value is None else repr(value) for value in column])
+    return "\n".join([header, *map(",".join, zip(*fields))]) + "\n"
 
 
 def render_table_csv(table: PersistenceTable) -> str:
     """One row per system x EE x measure, full precision."""
     names = [m.name for m in table.measures]
-    rows = []
-    for row in table.rows:
-        for name in names:
-            cell = row.cells[name]
-            significant = "" if cell.significant is None else str(cell.significant).lower()
-            rows.append(
-                [
-                    row.system_tag,
-                    row.ee_label,
-                    name,
-                    cell.arp,
-                    cell.result_delta,
-                    cell.delta_ri,
-                    cell.effect_ratio,
-                    cell.p_value,
-                    significant,
-                ]
-            )
+    rows = table.rows
+    arp, rd, dri, er, p, significant, _ = _columns(
+        [row.cells[name] for row in rows for name in names], 7
+    )
     return _csv(
-        "system,ee,measure,arp,result_delta,delta_ri,effect_ratio,p_value,significant", rows
+        "system,ee,measure,arp,result_delta,delta_ri,effect_ratio,p_value,significant",
+        [
+            [row.system_tag for row in rows for _ in names],
+            [row.ee_label for row in rows for _ in names],
+            names * len(rows),
+            arp, rd, dri, er, p,
+            ["" if s is None else str(s).lower() for s in significant],
+        ],
     )
 
 
@@ -364,34 +371,20 @@ def er_dri_points(
     for cell in cells:
         x, y = cell.effect_ratio, cell.delta_ri
         excluded = x is None or y is None or abs(x) > exclusion_threshold
-        points.append(
-            ScatterPoint(
-                system_tag=cell.system_tag,
-                measure=cell.measure,
-                pair=cell.pair,
-                x=x,
-                y=y,
-                excluded=excluded,
-            )
-        )
+        points.append(ScatterPoint(cell.system_tag, cell.measure, cell.pair, x, y, excluded))
     return tuple(points)
 
 
 def scatter_csv(points: Iterable[ScatterPoint]) -> str:
+    systems, measures, pairs, x, y, excluded = _columns(list(points), 6)
+    bases, targets = _columns(pairs, 2)
+    names = {m: m.name for m in set(measures)}
     return _csv(
         "system,measure,base_ee,target_ee,effect_ratio,delta_ri,excluded",
-        (
-            [
-                point.system_tag,
-                point.measure.name,
-                point.pair.base_label,
-                point.pair.target_label,
-                point.x,
-                point.y,
-                str(point.excluded).lower(),
-            ]
-            for point in points
-        ),
+        [
+            systems, [names[m] for m in measures], bases, targets, x, y,
+            [str(e).lower() for e in excluded],
+        ],
     )
 
 
@@ -433,17 +426,10 @@ def pivot_delta_series(
 
 
 def series_csv(series: TopicDeltaSeries) -> str:
+    topics, deltas = _columns(series.entries, 2)
+    pair = series.pair
+    labels = (series.system_tag, series.measure.name, pair.base_label, pair.target_label)
     return _csv(
         "system,measure,base_ee,target_ee,topic,delta",
-        (
-            [
-                series.system_tag,
-                series.measure.name,
-                series.pair.base_label,
-                series.pair.target_label,
-                topic,
-                delta,
-            ]
-            for topic, delta in series.entries
-        ),
+        [*([label] * len(topics) for label in labels), topics, deltas],
     )

@@ -207,7 +207,8 @@ def parse_qrels(text: str | Iterable[str], *, path: str | None = None) -> Qrels:
 
 
 def parse_topics(text: str | Iterable[str], *, path: str | None = None) -> TopicSet:
-    """Parse a topic list: one id per line, ``#`` comments and blanks ignored."""
+    """Parse a topic list: one id per line, ``#`` comments and blanks
+    ignored. A list with no topic is a DataError."""
     topics: set[str] = set()
     for number, line in enumerate(text.splitlines() if isinstance(text, str) else text, start=1):
         line = line.strip()
@@ -216,6 +217,8 @@ def parse_topics(text: str | Iterable[str], *, path: str | None = None) -> Topic
         if len(line.split()) != 1:
             raise ParseError(f"topic id may not contain whitespace: {line!r}", line=number, path=path)
         topics.add(line)
+    if not topics:
+        raise DataError("topics file lists no topics", path=path)
     return frozenset(topics)
 
 

@@ -187,3 +187,101 @@ def oracle_run_error(text, expected_tag=None):
         message = f"run tag {first_tag!r} does not match expected tag {expected_tag!r}"
         return ("DataError", first_tag_line, message)
     return None
+
+
+# The report renderers written one row and one value at a time, with
+# csv.writer quoting every row. They read the records by field name only.
+
+
+def _oracle_fmt3(value, undefined=False, star=False):
+    if value is None:
+        return "undef" if undefined else "-"
+    if value == 0:
+        value = 0.0
+    return f"{value:.3f}" + ("*" if star else "")
+
+
+def oracle_render_table_text(table):
+    names = [m.name for m in table.measures]
+    lines = [[["system", "EE"]] + [["ARP", "RD", "DRI", "ER", "p"] for _ in names]]
+    for row in table.rows:
+        line = [[row.system_tag, row.ee_label]]
+        for name in names:
+            cell = row.cells[name]
+            line.append([
+                _oracle_fmt3(cell.arp, star=bool(cell.significant)),
+                _oracle_fmt3(cell.result_delta, "result_delta" in cell.undefined_fields),
+                _oracle_fmt3(cell.delta_ri, "delta_ri" in cell.undefined_fields),
+                _oracle_fmt3(cell.effect_ratio, "effect_ratio" in cell.undefined_fields),
+                _oracle_fmt3(cell.p_value),
+            ])
+        lines.append(line)
+    widths = []
+    for g in range(len(lines[0])):
+        group_widths = []
+        for i in range(len(lines[0][g])):
+            group_widths.append(max(len(line[g][i]) for line in lines))
+        widths.append(group_widths)
+
+    def fmt(line):
+        parts = ["  ".join(v.ljust(w) for v, w in zip(line[0], widths[0]))]
+        for values, group_widths in zip(line[1:], widths[1:]):
+            parts.append("  ".join(v.rjust(w) for v, w in zip(values, group_widths)))
+        return " | ".join(parts)
+
+    titles = []
+    for name, group_widths in zip(names, widths[1:]):
+        titles.append(name.ljust(sum(group_widths) + 2 * (len(group_widths) - 1)))
+    out = [f"pivot: {table.pivot_tag}", (fmt([["", ""]]) + " | " + " | ".join(titles)).rstrip()]
+    for line in lines:
+        out.append(fmt(line))
+    return "\n".join(out) + "\n"
+
+
+def _oracle_csv(header, rows):
+    """csv.writer quotes a field that holds a character of its line
+    terminator, so each row is written with "\r\n", which makes it quote
+    both line breaks, and then ends with "\n"."""
+    import csv
+    import io
+
+    lines = [header]
+    for row in rows:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(row)
+        lines.append(buffer.getvalue()[:-2])
+    return "\n".join(lines) + "\n"
+
+
+def oracle_render_table_csv(table):
+    rows = []
+    for row in table.rows:
+        for measure in table.measures:
+            cell = row.cells[measure.name]
+            significant = "" if cell.significant is None else str(cell.significant).lower()
+            rows.append([
+                row.system_tag, row.ee_label, measure.name, cell.arp, cell.result_delta,
+                cell.delta_ri, cell.effect_ratio, cell.p_value, significant,
+            ])
+    header = "system,ee,measure,arp,result_delta,delta_ri,effect_ratio,p_value,significant"
+    return _oracle_csv(header, rows)
+
+
+def oracle_scatter_csv(points):
+    rows = []
+    for point in points:
+        rows.append([
+            point.system_tag, point.measure.name, point.pair.base_label,
+            point.pair.target_label, point.x, point.y, str(point.excluded).lower(),
+        ])
+    return _oracle_csv("system,measure,base_ee,target_ee,effect_ratio,delta_ri,excluded", rows)
+
+
+def oracle_series_csv(series):
+    rows = []
+    for topic, delta in series.entries:
+        rows.append([
+            series.system_tag, series.measure.name, series.pair.base_label,
+            series.pair.target_label, topic, delta,
+        ])
+    return _oracle_csv("system,measure,base_ee,target_ee,topic,delta", rows)

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import gc
+import io
 import json
 import os
 import random
 import shutil
+import tempfile
 from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from persisteval import cli, measures, report, run_io
@@ -859,6 +862,18 @@ class TestReportCommand:
             'cells[2].degenerate_t must be true or false, got "false"'
         ) in capsys.readouterr().err
 
+    def test_cell_whose_system_is_the_pivot_exits_3(self, tmp_path, capsys):
+        payload = json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))
+        payload["cells"][0]["system_tag"] = payload["pivot_tag"]
+        bad = tmp_path / "cells.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli("report", bad, "--output", tmp_path / "out") == EXIT_DATA
+        assert (
+            f"error: {bad}: malformed table JSON: "
+            "cells[0]: system and pivot share the tag 'baseline'"
+        ) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sorts_each_cell_once(self, tmp_path, monkeypatch):
         calls = []
         sort_key = report._cell_sort_key
@@ -1151,6 +1166,60 @@ class TestInputVariants:
         assert err.startswith(f"error: {where} ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+
+class TestInputVariantsProperty:
+    """TestInputVariants with hypothesis picking the two_ee input (a run,
+    qrels or topics file) and the variant."""
+
+    INPUTS = sorted(
+        path.relative_to(FIXTURE).as_posix()
+        for path in FIXTURE.rglob("*")
+        if path.suffix in (".run", ".txt")
+    )
+    VARIANTS = {
+        **TestInputVariants.VARIANTS,
+        "byte-order-mark": rewrite_bytes(lambda data: "\ufeff".encode() + data),
+    }
+    KEPT = (
+        "byte-order-mark", "crlf", "trailing-blank-lines", "tabs", "shuffled",
+        "shuffled-within-topics",
+    )
+    BROKEN = ("cut-mid-line", "utf-16", "directory", "no-records")
+    # Neither kept nor broken: an empty qrels file judges nothing, which is
+    # a result (test_empty_qrels_is_a_result), and the cut last line of the
+    # topics file renames q11, which is not a core topic.
+    NEITHER = {("no-records", "qrels.t1.txt"), ("no-records", "qrels.t2.txt"),
+               ("cut-mid-line", "topics.t1.txt")}
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.sampled_from(INPUTS), variant=st.sampled_from(KEPT + BROKEN))
+    def test_variant_keeps_the_artifacts_or_names_the_path(self, name, variant):
+        assume((variant, name) not in self.NEITHER)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp_path = Path(tmp)
+            root = tmp_path / "two_ee"
+            shutil.copytree(FIXTURE, root)
+            self.VARIANTS[variant](root / name)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli("persist", "--config", root / "job.json", "--output", tmp_path / "out")
+            if variant in self.KEPT:
+                assert code == EXIT_OK
+                assert tree(tmp_path / "out") == tree(GOLDEN_CELLS.parent)
+            else:
+                assert code in (EXIT_USAGE, EXIT_PARSE, EXIT_DATA)
+                assert err.getvalue().startswith(f"error: {root / name}:")
+                assert "Traceback" not in err.getvalue()
+                assert not (tmp_path / "out").exists()
+
+    def test_the_inputs_are_the_jobs_files(self):
+        job = json.loads((FIXTURE / "job.json").read_text(encoding="utf-8"))
+        named = [run["path"] for run in job["runs"]]
+        for key in ("qrels", "topics"):
+            named += [env[key] for env in job["environments"] if key in env]
+        assert sorted(named) == self.INPUTS
 
 
 class TestUsage:

@@ -4,11 +4,13 @@ import json
 import math
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from persisteval import persistence
 from persisteval.errors import DataError
 from persisteval.measures import (
     BPREF,
@@ -296,6 +298,12 @@ class TestCellSerialization:
         assert data["effect_ratio"] is None
         assert any("effect_ratio" in flag for flag in data["undefined_flags"])
 
+    def test_system_that_is_the_pivot_rejected(self):
+        qrels, runs, topics = synthetic_environment(5)
+        system, _ = score_tags(runs, qrels, P_AT_10, topics, "t1")
+        with pytest.raises(DataError, match=r"^system and pivot share the tag 'sys'$"):
+            persistence_cell(system, system, system, system)
+
     def test_malformed_record_rejected(self):
         with pytest.raises(DataError):
             cell_from_dict({"system_tag": "x"})
@@ -477,6 +485,100 @@ class TestTypedCellCodec:
         assert str(excinfo.value) == (
             f"cells.json: malformed table JSON: cells[1].{path} must be finite, got {sign}inf"
         )
+
+
+# Cells whose JSON form has every value of its exact type: no null, so no
+# undefined value and a finite t statistic.
+UNDEFINABLE = ("result_delta", "ri_base", "ri_target", "delta_ri", "effect_ratio")
+exact_cells = generated_cells.map(
+    lambda cell: cell._replace(
+        **{name: 0.5 for name in UNDEFINABLE if getattr(cell, name) is None},
+        t_statistic=1.5 if math.isinf(cell.t_statistic) else cell.t_statistic,
+    )
+)
+
+
+def one_check(record: dict) -> PersistenceCell:
+    """cell_from_dict on the one-check path; fails if it takes the per-field path."""
+    failing = mock.Mock(side_effect=AssertionError("took the per-field path"))
+    with mock.patch.object(persistence, "_cell_per_field", failing):
+        return cell_from_dict(record, "cells[3]")
+
+
+class TestDecoderPaths:
+    """cell_from_dict takes a record whose values all have their exact JSON
+    types after one comparison of a tuple of types; every other record
+    takes the per-field path, the home of every error message."""
+
+    @given(exact_cells)
+    def test_one_check_path_builds_what_the_per_field_path_builds(self, cell):
+        record = cell_to_dict(cell)
+        built = one_check(record)
+        assert built == persistence._cell_per_field(record, "cells[3]")
+        assert [type(value) for value in built] == [type(value) for value in cell]
+
+    @given(generated_cells)
+    def test_both_paths_agree_on_any_record(self, cell):
+        record = cell_to_dict(cell)
+        assert cell_from_dict(record) == persistence._cell_per_field(record, "")
+
+    def test_golden_cells_take_the_one_check_path(self):
+        for record in json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))["cells"]:
+            assert one_check(record) == persistence._cell_per_field(record, "")
+
+    @pytest.mark.parametrize(
+        "edit, check",
+        [
+            (lambda r: r.update(p_value=1), lambda c: c.p_value == 1.0 and type(c.p_value) is float),
+            (
+                lambda r: r.update(arp_base={"value": 0, "n_topics": 3}),
+                lambda c: c.arp_base == ARPValue(0.0, 3) and type(c.arp_base.value) is float,
+            ),
+            (lambda r: r.pop("degenerate_t"), lambda c: c.degenerate_t is False),
+            (lambda r: r.pop("undefined_flags"), lambda c: c.undefined_flags == ()),
+            (lambda r: r.update(t_statistic=None), lambda c: c.t_statistic == math.inf),
+            (lambda r: r.update(effect_ratio=None), lambda c: c.effect_ratio is None),
+        ],
+        ids=["integer-number", "integer-arp-value", "no-degenerate_t", "no-undefined_flags",
+             "null-t", "null-undefined-value"],
+    )
+    def test_records_the_check_refuses_are_read_field_by_field(self, edit, check):
+        record = json.loads(json.dumps(GOLDEN_CELL))
+        edit(record)
+        per_field = mock.Mock(wraps=persistence._cell_per_field)
+        with mock.patch.object(persistence, "_cell_per_field", per_field):
+            cell = cell_from_dict(record, "cells[3]")
+        per_field.assert_called_once_with(record, "cells[3]")
+        assert check(cell)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("system_tag", 7, "cells[3].system_tag must be a string, got 7"),
+            ("degenerate_t", 0, "cells[3].degenerate_t must be true or false, got 0"),
+            ("pair", {"base": "t1", "target": 2}, "cells[3].pair.target must be a string, got 2"),
+            (
+                "arp_base",
+                {"value": 0.5, "n_topics": True},
+                "cells[3].arp_base.n_topics must be an integer, got true",
+            ),
+            ("undefined_flags", ["a", 1], "cells[3].undefined_flags[1] must be a string, got 1"),
+            # The right types, but a value check fails.
+            ("measure", "P@0", "cells[3].measure: invalid measure name 'P@0'"),
+            (
+                "pair",
+                {"base": "", "target": "t2"},
+                "cells[3].pair: evaluation environment labels must be non-empty",
+            ),
+        ],
+    )
+    def test_a_wrong_value_is_named_by_the_per_field_path(self, key, value, message):
+        per_field = mock.Mock(wraps=persistence._cell_per_field)
+        with mock.patch.object(persistence, "_cell_per_field", per_field):
+            with pytest.raises(DataError) as excinfo:
+                cell_from_dict({**GOLDEN_CELL, key: value}, "cells[3]")
+        per_field.assert_called_once()
+        assert str(excinfo.value) == f"malformed persistence cell record: {message}"
 
 
 class TestArpOnScoredRuns:

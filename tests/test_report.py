@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from persisteval.errors import DataError, UsageError
-from persisteval.measures import NDCG, P_AT_10, TopicScoreVector, arp
+from persisteval.measures import BPREF, NDCG, P_AT_10, MeasureId, TopicScoreVector, arp
 from persisteval.persistence import EEPair, persistence_cell
 from persisteval.report import (
+    PersistenceTable,
+    ScatterPoint,
+    TableCell,
+    TableRow,
+    TopicDeltaSeries,
     er_dri_points,
     persistence_table,
     pivot_delta_series,
@@ -21,6 +30,12 @@ from persisteval.report import (
     topic_delta_series,
 )
 
+from oracles import (
+    oracle_render_table_csv,
+    oracle_render_table_text,
+    oracle_scatter_csv,
+    oracle_series_csv,
+)
 from reference_table import ARP, E5_P10_LT_EFFECT_RATIO
 from synth import MISFITS, four_vectors, misfit, score_tags, synthetic_cells, synthetic_environment
 
@@ -88,6 +103,12 @@ class TestTableConstruction:
         other = cells[0]._replace(pivot_tag="other")
         with pytest.raises(DataError):
             persistence_table([cells[1], other])
+
+    def test_system_that_is_the_pivot_rejected(self, cells):
+        as_pivot = cells[1]._replace(system_tag=cells[1].pivot_tag)
+        with pytest.raises(DataError) as excinfo:
+            persistence_table([cells[0], as_pivot])
+        assert str(excinfo.value) == "cells[1]: system and pivot share the tag 'pivot'"
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
@@ -200,6 +221,96 @@ class TestRendering:
 
         wt, lt = ARP["BM25"]["p@10"]["WT"], ARP["BM25"]["p@10"]["LT"]
         assert result_delta(wt, lt) == pytest.approx(-0.165, abs=0.015)
+
+
+# Labels with the characters CSV quotes and non-ASCII ones; numbers with
+# None, signed zeros and values that round to -0.000 or 0.000.
+csv_labels = st.text(
+    st.sampled_from([",", '"', "\n", "\r", "é", "☃", " "]) | st.characters(codec="utf-8"),
+    min_size=1,
+    max_size=5,
+)
+edge_numbers = st.sampled_from([0.0, -0.0, -0.0004, 0.0004, -0.0005, 1.0, -1e-300, 0.1 + 0.2])
+numbers = st.none() | edge_numbers | st.floats(allow_nan=False, allow_infinity=False)
+render_measures = st.sampled_from([P_AT_10, NDCG, BPREF, MeasureId("ndcg", cutoff=20)])
+table_cells = st.builds(
+    TableCell,
+    arp=numbers,
+    result_delta=numbers,
+    delta_ri=numbers,
+    effect_ratio=numbers,
+    p_value=numbers,
+    significant=st.none() | st.booleans(),
+    undefined_fields=st.frozensets(st.sampled_from(["result_delta", "delta_ri", "effect_ratio"])),
+)
+
+
+@st.composite
+def tables(draw):
+    measures = draw(st.lists(render_measures, min_size=1, max_size=3, unique=True))
+    row_cells = st.fixed_dictionaries({m.name: table_cells for m in measures})
+    rows = st.builds(TableRow, csv_labels, csv_labels, row_cells)
+    rows = draw(st.lists(rows, min_size=1, max_size=5))
+    return PersistenceTable(draw(csv_labels), tuple(measures), (), tuple(rows), ())
+
+
+pairs = st.builds(EEPair, csv_labels, csv_labels)
+scatter_points = st.lists(
+    st.builds(ScatterPoint, csv_labels, render_measures, pairs, numbers, numbers, st.booleans()),
+    max_size=5,
+)
+entries = st.lists(st.tuples(csv_labels, edge_numbers | st.floats(allow_nan=False)), max_size=5)
+series = st.builds(TopicDeltaSeries, csv_labels, render_measures, pairs, entries.map(tuple))
+
+
+def records(text: str) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+class TestRenderersMatchTheOracle:
+    """The column-at-a-time renderers write byte for byte what the
+    row-by-row ones in oracles.py write with csv.writer and a formatter per
+    value."""
+
+    @given(tables())
+    def test_table_text(self, table):
+        assert render_table_text(table) == oracle_render_table_text(table)
+
+    @given(tables())
+    def test_table_csv(self, table):
+        text = render_table_csv(table)
+        assert text == oracle_render_table_csv(table)
+        # A quoted line break stays inside its record.
+        rows = records(text)[1:]
+        assert len(rows) == len(table.rows) * len(table.measures)
+        assert [row[:2] for row in rows[:: len(table.measures)]] == [
+            [row.system_tag, row.ee_label] for row in table.rows
+        ]
+
+    @given(scatter_points)
+    def test_scatter_csv(self, points):
+        text = scatter_csv(points)
+        assert text == oracle_scatter_csv(points)
+        assert [row[0] for row in records(text)[1:]] == [point.system_tag for point in points]
+
+    @given(series)
+    def test_series_csv(self, entries):
+        text = series_csv(entries)
+        assert text == oracle_series_csv(entries)
+        assert [row[4] for row in records(text)[1:]] == [topic for topic, _ in entries.entries]
+
+    def test_one_row_table_and_empty_series(self):
+        cell = TableCell(arp=-0.0, result_delta=-0.0004, significant=True)
+        table = PersistenceTable("p,1", (NDCG,), (), (TableRow('a"b', "t\r1", {"nDCG": cell}),), ())
+        assert render_table_text(table) == oracle_render_table_text(table)
+        assert render_table_csv(table) == oracle_render_table_csv(table)
+        # A lone carriage return is quoted too, so the record stays whole.
+        assert '"a""b","t\r1",nDCG,-0.0,-0.0004,,,,true\n' in render_table_csv(table)
+        assert "0.000*" in render_table_text(table) and "-0.000" in render_table_text(table)
+        empty = TopicDeltaSeries("a", NDCG, EEPair("t1", "t2"), ())
+        header = "system,measure,base_ee,target_ee,topic,delta\n"
+        assert series_csv(empty) == oracle_series_csv(empty) == header
+        assert scatter_csv([]) == oracle_scatter_csv([])
 
 
 class TestScatter:

@@ -147,6 +147,11 @@ class TestParseTopics:
         with pytest.raises(ParseError):
             parse_topics("q1 extra")
 
+    @pytest.mark.parametrize("text", ["", "# header\n\n"])
+    def test_no_topic_names_the_path(self, text):
+        with pytest.raises(DataError, match=r"^topics\.txt: topics file lists no topics$"):
+            parse_topics(text, path="topics.txt")
+
 
 class TestParseJson:
     def test_decoder_error_names_path_and_line(self):
