@@ -28,8 +28,8 @@ _EXPORTS = {
         "relative_improvement", "result_delta", "topic_deltas",
     ),
     "report": (
-        "PersistenceTable", "ScatterPoint", "TopicDeltaSeries",
-        "er_dri_points", "persistence_table", "topic_delta_series",
+        "PersistenceTable", "ScatterPoint", "TopicDeltaSeries", "er_dri_points",
+        "persistence_table", "pivot_delta_series", "table_from_json", "topic_delta_series",
     ),
     "run_io": (
         "Qrels", "Run", "TopicSet", "core_topics", "parse_qrels", "parse_run", "parse_topics",

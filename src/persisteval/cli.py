@@ -54,7 +54,7 @@ RunSpec = namedtuple("RunSpec", "tag ee_label path")
 class JobConfig(
     namedtuple(
         "JobConfig",
-        "environments runs pivot measures pairs output t_test er_exclude strict_topics series",
+        "environments runs pivot measures pairs output strict_topics t_test er_exclude series",
     )
 ):
     """A persistence job: environments, runs, pivot, measures, pairs, and
@@ -81,21 +81,10 @@ class JobConfig(
                     f"run tag {run.tag!r} declared twice for environment {run.ee_label!r}"
                 )
             seen_runs.add(key)
-        for index, pair in enumerate(self.pairs):
+        for pair in self.pairs:
             for label in (pair.base_label, pair.target_label):
                 if label not in declared:
                     raise UsageError(f"pair {pair.key} references undeclared environment {label!r}")
-            # The table holds one cell per target; a repeated pair repeats it.
-            for first in self.pairs[:index]:
-                if first.target_label == pair.target_label:
-                    raise UsageError(
-                        f"pairs {first.key} and {pair.key} both target {pair.target_label!r}"
-                    )
-        if not self.pairs:
-            raise UsageError("manifest declares no environment pairs")
-        if not self.measures:
-            raise UsageError("manifest declares no measures")
-        _check_distinct(self.measures)
         tags = {run.tag for run in self.runs}
         if self.pivot not in tags:
             raise UsageError(f"pivot {self.pivot!r} is not a declared run tag")
@@ -120,158 +109,140 @@ class JobConfig(
                 raise DataError(f"{who} {tag!r} has no run in environment {label!r}")
 
 
-def _tokens(text: str, what: str) -> list[str]:
-    """The non-empty items of a comma list."""
-    tokens = [token.strip() for token in text.split(",") if token.strip()]
-    if not tokens:
-        raise UsageError(f"empty {what} list")
-    return tokens
+def _comma_list(text: str) -> list[str]:
+    """The JSON form of a comma-list flag: its non-empty items."""
+    return [token.strip() for token in text.split(",") if token.strip()]
 
 
-def _check_distinct(measures: Sequence[MeasureId]) -> None:
-    """Raise a UsageError if two names in ``measures`` denote one measure."""
-    for index, measure in enumerate(measures):
-        if measure in measures[:index]:
-            raise UsageError(f"measure {measure.name} is declared twice")
+def _pair_list(text: str) -> list[list[str]]:
+    """The JSON form of --pairs: ``a:b,c:d`` is [["a", "b"], ["c", "d"]]."""
+    return [token.split(":") for token in _comma_list(text)]
 
 
-def _parse_measure_list(text: str) -> list[MeasureId]:
+def _read_measures(names: list, where: str) -> list[MeasureId]:
+    """The measures of a list of names: at least one, none named twice."""
     from .measures import parse_measure
+    from .run_io import json_checked, json_typed
 
     measures = []
-    for token in _tokens(text, "measure"):
-        try:
-            measures.append(parse_measure(token))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    for i, name in enumerate(names):
+        path = f"{where}[{i}]"
+        measure = json_checked(path, parse_measure, json_typed(name, str, path))
+        if measure in measures:
+            raise ValueError(f"{path}: measure {measure.name} is declared twice")
+        measures.append(measure)
+    if not measures:
+        raise ValueError(f"{where} is empty")
     return measures
 
 
-def _parse_pair_list(text: str) -> list[EEPair]:
-    from .persistence import EEPair
-
-    pairs = []
-    for token in _tokens(text, "pair"):
-        parts = token.split(":")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise UsageError(f"pair must look like BASE:TARGET, got {token!r}")
-        pairs.append(EEPair(parts[0], parts[1]))
-    return pairs
-
-
-def _check_series(mode: str) -> None:
+def _check_series(mode: str) -> str:
     if mode not in SERIES_MODES:
         raise UsageError(f"unknown series mode {mode!r}; expected one of {list(SERIES_MODES)}")
+    return mode
 
 
-def _check_flag(flag: str, check, value) -> None:
-    """``check(value)``; its UsageError names ``flag``, which gave the value."""
+def _checked(check):
+    """The reader of a value that ``check`` returns or refuses; a refusal names the path."""
+    from .run_io import json_checked
+
+    return lambda value, where: json_checked(where, check, value)
+
+
+def _flag(flag: str, read, value):
+    """A flag's value read as the field it overrides: its error names the flag."""
     try:
-        check(value)
-    except UsageError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
+        return value if read is None else read(value, flag)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
     """Read the JSON manifest and apply command-line overrides. Each
-    manifest field has one JSON type; a value of another type, or one its
-    check refuses, is a usage error that names the field's path. A flag
-    overrides its field only after the manifest has passed."""
-    from .measures import parse_measure
+    manifest field has one JSON type and one reader; a value of another
+    type, or one its reader refuses, is a usage error that names the
+    field's path. A flag overrides its field only after the manifest has
+    passed, and its value goes through the field's reader."""
     from .persistence import EEPair
     from .report import DEFAULT_ER_EXCLUSION, check_er_exclusion
-    from .run_io import json_checked, json_member, json_typed, parse_json, read_input
+    from .run_io import MISSING, json_checked, json_fields, json_typed, parse_json, read_input
     from .stats import check_t_variant
 
-    # The checked options: key in "options" (also the flag --<key> that
-    # overrides it and the JobConfig field), JSON type, default and check.
-    checked_options = (
-        ("t_test", str, "student", check_t_variant),
-        ("er_exclude", float, DEFAULT_ER_EXCLUSION, check_er_exclusion),
-        ("series", str, "raw", _check_series),
-    )
     raw = parse_json(read_input(path), path=str(path))
-    base_dir = path.parent
 
-    def _resolve(p: str) -> Path:
-        if "\0" in p:
-            raise ValueError(f"path {json.dumps(p)} holds a NUL character")
-        candidate = Path(p)
-        return candidate if candidate.is_absolute() else base_dir / candidate
+    def file(text: str, where: str) -> Path:
+        """A path of the manifest; a relative one is under the manifest's directory."""
+        if "\0" in text:
+            raise ValueError(f"{where}: path {json.dumps(text)} holds a NUL character")
+        return path.parent / text
 
-    def _items(obj: dict, key: str) -> list[tuple[str, object]]:
-        """(path, item) for each item of the list ``obj[key]``; none if absent."""
-        items = json_member(obj, key, list, default=[])
-        return [(f"{key}[{i}]", item) for i, item in enumerate(items)]
+    def optional_file(text: str, where: str) -> Path | None:
+        return file(text, where) if text else None
 
-    def _environment(where: str, entry) -> EESpec:
-        entry = json_typed(entry, dict, where)
-        topics = json_member(entry, "topics", str, where, "")
-        return EESpec(
-            label=json_member(entry, "label", str, where),
-            qrels_path=_resolve(json_member(entry, "qrels", str, where)),
-            topics_path=_resolve(topics) if topics else None,
-        )
+    def pairs(items: list, where: str) -> list[EEPair]:
+        """The pairs of [base, target] lists: at least one, no two with one target."""
+        targets: dict[str, EEPair] = {}  # target label -> pair
+        for i, item in enumerate(items):
+            at = f"{where}[{i}]"
+            if not (type(item) is list and len(item) == 2 and all(type(x) is str for x in item)):
+                shape = "a pair must be a [base, target] list of two strings"
+                raise ValueError(f"{at}: {shape}, got {json.dumps(item)}")
+            pair = json_checked(at, EEPair, *item)
+            first = targets.setdefault(pair.target_label, pair)
+            if first is not pair:
+                target = pair.target_label
+                raise ValueError(f"{at}: pairs {first.key} and {pair.key} both target {target!r}")
+        if not targets:
+            raise ValueError(f"{where} is empty")
+        return list(targets.values())
 
-    def _run(where: str, entry) -> RunSpec:
-        entry = json_typed(entry, dict, where)
-        return RunSpec(
-            tag=json_member(entry, "tag", str, where),
-            ee_label=json_member(entry, "environment", str, where),
-            path=_resolve(json_member(entry, "path", str, where)),
-        )
+    def objects(fields, build):
+        """The reader of a list of objects, each read by ``fields`` into ``build``."""
+        return lambda items, where: [
+            build(*json_fields(json_typed(item, dict, f"{where}[{i}]"), fields, f"{where}[{i}]"))
+            for i, item in enumerate(items)
+        ]
 
-    def _pair(where: str, entry) -> EEPair:
-        strings = isinstance(entry, list) and all(isinstance(x, str) for x in entry)
-        if not (strings and len(entry) == 2):
-            raise ValueError(
-                f"{where}: a pair must be a [base, target] list of two strings, "
-                f"got {json.dumps(entry)}"
-            )
-        return json_checked(where, EEPair, *entry)
-
-    def _options(options: dict) -> dict:
-        settings = {"strict_topics": json_member(options, "strict_topics", bool, "options", True)}
-        for key, kind, default, check in checked_options:
-            settings[key] = json_member(options, key, kind, "options", default)
-            json_checked(f"options.{key}", check, settings[key])
-        return settings
-
+    # Each field: (key, JSON type, reader, null, default) as json_fields reads
+    # it, then, if the flag --<key> overrides it, the JSON form of its value.
+    environment = (
+        ("label", str, None, MISSING, MISSING),
+        ("qrels", str, file, MISSING, MISSING),
+        ("topics", str, optional_file, MISSING, ""),
+    )
+    run = (
+        ("tag", str, None, MISSING, MISSING),
+        ("environment", str, None, MISSING, MISSING),
+        ("path", str, file, MISSING, MISSING),
+    )
+    option_fields = (
+        ("strict_topics", bool, None, MISSING, True, bool),
+        ("t_test", str, _checked(check_t_variant), MISSING, "student", str),
+        ("er_exclude", float, _checked(check_er_exclusion), MISSING, DEFAULT_ER_EXCLUSION, float),
+        ("series", str, _checked(_check_series), MISSING, "raw", str),
+    )
+    top_level = (
+        ("environments", list, objects(environment, EESpec), MISSING, []),
+        ("runs", list, objects(run, RunSpec), MISSING, []),
+        ("pivot", str, None, MISSING, "", str),
+        ("measures", list, _read_measures, MISSING, MISSING, _comma_list),
+        ("pairs", list, pairs, MISSING, MISSING, _pair_list),
+        # A relative --output is under the working directory.
+        ("output", str, optional_file, MISSING, "", os.path.abspath),
+        ("options", dict, None, MISSING, {}),
+    )
     try:
-        raw = json_typed(raw, dict, "the manifest")
-        options = json_member(raw, "options", dict, default={})
-        output = json_member(raw, "output", str, default="")
-        config = JobConfig(
-            environments=[_environment(*item) for item in _items(raw, "environments")],
-            runs=[_run(*item) for item in _items(raw, "runs")],
-            pivot=json_member(raw, "pivot", str, default=""),
-            measures=[
-                json_checked(where, parse_measure, json_typed(m, str, where))
-                for where, m in _items(raw, "measures")
-            ],
-            pairs=[_pair(*item) for item in _items(raw, "pairs")],
-            output=_resolve(output) if output else None,
-            **_options(options),
-        )
-    except (ValueError, DataError) as exc:
+        *fields, options = json_fields(json_typed(raw, dict, "the manifest"), top_level)
+        settings = json_fields(options, option_fields, "options")
+    except ValueError as exc:
         raise UsageError(f"malformed manifest {path}: {exc}") from exc
 
     overrides = {}
-    if args.pivot is not None:
-        overrides["pivot"] = args.pivot
-    if args.measures is not None:
-        overrides["measures"] = _parse_measure_list(args.measures)
-    if args.pairs is not None:
-        overrides["pairs"] = _parse_pair_list(args.pairs)
-    if args.strict_topics is not None:
-        overrides["strict_topics"] = args.strict_topics
-    for key, _, _, check in checked_options:
-        if getattr(args, key) is not None:
-            overrides[key] = getattr(args, key)
-            _check_flag(f"--{key.replace('_', '-')}", check, overrides[key])
-    if args.output is not None:
-        overrides["output"] = Path(args.output)
-    config = config._replace(**overrides)
+    for key, _, read, _, _, *form in (*top_level, *option_fields):
+        value = getattr(args, key) if form else None
+        if value is not None:
+            overrides[key] = _flag(f"--{key.replace('_', '-')}", read, form[0](value))
+    config = JobConfig(*fields, *settings)._replace(**overrides)
     config.validate()
     return config
 
@@ -330,8 +301,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     from .measures import arp, format_scores, score_run, scores_to_json
     from .run_io import load_qrels, load_run, load_topics
 
-    measures = _parse_measure_list(args.measures)
-    _check_distinct(measures)
+    measures = _flag("--measures", _read_measures, _comma_list(args.measures))
     run = load_run(Path(args.run))
     qrels = load_qrels(Path(args.qrels))
     if args.topics:
@@ -362,7 +332,7 @@ def cmd_persist(args: argparse.Namespace) -> int:
     from .report import (
         persistence_table, pivot_delta_series, series_csv, table_to_json, topic_delta_series,
     )
-    from .run_io import core_topics, load_qrels, load_run, load_topics
+    from .run_io import load_qrels, load_run, load_topics
 
     config = load_job_config(Path(args.config), args)
     qrels = {spec.label: load_qrels(spec.qrels_path) for spec in config.environments}
@@ -377,9 +347,9 @@ def cmd_persist(args: argparse.Namespace) -> int:
 
     # Strict mode scores each environment on the core topics, else on its own.
     if config.strict_topics:
-        core = core_topics([topics[label] for label in sorted(topics)])
+        core = frozenset.intersection(*topics.values())
         if not core:
-            raise DataError("core topic intersection across environments is empty")
+            raise DataError(f"core topic intersection across environments {list(topics)} is empty")
         topics = dict.fromkeys(topics, core)
     # Series use the topics a pair shares, so both series modes stay defined.
     shared = {pair: topics[pair.base_label] & topics[pair.target_label] for pair in config.pairs}
@@ -441,7 +411,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     # cells.json does not hold the threshold persist used (README).
     er_exclude = DEFAULT_ER_EXCLUSION if args.er_exclude is None else args.er_exclude
-    _check_flag("--er-exclude", check_er_exclusion, er_exclude)
+    _flag("--er-exclude", _checked(check_er_exclusion), er_exclude)
     table = table_from_json(read_input(args.cells), path=args.cells)
     files = _artifacts(table, er_exclude)
     _write(_default_output(Path(args.output) if args.output else None), files)

@@ -103,7 +103,10 @@ def snapshot_from_dir(path: str | Path, label: str | None = None) -> CorpusSnaps
     docs: dict[str, int] = {}
     for file_path in sorted(p for p in root.rglob("*") if p.is_file()):
         url = file_path.relative_to(root).as_posix()
-        docs[url] = len(file_path.read_text(encoding="utf-8", errors="replace"))
+        try:
+            docs[url] = len(file_path.read_text(encoding="utf-8", errors="replace"))
+        except OSError as exc:
+            raise ParseError(f"cannot read {file_path}: {exc}", path=str(file_path)) from exc
     return CorpusSnapshot(label=label or root.name, docs=docs)
 
 

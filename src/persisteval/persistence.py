@@ -33,11 +33,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Mapping, Sequence, Set
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .errors import DataError, Record
-from .measures import ARPValue, TopicScoreVector, arp, parse_measure
-from .run_io import MISSING, json_checked, json_member, json_strings, json_typed
+from .measures import ARPValue, MeasureId, TopicScoreVector, arp, parse_measure
+from .run_io import MISSING, json_checked, json_fields, json_strings, json_typed
 from .stats import mean, t_test_unpaired
 
 
@@ -138,49 +138,47 @@ def effect_ratio(
     return target_mean / base_mean
 
 
-# The JSON form of a PersistenceCell field that is not its own: (encode, decode).
-_MEASURE = (attrgetter("name"), lambda name, where: json_checked(where, parse_measure, name))
-_PAIR = (
-    lambda p: {"base": p.base_label, "target": p.target_label},
-    lambda d, where: json_checked(
-        where, EEPair, json_member(d, "base", str, where), json_member(d, "target", str, where)
-    ),
-)
-_ARP = (
-    ARPValue._asdict,
-    lambda d, where: ARPValue(
-        json_member(d, "value", float, where), json_member(d, "n_topics", int, where)
-    ),
-)
-# Each PersistenceCell field, in order: (name, JSON type, encode, decode,
-# null, default). A value is checked against its JSON type before ``decode``
-# gets it with its path; no encoder or decoder means the value is its own
-# JSON form. ``null`` is what a JSON null reads as, and ``default`` what an
-# absent key reads as (MISSING: not allowed).
+def _measure(name: str, where: str) -> MeasureId:
+    return json_checked(where, parse_measure, name)
+
+
+def _pair(data: dict, where: str) -> EEPair:
+    return json_checked(where, EEPair, *json_fields(data, _PAIR_FIELDS, where))
+
+
+def _arp(data: dict, where: str) -> ARPValue:
+    return ARPValue(*json_fields(data, _ARP_FIELDS, where))
+
+
+# The fields of a JSON object as json_fields reads them: (key, JSON type,
+# decode, null, default). Without a decoder a value is its own JSON form.
+_PAIR_FIELDS = (("base", str, None, MISSING, MISSING), ("target", str, None, MISSING, MISSING))
+_ARP_FIELDS = (("value", float, None, MISSING, MISSING), ("n_topics", int, None, MISSING, MISSING))
+# Each PersistenceCell field, in order.
 _FIELDS = (
-    ("system_tag", str, None, None, MISSING, MISSING),
-    ("pivot_tag", str, None, None, MISSING, MISSING),
-    ("measure", str, *_MEASURE, MISSING, MISSING),
-    ("pair", dict, *_PAIR, MISSING, MISSING),
-    ("arp_base", dict, *_ARP, MISSING, MISSING),
-    ("arp_target", dict, *_ARP, MISSING, MISSING),
-    ("pivot_arp_base", dict, *_ARP, MISSING, MISSING),
-    ("pivot_arp_target", dict, *_ARP, MISSING, MISSING),
-    ("result_delta", float, None, None, None, MISSING),
-    ("ri_base", float, None, None, None, MISSING),
-    ("ri_target", float, None, None, None, MISSING),
-    ("delta_ri", float, None, None, None, MISSING),
-    ("effect_ratio", float, None, None, None, MISSING),
+    ("system_tag", str, None, MISSING, MISSING),
+    ("pivot_tag", str, None, MISSING, MISSING),
+    ("measure", str, _measure, MISSING, MISSING),
+    ("pair", dict, _pair, MISSING, MISSING),
+    ("arp_base", dict, _arp, MISSING, MISSING),
+    ("arp_target", dict, _arp, MISSING, MISSING),
+    ("pivot_arp_base", dict, _arp, MISSING, MISSING),
+    ("pivot_arp_target", dict, _arp, MISSING, MISSING),
+    ("result_delta", float, None, None, MISSING),
+    ("ri_base", float, None, None, MISSING),
+    ("ri_target", float, None, None, MISSING),
+    ("delta_ri", float, None, None, MISSING),
+    ("effect_ratio", float, None, None, MISSING),
     # A degenerate t-test's statistic is infinite; JSON holds it as null.
-    ("t_statistic", float, None, None, math.inf, MISSING),
-    ("p_value", float, None, None, MISSING, MISSING),
-    ("p_vs_pivot_base", float, None, None, MISSING, MISSING),
-    ("p_vs_pivot_target", float, None, None, MISSING, MISSING),
-    ("degenerate_t", bool, None, None, MISSING, False),
-    ("undefined_flags", list, list, json_strings, MISSING, ()),
+    ("t_statistic", float, None, math.inf, MISSING),
+    ("p_value", float, None, MISSING, MISSING),
+    ("p_vs_pivot_base", float, None, MISSING, MISSING),
+    ("p_vs_pivot_target", float, None, MISSING, MISSING),
+    ("degenerate_t", bool, None, MISSING, False),
+    ("undefined_flags", list, json_strings, MISSING, ()),
 )
 _NAMES = [f[0] for f in _FIELDS]
-_DEFAULTS = [f[5] for f in _FIELDS if f[5] is not MISSING]
+_DEFAULTS = [f[4] for f in _FIELDS if f[4] is not MISSING]
 
 
 class PersistenceCell(Record, namedtuple("PersistenceCell", _NAMES, defaults=_DEFAULTS)):
@@ -268,9 +266,11 @@ _NONFINITE_T_FLAG = "t_statistic: non-finite (degenerate variance)"
 def cell_to_dict(cell: PersistenceCell) -> dict:
     """JSON-ready form with fixed field names. Undefined values and a
     non-finite t statistic become null; the reasons live in undefined_flags."""
-    record = {}
-    for (name, _, encode, *_), value in zip(_FIELDS, cell):
-        record[name] = value if encode is None else encode(value)
+    record = cell._asdict()
+    for name in ("arp_base", "arp_target", "pivot_arp_base", "pivot_arp_target"):
+        record[name] = record[name]._asdict()
+    record.update(measure=cell.measure.name, undefined_flags=list(cell.undefined_flags))
+    record["pair"] = {"base": cell.pair.base_label, "target": cell.pair.target_label}
     if not math.isfinite(cell.t_statistic):
         record["t_statistic"] = None
         if _NONFINITE_T_FLAG not in record["undefined_flags"]:
@@ -318,15 +318,8 @@ def cell_from_dict(data: dict, where: str = "") -> PersistenceCell:
 def _cell_per_field(data, where: str) -> PersistenceCell:
     """cell_from_dict one field at a time: each value is checked against its
     JSON type, and the first that fails raises a DataError naming its path."""
-    prefix = f"{where}." if where else ""
     try:
         json_typed(data, dict, where or "the record")
-        values = []
-        for (name, kind, _, decode, null, default), value in zip(_FIELDS, map(data.get, _NAMES)):
-            # Only a value of another type (or none) takes json_member's path.
-            if type(value) is not kind:
-                value = json_member(data, name, kind, where, default, null)
-            values.append(value if decode is None else decode(value, prefix + name))
-        return PersistenceCell(*values)
+        return PersistenceCell(*json_fields(data, _FIELDS, where))
     except (TypeError, ValueError) as exc:
         raise DataError(f"malformed persistence cell record: {exc}") from exc

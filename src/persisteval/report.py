@@ -44,7 +44,7 @@ from .persistence import (
     result_delta,
     topic_deltas,
 )
-from .run_io import json_member, json_strings, json_typed, parse_json
+from .run_io import MISSING, json_fields, json_strings, json_typed, parse_json
 
 SIGNIFICANCE_ALPHA = 0.05
 DEFAULT_ER_EXCLUSION = 10.0
@@ -248,16 +248,21 @@ def _aligned(column: list[str], justify) -> list[str]:
     return list(map(justify, column, repeat(max(map(len, column)))))
 
 
+def _one_line(label: str) -> str:
+    """``label`` with each non-printable character written as its Python escape."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in label)
+
+
 def render_table_text(table: PersistenceTable) -> str:
-    """Aligned plain-text table, one column group per measure."""
+    """Aligned plain-text table, one column group per measure and one line per row."""
     # Each column holds its title, then one string per row. A group of
     # columns (the system and EE, then VALUE_COLUMNS per measure) joins
     # them with two spaces, and a line joins its groups with " | ".
     names = [m.name for m in table.measures]
     rows = table.rows
     groups = [[
-        _aligned(["system", *[row.system_tag for row in rows]], str.ljust),
-        _aligned(["EE", *[row.ee_label for row in rows]], str.ljust),
+        _aligned(["system", *[_one_line(row.system_tag) for row in rows]], str.ljust),
+        _aligned(["EE", *[_one_line(row.ee_label) for row in rows]], str.ljust),
     ]]
     for name in names:
         arp, rd, dri, er, p, significant, undefined = _columns([r.cells[name] for r in rows], 7)
@@ -274,7 +279,7 @@ def render_table_text(table: PersistenceTable) -> str:
         )
     lines = [list(map("  ".join, zip(*group))) for group in groups]
     titles = " | ".join(name.ljust(len(group[0])) for name, group in zip(names, lines[1:]))
-    head = [f"pivot: {table.pivot_tag}", f"{' ' * len(lines[0][0])} | {titles}".rstrip()]
+    head = [f"pivot: {_one_line(table.pivot_tag)}", f"{' ' * len(lines[0][0])} | {titles}".rstrip()]
     return "\n".join(head + list(map(" | ".join, zip(*lines)))) + "\n"
 
 
@@ -336,26 +341,29 @@ def table_to_json(table: PersistenceTable) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# The fields of cells.json that table_from_json reads, as json_fields reads them.
+_TABLE_FIELDS = (
+    ("cells", list, None, MISSING, MISSING), ("ee_order", list, json_strings, MISSING, MISSING)
+)
+
+
 def table_from_json(text: str, *, path: str | None = None) -> PersistenceTable:
     """Rebuild a table from table_to_json's form. Each field must have its
     JSON type; the cells are checked as persistence_table checks them."""
     payload = parse_json(text, path=path)
     try:
-        payload = json_typed(payload, dict, "the cells file")
-        cells = [
-            cell_from_dict(entry, f"cells[{i}]")
-            for i, entry in enumerate(json_member(payload, "cells", list))
-        ]
-        ee_order = json_strings(json_member(payload, "ee_order", list), "ee_order")
+        records, ee_order = json_fields(json_typed(payload, dict, "the cells file"), _TABLE_FIELDS)
+        cells = [cell_from_dict(record, f"cells[{i}]") for i, record in enumerate(records)]
         return persistence_table(cells, ee_order)
     except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"malformed table JSON: {exc}", path=path) from exc
 
 
-def check_er_exclusion(threshold: float) -> None:
-    """Raise a UsageError unless ``threshold`` is a positive, finite |ER| bound."""
+def check_er_exclusion(threshold: float) -> float:
+    """``threshold`` if it is a positive, finite |ER| bound, else a UsageError."""
     if not (math.isfinite(threshold) and threshold > 0):
         raise UsageError(f"the |ER| threshold must be positive and finite, got {threshold}")
+    return threshold
 
 
 def er_dri_points(

@@ -37,7 +37,7 @@ GRADES = (0, 1, 2)
 
 TopicSet = frozenset[str]
 
-# No value: an absent key, or (as json_member's default or null) none allowed.
+# No value: an absent key, or (as json_fields's default or null) none allowed.
 MISSING = object()
 
 
@@ -295,23 +295,28 @@ def json_checked(where: str, build, *args):
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def json_member(
-    obj: Mapping, key: str, kind: type, where: str = "", default=MISSING, null=MISSING
-):
-    """``obj[key]`` checked by ``json_typed`` at the path ``where.key`` (or
-    ``key``). ``default`` stands in for an absent key and ``null`` for a JSON
-    null; MISSING forbids either."""
-    value = obj.get(key, MISSING)
-    # A value of the right type is returned before any path is built.
-    if type(value) is kind:
-        return value
-    if value is MISSING:
-        if default is MISSING:
-            raise ValueError(f"{where}.{key} is missing" if where else f"{key} is missing")
-        return default
-    if value is None and null is not MISSING:
-        return null
-    return json_typed(value, kind, f"{where}.{key}" if where else key)
+def json_fields(data: Mapping, fields: Iterable[tuple], where: str = "") -> list:
+    """The value of each field of the object ``data`` at the path ``where``.
+    A field is (key, JSON type, decode, null, default), then any items of the
+    caller's. A value must have its JSON type (see ``json_typed``); ``null``
+    reads a JSON null and ``default`` an absent key, and MISSING forbids
+    either. ``decode(value, path)`` then builds it, unless decode is None."""
+    prefix = f"{where}." if where else ""
+    values = []
+    for key, kind, decode, null, default, *_ in fields:
+        value = data.get(key, MISSING)
+        # A value of the right type is kept before any path is built.
+        if type(value) is not kind:
+            if value is None and null is not MISSING:
+                value = null
+            elif value is not MISSING:
+                value = json_typed(value, kind, prefix + key)
+            elif default is not MISSING:
+                value = default
+            else:
+                raise ValueError(f"{prefix}{key} is missing")
+        values.append(value if decode is None else decode(value, prefix + key))
+    return values
 
 
 def load_run(path: str | Path, expected_tag: str | None = None) -> Run:

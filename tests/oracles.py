@@ -201,11 +201,18 @@ def _oracle_fmt3(value, undefined=False, star=False):
     return f"{value:.3f}" + ("*" if star else "")
 
 
+def _oracle_label(label):
+    """Each character that is not printable as its unicode_escape form."""
+    return "".join(
+        ch if ch.isprintable() else ch.encode("unicode_escape").decode("ascii") for ch in label
+    )
+
+
 def oracle_render_table_text(table):
     names = [m.name for m in table.measures]
     lines = [[["system", "EE"]] + [["ARP", "RD", "DRI", "ER", "p"] for _ in names]]
     for row in table.rows:
-        line = [[row.system_tag, row.ee_label]]
+        line = [[_oracle_label(row.system_tag), _oracle_label(row.ee_label)]]
         for name in names:
             cell = row.cells[name]
             line.append([
@@ -232,7 +239,8 @@ def oracle_render_table_text(table):
     titles = []
     for name, group_widths in zip(names, widths[1:]):
         titles.append(name.ljust(sum(group_widths) + 2 * (len(group_widths) - 1)))
-    out = [f"pivot: {table.pivot_tag}", (fmt([["", ""]]) + " | " + " | ".join(titles)).rstrip()]
+    head = (fmt([["", ""]]) + " | " + " | ".join(titles)).rstrip()
+    out = [f"pivot: {_oracle_label(table.pivot_tag)}", head]
     for line in lines:
         out.append(fmt(line))
     return "\n".join(out) + "\n"

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,8 +110,21 @@ def test_readme_library_example_runs(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
+def test_readme_library_functions_resolve():
+    """Each module-level function of a stage that the README's Library
+    bullet list names, with or without its arguments, is a package export.
+    A method, such as ``Run.docs``, is not module-level."""
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    bullets = library.split("\n- ", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"`([A-Za-z_]\w*)", bullets))
+    stages = [vars(importlib.import_module(f"persisteval.{stage}")) for stage in STAGES]
+    functions = {name for name in named for stage in stages if inspect.isfunction(stage.get(name))}
+    assert {"parse_run", "persistence_cell", "pivot_delta_series", "table_from_json"} <= functions
+    assert sorted(name for name in functions if not hasattr(persisteval, name)) == []
+
+
 # ROADMAP's line ceiling for src/ (a stated budget raises it with the ROADMAP).
-LINE_CEILING = 2300
+LINE_CEILING = 2255
 
 
 def test_package_stays_under_the_line_ceiling():

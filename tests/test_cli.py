@@ -313,20 +313,26 @@ class TestPersistCommand:
             ("er_exclude", 0, "the |ER| threshold must be positive and finite, got 0.0"),
             ("t_test", "bogus", "unknown t-test variant 'bogus'; expected one of"),
             ("series", "sideways", "unknown series mode 'sideways'; expected one of"),
+            ("measures", "p@0", "invalid measure name 'p@0'"),
+            ("pairs", "t1", 'a pair must be a [base, target] list of two strings, got ["t1"]'),
         ],
     )
     def test_bad_option_value_exits_1_naming_its_source(
         self, tmp_path, no_reading, capsys, source, option, value, message
     ):
         """A bad value names the manifest field or the flag it came from,
-        and no run, qrels or topics file is read."""
+        and no run, qrels or topics file is read. The flag's value is read
+        in the JSON form of its field: --pairs t1 as [["t1"]]."""
         flag = "--" + option.replace("_", "-")
+        # measures and pairs are top-level lists, and the value is their first item.
+        listed = {"measures": [value], "pairs": [str(value).split(":")]}
+        field, item = (option, "[0]") if option in listed else (f"options.{option}", "")
         if source == "manifest":
-            job, argv = copy_job(tmp_path, set_at(f"options.{option}", value)), []
-            prefix = f"error: malformed manifest {job}: options.{option}: "
+            job, argv = copy_job(tmp_path, set_at(field, listed.get(option, value))), []
+            prefix = f"error: malformed manifest {job}: {field}{item}: "
         else:
             job, argv = copy_job(tmp_path, lambda config: None), [flag, value]
-            prefix = f"error: {flag}: "
+            prefix = f"error: {flag}{item}: "
         code = run_cli("persist", "--config", job, *argv, "--output", tmp_path / "out")
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
@@ -460,6 +466,35 @@ class TestPersistCommand:
         (job.parent / "topics.t2.txt").write_text("z01\n", encoding="utf-8")
         assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_DATA
         assert "no shared topics between 't1' and 't2'" in capsys.readouterr().err
+
+    def test_empty_core_is_one_error_naming_the_environments(self, tmp_path, no_scoring, capsys):
+        def disjoint_t2(config):
+            config["environments"][1]["topics"] = "topics.t2.txt"
+
+        job = copy_job(tmp_path, disjoint_t2)
+        (job.parent / "topics.t2.txt").write_text("z01\n", encoding="utf-8")
+        assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: core topic intersection across environments ['t1', 't2'] is empty\n"
+        )
+
+    def test_label_with_a_line_break_keeps_one_line_per_row(self, tmp_path):
+        """table.txt writes a label's line break as \\n, so each row is one line."""
+
+        def relabel_t2(config):
+            config["environments"][1]["label"] = "t\n2"
+            for run in config["runs"]:
+                run["environment"] = run["environment"].replace("t2", "t\n2")
+            config["pairs"] = [["t1", "t\n2"]]
+
+        job = copy_job(tmp_path, relabel_t2)
+        assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_OK
+        lines = (tmp_path / "out" / "table.txt").read_text(encoding="utf-8").splitlines()
+        # The pivot, measure names and column titles, then baseline, alpha and beta in t1 and t2.
+        assert len(lines) == 3 + 3 * 2
+        assert len({len(line) for line in lines[2:]}) == 1
+        labels = [line.split()[:2] for line in lines[3:5]]
+        assert labels == [["baseline", "t1"], ["baseline", "t\\n2"]]
 
     def test_repeated_measure_exits_1_before_scoring(self, tmp_path, no_scoring, capsys):
         code = run_cli(
@@ -771,6 +806,19 @@ class TestCorpusDiffCommand:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "added     1" in out and "changed   1" in out
+
+    def test_unreadable_document_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "old").mkdir(), (tmp_path / "new").mkdir()
+        document = tmp_path / "new" / "a.txt"
+        document.write_text("a", encoding="utf-8")
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        code = run_cli("corpus-diff", tmp_path / "old", tmp_path / "new", "--from-dirs")
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: {document}: cannot read {document}: ")
 
 
 class TestReportCommand:
