@@ -172,6 +172,8 @@ def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
 
     def file(text: str, where: str) -> Path:
         """A path of the manifest; a relative one is under the manifest's directory."""
+        if not text:
+            raise ValueError(f"{where}: path is empty")
         if "\0" in text:
             raise ValueError(f"{where}: path {json.dumps(text)} holds a NUL character")
         return path.parent / text

@@ -16,6 +16,7 @@ of text files, using each file's relative path as its URL.
 
 from __future__ import annotations
 
+import os
 from collections import namedtuple
 from collections.abc import Iterable
 from pathlib import Path
@@ -96,17 +97,25 @@ def load_manifest(path: str | Path, label: str | None = None) -> CorpusSnapshot:
 def snapshot_from_dir(path: str | Path, label: str | None = None) -> CorpusSnapshot:
     """Derive a snapshot from a directory of text files: each regular file
     becomes one document, keyed by its path relative to the directory, with
-    the character count of its decoded content as the length."""
+    the character count of its decoded content as the length. A subdirectory
+    it cannot list, or a file it cannot read, is a ParseError naming it."""
     root = Path(path)
     if not root.is_dir():
         raise ParseError(f"not a directory: {path}", path=str(path))
+
+    def unlistable(exc: OSError):
+        raise ParseError(f"cannot list {exc.filename}: {exc}", path=exc.filename) from exc
+
     docs: dict[str, int] = {}
-    for file_path in sorted(p for p in root.rglob("*") if p.is_file()):
-        url = file_path.relative_to(root).as_posix()
-        try:
-            docs[url] = len(file_path.read_text(encoding="utf-8", errors="replace"))
-        except OSError as exc:
-            raise ParseError(f"cannot read {file_path}: {exc}", path=str(file_path)) from exc
+    # Like Path.rglob: symlinked directories are not entered, symlinked files count.
+    for directory, subdirectories, names in os.walk(root, onerror=unlistable):
+        subdirectories.sort()  # a fixed order, so one tree always fails at one file
+        for file_path in filter(Path.is_file, map(Path(directory).joinpath, sorted(names))):
+            url = file_path.relative_to(root).as_posix()
+            try:
+                docs[url] = len(file_path.read_text(encoding="utf-8", errors="replace"))
+            except OSError as exc:
+                raise ParseError(f"cannot read {file_path}: {exc}", path=str(file_path)) from exc
     return CorpusSnapshot(label=label or root.name, docs=docs)
 
 

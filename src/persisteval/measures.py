@@ -113,8 +113,8 @@ def p_at_k(ranking: Sequence[str], topic_qrels: Mapping[str, int], k: int) -> fl
     return relevant / k
 
 
-def _dcg(gains: Sequence[int], depth: int) -> float:
-    return math.fsum(g / math.log2(i + 1) for i, g in enumerate(gains[:depth], start=1))
+def _dcg(gains: Sequence[int]) -> float:
+    return math.fsum(g / math.log2(i + 1) for i, g in enumerate(gains, start=1))
 
 
 def ndcg(
@@ -126,11 +126,8 @@ def ndcg(
     ideal = sorted((g for g in topic_qrels.values() if g >= 1), reverse=True)
     if not ideal:
         return 0.0
-    depth = len(ranking) if cutoff is None else min(cutoff, len(ranking))
-    ideal_depth = len(ideal) if cutoff is None else min(cutoff, len(ideal))
     gains = [topic_qrels.get(doc, 0) for doc in ranking]
-    idcg = _dcg(ideal, ideal_depth)
-    return _dcg(gains, depth) / idcg
+    return _dcg(gains[:cutoff]) / _dcg(ideal[:cutoff])
 
 
 def bpref(ranking: Sequence[str], topic_qrels: Mapping[str, int]) -> float:

@@ -18,9 +18,9 @@ factoring out the environment change:
   mean the effect shrank, values above 1 mean it grew. The two means are
   normalized independently, so the topic counts may differ.
 
-Zero denominators never raise: the affected quantity becomes None and a
-reason string is recorded, so report cells can render an explicit
-"undefined" rather than an infinity.
+Zero denominators never raise: the affected quantity becomes None with a
+reason string, as does the infinite t statistic of a degenerate t-test, so
+report cells can render an explicit "undefined" rather than an infinity.
 
 ``persistence_cell`` assembles all of the above for one
 (system, measure, EE pair), together with an unpaired t-test between the
@@ -169,8 +169,7 @@ _FIELDS = (
     ("ri_target", float, None, None, MISSING),
     ("delta_ri", float, None, None, MISSING),
     ("effect_ratio", float, None, None, MISSING),
-    # A degenerate t-test's statistic is infinite; JSON holds it as null.
-    ("t_statistic", float, None, math.inf, MISSING),
+    ("t_statistic", float, None, None, MISSING),
     ("p_value", float, None, MISSING, MISSING),
     ("p_vs_pivot_base", float, None, MISSING, MISSING),
     ("p_vs_pivot_target", float, None, MISSING, MISSING),
@@ -234,6 +233,9 @@ def persistence_cell(
     # The t-test sums exactly (fsum), so the order of the samples is moot.
     sys_b, sys_t = list(sys_base.scores.values()), list(sys_target.scores.values())
     cross = t_test_unpaired(sys_b, sys_t, t_variant)
+    t = cross.t_statistic if math.isfinite(cross.t_statistic) else None
+    if t is None:
+        undefined.append("t_statistic: non-finite (degenerate variance)")
     vs_pivot_base = t_test_unpaired(sys_b, list(piv_base.scores.values()), t_variant)
     vs_pivot_target = t_test_unpaired(sys_t, list(piv_target.scores.values()), t_variant)
 
@@ -251,7 +253,7 @@ def persistence_cell(
         ri_target=ri_prime,
         delta_ri=dri,
         effect_ratio=er,
-        t_statistic=cross.t_statistic,
+        t_statistic=t,
         p_value=cross.p_value,
         p_vs_pivot_base=vs_pivot_base.p_value,
         p_vs_pivot_target=vs_pivot_target.p_value,
@@ -260,21 +262,14 @@ def persistence_cell(
     )
 
 
-_NONFINITE_T_FLAG = "t_statistic: non-finite (degenerate variance)"
-
-
 def cell_to_dict(cell: PersistenceCell) -> dict:
-    """JSON-ready form with fixed field names. Undefined values and a
-    non-finite t statistic become null; the reasons live in undefined_flags."""
+    """JSON-ready form with fixed field names. An undefined value becomes
+    null; its reason lives in undefined_flags."""
     record = cell._asdict()
     for name in ("arp_base", "arp_target", "pivot_arp_base", "pivot_arp_target"):
         record[name] = record[name]._asdict()
     record.update(measure=cell.measure.name, undefined_flags=list(cell.undefined_flags))
     record["pair"] = {"base": cell.pair.base_label, "target": cell.pair.target_label}
-    if not math.isfinite(cell.t_statistic):
-        record["t_statistic"] = None
-        if _NONFINITE_T_FLAG not in record["undefined_flags"]:
-            record["undefined_flags"].append(_NONFINITE_T_FLAG)
     return record
 
 

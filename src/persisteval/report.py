@@ -22,8 +22,6 @@ Rendering is deterministic: the same cells produce byte-identical output.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from collections import namedtuple
@@ -52,14 +50,14 @@ DEFAULT_ER_EXCLUSION = 10.0
 # How a table cell's field came to be empty.
 NOT_APPLICABLE = "-"
 UNDEFINED = "undef"
-# The cell fields that are None when undefined.
+# The table's cell fields that are None when undefined.
 _UNDEFINABLE = ("result_delta", "delta_ri", "effect_ratio")
 # The numbers of a cell, all finite in a table (a JSON number too large for a
-# float decodes to inf); a degenerate t-test's infinite statistic is not one.
+# float decodes to inf).
 _NUMBERS = (
     "arp_base.value", "arp_target.value", "pivot_arp_base.value", "pivot_arp_target.value",
-    "result_delta", "ri_base", "ri_target", "delta_ri", "effect_ratio", "p_value",
-    "p_vs_pivot_base", "p_vs_pivot_target",
+    "result_delta", "ri_base", "ri_target", "delta_ri", "effect_ratio", "t_statistic",
+    "p_value", "p_vs_pivot_base", "p_vs_pivot_target",
 )
 _numbers = attrgetter(*_NUMBERS)
 
@@ -152,8 +150,8 @@ def persistence_table(
 
     ``ee_order`` fixes the row chronology (base snapshots first); when
     omitted it falls back to base labels then target labels, each sorted.
-    A cell whose system is the pivot, or whose number (other than the t
-    statistic) is not finite, is a DataError naming the cell.
+    A cell whose system is the pivot, or whose number is not finite, is a
+    DataError naming the cell.
     """
     places, ordered_cells = _check_cells(cells)
     pivot_tag = ordered_cells[0].pivot_tag
@@ -285,20 +283,15 @@ def render_table_text(table: PersistenceTable) -> str:
 
 def _csv(header: str, columns: Sequence[Sequence[str | float | None]]) -> str:
     """CSV text with a header line and one line per index of ``columns``.
-    In a column of strings each distinct label is written once by
-    csv.writer, quoted if it holds a comma, a quote or a line break (CR or
-    LF). Any other column holds numbers, each written as its repr (which
-    keeps full precision), or None, written as an empty field."""
-    buffer = io.StringIO()
-    # csv.writer quotes a field holding a character of its line terminator.
-    writer = csv.writer(buffer, lineterminator="\r\n")
+    A label holding a comma, a quote, CR or LF is quoted as csv.writer does
+    (each quote doubled), once per distinct label in a column of strings.
+    Any other column holds numbers, each written as its repr (which keeps
+    full precision), or None, written as an empty field."""
 
     def field(label: str) -> str:
-        buffer.seek(0)
-        buffer.truncate()
-        # Alone in a row, an empty label would be written as "".
-        writer.writerow((label, None))
-        return buffer.getvalue()[:-3]
+        if any(c in label for c in ',"\r\n'):
+            return '"' + label.replace('"', '""') + '"'
+        return label
 
     fields = []
     for column in columns:

@@ -8,10 +8,10 @@ p-value. Two variants are supported:
 
 The p-value comes from the t cumulative distribution, evaluated through
 the regularized incomplete beta function (continued-fraction expansion,
-accurate to well below 1e-10 absolute over the relevant domain). Samples
-with zero variance on both sides are given a defined result instead of
-NaN: equal means yield t = 0, p = 1; unequal means yield p = 0 with the
-``degenerate`` flag set.
+accurate to well below 1e-10 absolute over the relevant domain). Two
+constant samples (by their values: the rounded mean of three 0.1s is not
+0.1) give a defined result instead of NaN: equal values yield t = 0, p = 1;
+unequal values yield p = 0 with the ``degenerate`` flag set.
 """
 
 from __future__ import annotations
@@ -144,8 +144,9 @@ def t_test_unpaired(
     n_a, n_b = len(a), len(b)
     if n_a < 2 or n_b < 2:
         raise DataError(f"both samples need >= 2 observations, got {n_a} and {n_b}")
-    mean_a, mean_b = mean(a), mean(b)
-    var_a, var_b = variance(a), variance(b)
+    constant = min(a) == max(a) and min(b) == max(b)
+    mean_a, mean_b = (a[0], b[0]) if constant else (mean(a), mean(b))
+    var_a, var_b = (0.0, 0.0) if constant else (variance(a), variance(b))
     diff = mean_a - mean_b
 
     if var_a == 0.0 and var_b == 0.0:

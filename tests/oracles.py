@@ -9,6 +9,7 @@ compare the package's optimized paths against these.
 from __future__ import annotations
 
 import math
+import warnings
 
 
 def oracle_p_at_k(ranked_docs, qrels, k):
@@ -293,3 +294,218 @@ def oracle_series_csv(series):
             series.pair.target_label, topic, delta,
         ])
     return _oracle_csv("system,measure,base_ee,target_ee,topic,delta", rows)
+
+
+# The whole persist pipeline, from the raw files of a job to what cells.json
+# and the series files hold, written from the README and the paper's
+# definitions one snapshot, run and topic at a time.
+
+
+def _oracle_measure(name):
+    """(kind, k or cutoff, display name) of a manifest measure name."""
+    lowered = name.lower()
+    if lowered == "bpref":
+        return ("bpref", None, "bpref")
+    if lowered == "ndcg":
+        return ("ndcg", None, "nDCG")
+    if lowered.startswith("ndcg@"):
+        cutoff = int(lowered[5:])
+        return ("ndcg", cutoff, "nDCG@" + str(cutoff))
+    k = int(lowered[2:])
+    return ("p", k, "P@" + str(k))
+
+
+def _oracle_score(measure, ranked_docs, qrels):
+    kind, parameter, _ = measure
+    if kind == "p":
+        return oracle_p_at_k(ranked_docs, qrels, parameter)
+    if kind == "ndcg":
+        return oracle_ndcg(ranked_docs, qrels, parameter)
+    return oracle_bpref(ranked_docs, qrels)
+
+
+def _oracle_run(text):
+    """topic -> doc ids by score descending, then doc id descending, at
+    most 1,000 of them."""
+    pairs = {}
+    for line in text.splitlines():
+        fields = line.split()
+        if fields:
+            topic, _, doc, _, score, _ = fields
+            pairs.setdefault(topic, []).append((float(score), doc))
+    rankings = {}
+    for topic, scored in pairs.items():
+        scored.sort(reverse=True)
+        rankings[topic] = [doc for _, doc in scored][:1000]
+    return rankings
+
+
+def _oracle_qrels(text):
+    judgments = {}
+    for line in text.splitlines():
+        fields = line.split()
+        if fields:
+            judgments.setdefault(fields[0], {})[fields[2]] = int(fields[3])
+    return judgments
+
+
+def _oracle_topics(text):
+    topics = set()
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            topics.add(line)
+    return topics
+
+
+def _oracle_exact_mean(values):
+    """The mean of ``values`` with their sum rounded once, as the README says
+    the package sums, so that deltas whose sum is 0 have a mean of 0."""
+    # Imported here: bench/checks.py loads this module, and the benchmark's
+    # peak_rss_mb counts its memory, which fractions (and decimal) would add to.
+    from fractions import Fraction
+
+    total = Fraction(0)
+    for value in values:
+        total += Fraction(value)
+    return float(total) / len(values)
+
+
+def _oracle_welch_t(a, b):
+    """Textbook Welch t statistic and Welch-Satterthwaite df."""
+    mean_a, mean_b = oracle_mean(a), oracle_mean(b)
+    term_a = sum((x - mean_a) ** 2 for x in a) / (len(a) - 1) / len(a)
+    term_b = sum((x - mean_b) ** 2 for x in b) / (len(b) - 1) / len(b)
+    df = (term_a + term_b) ** 2 / (term_a**2 / (len(a) - 1) + term_b**2 / (len(b) - 1))
+    return (mean_a - mean_b) / math.sqrt(term_a + term_b), df
+
+
+def _oracle_t_test(a, b, variant):
+    """(t, p) of the two-sided unpaired t-test. Two constant samples give
+    t = 0 and p = 1 when their values are equal; otherwise p = 0 and the t
+    statistic is undefined (None)."""
+    if len(set(a)) == 1 and len(set(b)) == 1:
+        return (0.0, 1.0) if a[0] == b[0] else (None, 0.0)
+    try:
+        from scipy import stats
+    except ImportError:
+        t, df = oracle_pooled_t(a, b) if variant == "student" else _oracle_welch_t(a, b)
+        return t, oracle_two_sided_p(t, df)
+    with warnings.catch_warnings():
+        # scipy warns of a constant sample even beside one that varies.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = stats.ttest_ind(a, b, equal_var=variant == "student")
+    return float(result.statistic), float(result.pvalue)
+
+
+def oracle_persist(manifest, files):
+    """What ``persisteval persist`` makes of a job: the manifest as a dict
+    and ``files``, each path of the manifest -> its text. It gives
+    {"cells": {(system, measure, base, target): the cell's cells.json
+    record}, "series": {the same key: {topic: delta}}}, or 3, the exit
+    code of a job whose topics make a cell impossible: no shared topic in
+    a pair, or fewer than two topics to test in one of its snapshots."""
+    options = manifest.get("options", {})
+    pivot = manifest["pivot"]
+    qrels = {}
+    for environment in manifest["environments"]:
+        qrels[environment["label"]] = _oracle_qrels(files[environment["qrels"]])
+    runs = {}
+    for run in manifest["runs"]:
+        runs[run["tag"], run["environment"]] = _oracle_run(files[run["path"]])
+
+    # A snapshot's topics: its topics file, else every topic its qrels and
+    # runs hold. In strict mode (the default) each snapshot takes the core.
+    topics = {}
+    for environment in manifest["environments"]:
+        label = environment["label"]
+        if environment.get("topics"):
+            topics[label] = _oracle_topics(files[environment["topics"]])
+        else:
+            topics[label] = set(qrels[label])
+            for (_, run_label), rankings in runs.items():
+                if run_label == label:
+                    topics[label] |= set(rankings)
+    if options.get("strict_topics", True):
+        core = set.intersection(*topics.values())
+        topics = {label: core for label in topics}
+    for base, target in manifest["pairs"]:
+        if not topics[base] & topics[target] or min(len(topics[base]), len(topics[target])) < 2:
+            return 3
+
+    variant = options.get("t_test", "student")
+    systems = sorted({run["tag"] for run in manifest["runs"]} - {pivot})
+    cells, series = {}, {}
+    for name in manifest["measures"]:
+        measure = _oracle_measure(name)
+
+        def scores(tag, label):
+            """Per-topic scores; a topic the run lacks or the qrels do not judge scores 0."""
+            result = {}
+            for topic in sorted(topics[label]):
+                ranked = runs[tag, label].get(topic, [])
+                result[topic] = _oracle_score(measure, ranked, qrels[label].get(topic, {}))
+            return result
+
+        for system in systems:
+            for base, target in manifest["pairs"]:
+                sys_b, sys_t = scores(system, base), scores(system, target)
+                piv_b, piv_t = scores(pivot, base), scores(pivot, target)
+                means = [oracle_mean(list(v.values())) for v in (sys_b, sys_t, piv_b, piv_t)]
+                mean_sb, mean_st, mean_pb, mean_pt = means
+                flags = []
+                rd = ri = ri_t = dri = er = None
+                if mean_sb == 0:
+                    flags.append("result_delta: base mean is zero")
+                else:
+                    rd = (mean_sb - mean_st) / mean_sb
+                if mean_pb == 0:
+                    flags.append("ri_base: pivot mean is zero in the base environment")
+                else:
+                    ri = (mean_sb - mean_pb) / mean_pb
+                if mean_pt == 0:
+                    flags.append("ri_target: pivot mean is zero in the target environment")
+                else:
+                    ri_t = (mean_st - mean_pt) / mean_pt
+                if ri is not None and ri_t is not None:
+                    dri = ri - ri_t
+                base_delta = _oracle_exact_mean([sys_b[t] - piv_b[t] for t in sys_b])
+                if base_delta == 0:
+                    flags.append("effect_ratio: mean base delta is zero")
+                else:
+                    er = _oracle_exact_mean([sys_t[t] - piv_t[t] for t in sys_t]) / base_delta
+                sys_b_scores, sys_t_scores = list(sys_b.values()), list(sys_t.values())
+                t, p = _oracle_t_test(sys_b_scores, sys_t_scores, variant)
+                if t is None:
+                    flags.append("t_statistic: non-finite (degenerate variance)")
+                _, p_base = _oracle_t_test(sys_b_scores, list(piv_b.values()), variant)
+                _, p_target = _oracle_t_test(sys_t_scores, list(piv_t.values()), variant)
+                key = (system, measure[2], base, target)
+                cells[key] = {
+                    "system_tag": system,
+                    "pivot_tag": pivot,
+                    "measure": measure[2],
+                    "pair": {"base": base, "target": target},
+                    "arp_base": {"value": mean_sb, "n_topics": len(sys_b)},
+                    "arp_target": {"value": mean_st, "n_topics": len(sys_t)},
+                    "pivot_arp_base": {"value": mean_pb, "n_topics": len(piv_b)},
+                    "pivot_arp_target": {"value": mean_pt, "n_topics": len(piv_t)},
+                    "result_delta": rd,
+                    "ri_base": ri,
+                    "ri_target": ri_t,
+                    "delta_ri": dri,
+                    "effect_ratio": er,
+                    "t_statistic": t,
+                    "p_value": p,
+                    "p_vs_pivot_base": p_base,
+                    "p_vs_pivot_target": p_target,
+                    "degenerate_t": t is None,
+                    "undefined_flags": flags,
+                }
+                # A series covers the topics both snapshots of the pair hold.
+                shared = sorted(topics[base] & topics[target])
+                if options.get("series", "raw") == "raw":
+                    series[key] = {t: sys_t[t] - sys_b[t] for t in shared}
+                else:
+                    series[key] = {t: (sys_t[t] - piv_t[t]) - (sys_b[t] - piv_b[t]) for t in shared}
+    return {"cells": cells, "series": series}

@@ -696,6 +696,8 @@ class TestTypedManifest:
             # A value of the right type that fails a value check.
             ("measures", ["p@0"], "measures[0]: invalid measure name 'p@0'"),
             ("pairs", [["", "t2"]], "pairs[0]: evaluation environment labels must be non-empty"),
+            ("environments.1.qrels", "", "environments[1].qrels: path is empty"),
+            ("runs.2.path", "", "runs[2].path: path is empty"),
         ],
     )
     def test_wrong_type_is_a_named_usage_error(
@@ -820,6 +822,38 @@ class TestCorpusDiffCommand:
         assert code == EXIT_PARSE
         assert capsys.readouterr().err.startswith(f"error: {document}: cannot read {document}: ")
 
+    def test_unlistable_subdirectory_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
+        for side in ("old", "new"):
+            (tmp_path / side / "sub").mkdir(parents=True)
+            (tmp_path / side / "sub" / "d.txt").write_text("d", encoding="utf-8")
+        hidden = tmp_path / "new" / "sub"
+        scandir = os.scandir
+
+        def refuse(path="."):
+            if os.fspath(path) == str(hidden):
+                raise PermissionError(13, "Permission denied", os.fspath(path))
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", refuse)
+        code = run_cli("corpus-diff", tmp_path / "old", tmp_path / "new", "--from-dirs")
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE and captured.out == ""
+        assert captured.err.startswith(f"error: {hidden}: cannot list {hidden}: ")
+
+
+def assert_overflow_exits_3(tmp_path, capsys, index, field, number):
+    """``report`` refuses ``number``, too large for a float, in cells[index].field."""
+    payload = json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))
+    payload["cells"][index][field] = "OVERFLOW"
+    bad = tmp_path / "cells.json"
+    bad.write_text(json.dumps(payload).replace('"OVERFLOW"', number), encoding="utf-8")
+    assert run_cli("report", bad, "--output", tmp_path / "out") == EXIT_DATA
+    value = float(number)
+    assert (
+        f"error: {bad}: malformed table JSON: cells[{index}].{field} must be finite, got {value}"
+    ) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
 
 class TestReportCommand:
     def test_rerender_matches_persist_output(self, tmp_path):
@@ -889,15 +923,11 @@ class TestReportCommand:
 
 
     def test_number_too_large_for_a_float_exits_3_naming_the_field(self, tmp_path, capsys):
-        payload = json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))
-        payload["cells"][0]["p_value"] = "OVERFLOW"
-        bad = tmp_path / "cells.json"
-        bad.write_text(json.dumps(payload).replace('"OVERFLOW"', "1e999"), encoding="utf-8")
-        assert run_cli("report", bad, "--output", tmp_path / "out") == EXIT_DATA
-        assert (
-            f"error: {bad}: malformed table JSON: cells[0].p_value must be finite, got inf"
-        ) in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert_overflow_exits_3(tmp_path, capsys, 0, "p_value", "1e999")
+
+    def test_infinite_t_statistic_exits_3_naming_it(self, tmp_path, capsys):
+        """The t statistic is a number like any other."""
+        assert_overflow_exits_3(tmp_path, capsys, 2, "t_statistic", "-1e999")
 
     def test_wrongly_typed_cell_exits_3_naming_the_field(self, tmp_path, capsys):
         payload = json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import math
 import random
 from pathlib import Path
 from unittest import mock
@@ -309,18 +308,24 @@ class TestCellSerialization:
             cell_from_dict({"system_tag": "x"})
 
     def test_non_finite_t_serializes_stably(self):
-        import math
+        """Constant system scores make the cross t-test degenerate: its
+        statistic is None, with its reason right after the effect ratio's,
+        and null in JSON. Here the base delta over the pivot is 0 as well."""
+        topics = ("q1", "q2", "q3")
 
-        qrels_base, runs_base, topics = synthetic_environment(74)
-        qrels_target, runs_target, _ = synthetic_environment(75)
-        sys_b, piv_b = score_tags(runs_base, qrels_base, NDCG, topics, "E1")
-        sys_t, piv_t = score_tags(runs_target, qrels_target, NDCG, topics, "E2")
-        cell = persistence_cell(sys_b, sys_t, piv_b, piv_t)
-        degenerate = cell._replace(t_statistic=math.inf, degenerate_t=True)
-        first = cell_to_dict(degenerate)
+        def vector(tag, label, values):
+            return TopicScoreVector(NDCG, tag, label, dict(zip(topics, values)))
+
+        cell = persistence_cell(
+            vector("sys", "E1", [0.25] * 3), vector("sys", "E2", [0.5] * 3),
+            vector("pivot", "E1", [0.25] * 3), vector("pivot", "E2", [0.1, 0.2, 0.3]),
+        )
+        assert cell.t_statistic is None and cell.degenerate_t
+        assert cell.undefined_flags == ("effect_ratio: mean base delta is zero", NONFINITE_T_FLAG)
+        first = cell_to_dict(cell)
         assert first["t_statistic"] is None
-        second = cell_to_dict(cell_from_dict(first))
-        assert second == first
+        assert cell_from_dict(first) == cell
+        assert cell_to_dict(cell_from_dict(first)) == first
 
 
 GOLDEN_CELLS = Path(__file__).parent / "golden" / "two_ee" / "cells.json"
@@ -333,6 +338,8 @@ REQUIRED_KEYS = [
     for inner in GOLDEN_CELL[key]
 ]
 NONFINITE_T_FLAG = "t_statistic: non-finite (degenerate variance)"
+# The cell fields that are None when undefined, each with its reason in undefined_flags.
+UNDEFINABLE = ("result_delta", "ri_base", "ri_target", "delta_ri", "effect_ratio", "t_statistic")
 
 any_float = st.floats(allow_nan=True, allow_infinity=True)
 labels = st.text(min_size=1, max_size=4)
@@ -352,8 +359,7 @@ generated_cells = st.builds(
     ri_target=st.none() | any_float,
     delta_ri=st.none() | any_float,
     effect_ratio=st.none() | any_float,
-    # A JSON null reads back as +inf, so only finite values and +inf round-trip.
-    t_statistic=st.just(math.inf) | st.floats(allow_nan=False, allow_infinity=False),
+    t_statistic=st.none() | any_float,
     p_value=any_float,
     p_vs_pivot_base=any_float,
     p_vs_pivot_target=any_float,
@@ -365,10 +371,7 @@ generated_cells = st.builds(
 class TestCellCodec:
     @given(generated_cells)
     def test_round_trip_with_none_nan_and_inf(self, cell):
-        expected = cell
-        if math.isinf(cell.t_statistic) and NONFINITE_T_FLAG not in cell.undefined_flags:
-            expected = cell._replace(undefined_flags=cell.undefined_flags + (NONFINITE_T_FLAG,))
-        assert cell_from_dict(cell_to_dict(cell)) == expected
+        assert cell_from_dict(cell_to_dict(cell)) == cell
 
     def test_golden_record_round_trips_to_the_same_json(self):
         assert cell_to_dict(cell_from_dict(GOLDEN_CELL)) == GOLDEN_CELL
@@ -386,9 +389,6 @@ class TestCellCodec:
         del record["degenerate_t"], record["undefined_flags"]
         cell = cell_from_dict(record)
         assert cell.degenerate_t is False and cell.undefined_flags == ()
-
-    def test_null_t_statistic_reads_as_inf(self):
-        assert cell_from_dict({**GOLDEN_CELL, "t_statistic": None}).t_statistic == math.inf
 
     @pytest.mark.parametrize(
         "key, value",
@@ -462,19 +462,19 @@ class TestTypedCellCodec:
         assert cell.p_value == 1.0 and type(cell.p_value) is float
         assert cell.arp_base == ARPValue(0.0, 3) and type(cell.arp_base.value) is float
 
-    @pytest.mark.parametrize("key", ["result_delta", "ri_base", "ri_target", "delta_ri", "effect_ratio"])
+    @pytest.mark.parametrize("key", UNDEFINABLE)
     def test_undefined_values_may_be_null(self, key):
         assert getattr(cell_from_dict({**GOLDEN_CELL, key: None}), key) is None
 
     @pytest.mark.parametrize(
-        "path", ["p_value", "effect_ratio", "arp_base.value", "pivot_arp_target.value"]
+        "path",
+        ["p_value", "effect_ratio", "t_statistic", "arp_base.value", "pivot_arp_target.value"],
     )
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_number_too_large_for_a_float_names_the_path(self, path, sign):
         """1e999 decodes to inf. The table check refuses it and names the
         field, while the codec alone round-trips inf (see
-        test_round_trip_with_none_nan_and_inf). A degenerate t-test's
-        statistic is infinite, so the t statistic is exempt."""
+        test_round_trip_with_none_nan_and_inf)."""
         payload = json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))
         record = payload["cells"][1]
         *outer, key = path.split(".")
@@ -488,13 +488,9 @@ class TestTypedCellCodec:
 
 
 # Cells whose JSON form has every value of its exact type: no null, so no
-# undefined value and a finite t statistic.
-UNDEFINABLE = ("result_delta", "ri_base", "ri_target", "delta_ri", "effect_ratio")
+# undefined value.
 exact_cells = generated_cells.map(
-    lambda cell: cell._replace(
-        **{name: 0.5 for name in UNDEFINABLE if getattr(cell, name) is None},
-        t_statistic=1.5 if math.isinf(cell.t_statistic) else cell.t_statistic,
-    )
+    lambda cell: cell._replace(**{name: 0.5 for name in UNDEFINABLE if getattr(cell, name) is None})
 )
 
 
@@ -536,7 +532,7 @@ class TestDecoderPaths:
             ),
             (lambda r: r.pop("degenerate_t"), lambda c: c.degenerate_t is False),
             (lambda r: r.pop("undefined_flags"), lambda c: c.undefined_flags == ()),
-            (lambda r: r.update(t_statistic=None), lambda c: c.t_statistic == math.inf),
+            (lambda r: r.update(t_statistic=None), lambda c: c.t_statistic is None),
             (lambda r: r.update(effect_ratio=None), lambda c: c.effect_ratio is None),
         ],
         ids=["integer-number", "integer-arp-value", "no-degenerate_t", "no-undefined_flags",

@@ -168,6 +168,24 @@ class TestRendering:
         assert render_table_csv(rebuilt) == render_table_csv(table)
         assert table_to_json(rebuilt) == blob
 
+    def test_degenerate_cell_round_trips_exactly(self):
+        """Constant system scores make the cross t-test degenerate. Its
+        statistic, -inf in the t-test, is None in the cell with its reason,
+        and cells.json keeps both."""
+
+        def vector(tag, label, values):
+            return TopicScoreVector(P_AT_10, tag, label, dict(zip(("q1", "q2", "q3"), values)))
+
+        pivot = [0.1, 0.2, 0.3]
+        cell = persistence_cell(
+            vector("sys", "t1", [0.25] * 3), vector("sys", "t2", [0.5] * 3),
+            vector("pivot", "t1", pivot), vector("pivot", "t2", pivot),
+        )
+        assert cell.t_statistic is None and cell.degenerate_t
+        assert cell.undefined_flags == ("t_statistic: non-finite (degenerate variance)",)
+        table = persistence_table([cell])
+        assert table_from_json(table_to_json(table)) == table
+
     @pytest.mark.parametrize(
         "edit, message",
         [

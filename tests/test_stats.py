@@ -118,6 +118,21 @@ class TestTTest:
         assert result.p_value == 0.0
         assert result.degenerate
 
+    @pytest.mark.parametrize(
+        "a, b, t",
+        [
+            ([0.1] * 3, [0.2] * 3, -math.inf),
+            ([0.7] * 7, [0.1] * 3, math.inf),
+            ([0.1] * 3, [0.1] * 4, 0.0),
+        ],
+    )
+    def test_constant_samples_are_judged_by_their_values(self, a, b, t):
+        """The rounded mean of three 0.1s is not 0.1, so a variance around it
+        is not 0; the samples are constant all the same."""
+        result = t_test_unpaired(a, b)
+        assert result.t_statistic == t and result.degenerate == math.isinf(t)
+        assert result.p_value == (0.0 if math.isinf(t) else 1.0)
+
     def test_undersized_sample(self):
         with pytest.raises(DataError):
             t_test_unpaired([1], [2, 3])
