@@ -360,6 +360,11 @@ def cmd_persist(args: argparse.Namespace) -> int:
             raise DataError(
                 f"no shared topics between {pair.base_label!r} and {pair.target_label!r}"
             )
+        for label in pair:
+            if len(topics[label]) < 2:
+                raise DataError(
+                    f"environment {label!r} has 1 topic to score; the t-tests need at least 2"
+                )
 
     system_tags = sorted({run.tag for run in config.runs if run.tag != config.pivot})
     labels = sorted({p.base_label for p in config.pairs} | {p.target_label for p in config.pairs})

@@ -177,6 +177,11 @@ _FIELDS = (
     ("undefined_flags", list, json_strings, MISSING, ()),
 )
 _NAMES = [f[0] for f in _FIELDS]
+# The attribute paths of a cell's numbers: each ARP's value, then each number field.
+CELL_NUMBERS = (
+    *(f"{key}.value" for key, _, decode, *_ in _FIELDS if decode is _arp),
+    *(key for key, kind, *_ in _FIELDS if kind is float),
+)
 _DEFAULTS = [f[4] for f in _FIELDS if f[4] is not MISSING]
 
 
@@ -275,12 +280,13 @@ def cell_to_dict(cell: PersistenceCell) -> dict:
 
 # The one-check path of cell_from_dict reads a record's fields, its pair's
 # labels and its ARPs' values and counts at once. It takes a record only if
-# each of them has exactly its JSON type: no null, no integer for a number,
-# no absent optional key and no flag that is not a string.
+# it and its five objects hold just the keys read (their sizes lead _EXACT)
+# and each value has exactly its JSON type: no null, no integer for a
+# number, no absent optional key and no flag that is not a string.
 _fields_of = itemgetter(*_NAMES)
 _pair_of = itemgetter("base", "target")
 _arp_of = itemgetter("value", "n_topics")
-_EXACT = (*(f[1] for f in _FIELDS), str, str, *(float, int) * 4)
+_EXACT = (len(_NAMES), *[2] * 5, *(f[1] for f in _FIELDS), str, str, *(float, int) * 4)
 
 
 def cell_from_dict(data: dict, where: str = "") -> PersistenceCell:
@@ -292,7 +298,8 @@ def cell_from_dict(data: dict, where: str = "") -> PersistenceCell:
         flags = fields[-1]
         pair, ab, at = _pair_of(fields[3]), _arp_of(fields[4]), _arp_of(fields[5])
         pb, pt = _arp_of(fields[6]), _arp_of(fields[7])
-        kinds = tuple(map(type, (*fields, *pair, *ab, *at, *pb, *pt, *flags)))
+        sizes = map(len, (data, *fields[3:8]))
+        kinds = (*sizes, *map(type, (*fields, *pair, *ab, *at, *pb, *pt, *flags)))
         exact = kinds == _EXACT + (str,) * len(flags)
     except (KeyError, TypeError):
         exact = False

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import repeat
 from operator import attrgetter
@@ -32,6 +32,7 @@ from operator import attrgetter
 from .errors import DataError, Record, UsageError
 from .measures import TopicScoreVector
 from .persistence import (
+    CELL_NUMBERS,
     EEPair,
     PersistenceCell,
     cell_from_dict,
@@ -54,12 +55,7 @@ UNDEFINED = "undef"
 _UNDEFINABLE = ("result_delta", "delta_ri", "effect_ratio")
 # The numbers of a cell, all finite in a table (a JSON number too large for a
 # float decodes to inf).
-_NUMBERS = (
-    "arp_base.value", "arp_target.value", "pivot_arp_base.value", "pivot_arp_target.value",
-    "result_delta", "ri_base", "ri_target", "delta_ri", "effect_ratio", "t_statistic",
-    "p_value", "p_vs_pivot_base", "p_vs_pivot_target",
-)
-_numbers = attrgetter(*_NUMBERS)
+_numbers = attrgetter(*CELL_NUMBERS)
 
 
 class TableCell(
@@ -112,7 +108,6 @@ class TopicDeltaSeries(Record, namedtuple("TopicDeltaSeries", "system_tag measur
 # A cell's place in the table, unique to it: system, measure name, base and target label.
 _cell_sort_key = attrgetter("system_tag", "measure.name", "pair.base_label", "pair.target_label")
 _undefinable = attrgetter(*_UNDEFINABLE)
-_pivot_means = attrgetter("pivot_arp_base.value", "pivot_arp_target.value")
 
 
 def _check_cells(cells: Sequence[PersistenceCell]) -> Iterable[tuple]:
@@ -130,7 +125,7 @@ def _check_cells(cells: Sequence[PersistenceCell]) -> Iterable[tuple]:
         numbers = _numbers(cell)
         if cell.system_tag in pivots or None in numbers or not math.isfinite(sum(numbers)):
             check_distinct_tags(cell.system_tag, cell.pivot_tag, f"cells[{i}]")
-            for name, value in zip(_NUMBERS, numbers):
+            for name, value in zip(CELL_NUMBERS, numbers):
                 if value is not None and not math.isfinite(value):
                     raise DataError(f"cells[{i}].{name} must be finite, got {value}")
         key = (cell.system_tag, cell.measure.name, cell.pair.target_label)
@@ -169,56 +164,43 @@ def persistence_table(
             raise DataError(f"ee_order repeats a label: {json.dumps(list(ee_order))}")
         order = tuple(label for label in ee_order if label in labels)
 
-    # (system, EE) -> measure name -> TableCell. A system's cell targeting
-    # an EE fills its row there; else its first cell based there shows the
-    # ideal values.
-    found: dict[tuple[str, str], dict[str, TableCell]] = {}
-    pivot_base_label: dict[tuple[str, str], str] = {}  # (measure name, target) -> base
-    pivot_arps: dict[tuple[str, str], float] = {}  # (measure name, ee) -> pivot mean
+    # (system, EE) -> measure name -> TableCell, the pivot's under its tag. The
+    # first cell that targets an EE fills the row there, else the first based
+    # there shows the ideal values; every cell repeats the pivot's mean in an EE.
+    found: defaultdict[tuple[str, str], dict[str, TableCell]] = defaultdict(dict)
+    filled: dict[tuple[str, str, str], PersistenceCell] = {}  # place -> first cell to fill it
     for c, (system, name, base, target) in zip(ordered_cells, places):
-        pivot_base_label.setdefault((name, target), base)
-        for ee, value in zip((base, target), _pivot_means(c)):
-            known = pivot_arps.setdefault((name, ee), value)
-            if known != value:
-                raise DataError(
-                    f"inconsistent pivot means for {name} in {ee!r}: {known} vs {value}"
-                )
-        undefined = _undefinable(c)
-        if None in undefined:
-            undefined = frozenset(n for n, v in zip(_UNDEFINABLE, undefined) if v is None)
-        else:
-            undefined = frozenset()
-        found.setdefault((system, target), {})[name] = TableCell(
-            c.arp_target.value, c.result_delta, c.delta_ri, c.effect_ratio, c.p_value,
-            c.p_vs_pivot_target < SIGNIFICANCE_ALPHA, undefined,
+        piv_base, piv_target = c.pivot_arp_base.value, c.pivot_arp_target.value
+        rd = result_delta(piv_base, piv_target)
+        rd_undefined = frozenset() if rd is not None else frozenset({"result_delta"})
+        changes = _undefinable(c)
+        undefined = frozenset() if None not in changes else frozenset(
+            n for n, v in zip(_UNDEFINABLE, changes) if v is None
         )
-        row = found.setdefault((system, base), {})
-        if name not in row:
-            row[name] = TableCell(
-                c.arp_base.value, 0.0, 0.0, 1.0, 1.0, c.p_vs_pivot_base < SIGNIFICANCE_ALPHA
-            )
+        sig_base = c.p_vs_pivot_base < SIGNIFICANCE_ALPHA
+        sig_target = c.p_vs_pivot_target < SIGNIFICANCE_ALPHA
+        # The entries a cell may place: row, whether it fills there, values.
+        for who, ee, fills, values in (
+            (pivot_tag, base, False, (piv_base, 0.0)),
+            (pivot_tag, target, True, (piv_target, rd, None, None, None, None, rd_undefined)),
+            (system, base, False, (c.arp_base.value, 0.0, 0.0, 1.0, 1.0, sig_base)),
+            (system, target, True, (c.arp_target.value, *changes, c.p_value, sig_target, undefined)),
+        ):
+            row = found[who, ee]
+            known = row.get(name)
+            if who == pivot_tag and known is not None and known.arp != values[0]:
+                raise DataError(
+                    f"inconsistent pivot means for {name} in {ee!r}: {known.arp} vs {values[0]}"
+                )
+            if fills and filled.setdefault((who, ee, name), c) is c or known is None:
+                row[name] = TableCell(*values)
 
-    rows: list[TableRow] = []
-    for ee in order:
-        row_cells: dict[str, TableCell] = {}
-        for name in names:
-            key = (name, ee)
-            if key not in pivot_arps:
-                row_cells[name] = _EMPTY
-                continue
-            rd: float | None = 0.0
-            base_label = pivot_base_label.get(key)
-            if base_label is not None:
-                rd = result_delta(pivot_arps[(name, base_label)], pivot_arps[key])
-            undefined = frozenset() if rd is not None else frozenset({"result_delta"})
-            row_cells[name] = TableCell(pivot_arps[key], rd, undefined_fields=undefined)
-        rows.append(TableRow(pivot_tag, ee, row_cells))
-    for system in dict.fromkeys(place[0] for place in places):
-        for ee in order:
-            row = found.get((system, ee), {})
-            rows.append(TableRow(system, ee, {name: row.get(name, _EMPTY) for name in names}))
-
-    return PersistenceTable(pivot_tag, measures, order, tuple(rows), ordered_cells)
+    rows = tuple(
+        TableRow(who, ee, {name: found.get((who, ee), {}).get(name, _EMPTY) for name in names})
+        for who in (pivot_tag, *dict.fromkeys(place[0] for place in places))
+        for ee in order
+    )
+    return PersistenceTable(pivot_tag, measures, order, rows, ordered_cells)
 
 
 VALUE_COLUMNS = ("ARP", "RD", "DRI", "ER", "p")
@@ -334,9 +316,10 @@ def table_to_json(table: PersistenceTable) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-# The fields of cells.json that table_from_json reads, as json_fields reads them.
+# The fields of cells.json, as json_fields reads them; measures and pivot_tag are only typed.
 _TABLE_FIELDS = (
-    ("cells", list, None, MISSING, MISSING), ("ee_order", list, json_strings, MISSING, MISSING)
+    ("cells", list, None, MISSING, MISSING), ("ee_order", list, json_strings, MISSING, MISSING),
+    ("measures", list, json_strings, MISSING, ()), ("pivot_tag", str, None, MISSING, ""),
 )
 
 
@@ -345,9 +328,9 @@ def table_from_json(text: str, *, path: str | None = None) -> PersistenceTable:
     JSON type; the cells are checked as persistence_table checks them."""
     payload = parse_json(text, path=path)
     try:
-        records, ee_order = json_fields(json_typed(payload, dict, "the cells file"), _TABLE_FIELDS)
+        records, order, *_ = json_fields(json_typed(payload, dict, "the cells file"), _TABLE_FIELDS)
         cells = [cell_from_dict(record, f"cells[{i}]") for i, record in enumerate(records)]
-        return persistence_table(cells, ee_order)
+        return persistence_table(cells, order)
     except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"malformed table JSON: {exc}", path=path) from exc
 

@@ -295,13 +295,17 @@ def json_checked(where: str, build, *args):
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def json_fields(data: Mapping, fields: Iterable[tuple], where: str = "") -> list:
+def json_fields(data: Mapping, fields: Sequence[tuple], where: str = "") -> list:
     """The value of each field of the object ``data`` at the path ``where``.
     A field is (key, JSON type, decode, null, default), then any items of the
-    caller's. A value must have its JSON type (see ``json_typed``); ``null``
-    reads a JSON null and ``default`` an absent key, and MISSING forbids
-    either. ``decode(value, path)`` then builds it, unless decode is None."""
+    caller's; a key that no field names is refused. A value must have its
+    JSON type (see ``json_typed``); ``null`` reads a JSON null and ``default``
+    an absent key, and MISSING forbids either. ``decode(value, path)``, if
+    given, then builds it."""
     prefix = f"{where}." if where else ""
+    unknown = data.keys() - {field[0] for field in fields}
+    if unknown:
+        raise ValueError(f"{prefix}{min(unknown)} is not a field")
     values = []
     for key, kind, decode, null, default, *_ in fields:
         value = data.get(key, MISSING)

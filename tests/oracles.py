@@ -296,6 +296,93 @@ def oracle_series_csv(series):
     return _oracle_csv("system,measure,base_ee,target_ee,topic,delta", rows)
 
 
+# The persistence table's rows built in two passes, from the README's rules:
+# every pivot row first, then each system's rows, each row scanning the cells.
+
+
+def oracle_table_rows(cells, ee_order):
+    """The rows of the table of ``cells`` as (system, EE, {measure name:
+    (ARP, RD, DRI, ER, p, significant, undefined fields)}): the pivot's rows,
+    then each system's in tag order, one per label of ``ee_order`` that a
+    cell names. A ValueError if two cells give the pivot two means in an EE."""
+    ordered = sorted(
+        cells,
+        key=lambda c: (c.system_tag, c.measure.name, c.pair.base_label, c.pair.target_label),
+    )
+    pivot = ordered[0].pivot_tag
+    names = sorted({c.measure.name for c in cells})
+    labels = {c.pair.base_label for c in cells} | {c.pair.target_label for c in cells}
+    order = [label for label in ee_order if label in labels]
+    empty = (None, None, None, None, None, None, frozenset())
+
+    # First pass: the pivot's mean per (measure, EE), the same in every cell,
+    # and the base of the first cell that targets each (measure, EE).
+    pivot_means = {}
+    pivot_bases = {}
+    for c in ordered:
+        name = c.measure.name
+        if (name, c.pair.target_label) not in pivot_bases:
+            pivot_bases[(name, c.pair.target_label)] = c.pair.base_label
+        for ee, mean in (
+            (c.pair.base_label, c.pivot_arp_base.value),
+            (c.pair.target_label, c.pivot_arp_target.value),
+        ):
+            if (name, ee) not in pivot_means:
+                pivot_means[(name, ee)] = mean
+            elif pivot_means[(name, ee)] != mean:
+                known = pivot_means[(name, ee)]
+                raise ValueError(
+                    f"inconsistent pivot means for {name} in {ee!r}: {known} vs {mean}"
+                )
+
+    # Second pass: the pivot's rows, then each system's.
+    rows = []
+    for ee in order:
+        row = {}
+        for name in names:
+            if (name, ee) not in pivot_means:
+                row[name] = empty
+            elif (name, ee) not in pivot_bases:
+                row[name] = (pivot_means[(name, ee)], 0.0, None, None, None, None, frozenset())
+            else:
+                base_mean = pivot_means[(name, pivot_bases[(name, ee)])]
+                mean = pivot_means[(name, ee)]
+                if base_mean == 0.0:
+                    undefined = frozenset({"result_delta"})
+                    row[name] = (mean, None, None, None, None, None, undefined)
+                else:
+                    rd = (base_mean - mean) / base_mean
+                    row[name] = (mean, rd, None, None, None, None, frozenset())
+        rows.append((pivot, ee, row))
+    for system in sorted({c.system_tag for c in cells}):
+        for ee in order:
+            row = {}
+            for name in names:
+                mine = [c for c in ordered if c.system_tag == system and c.measure.name == name]
+                targeting = [c for c in mine if c.pair.target_label == ee]
+                based = [c for c in mine if c.pair.base_label == ee]
+                if targeting:
+                    c = targeting[0]
+                    undefined = frozenset(
+                        field
+                        for field in ("result_delta", "delta_ri", "effect_ratio")
+                        if getattr(c, field) is None
+                    )
+                    row[name] = (
+                        c.arp_target.value, c.result_delta, c.delta_ri, c.effect_ratio,
+                        c.p_value, c.p_vs_pivot_target < 0.05, undefined,
+                    )
+                elif based:
+                    c = based[0]
+                    row[name] = (
+                        c.arp_base.value, 0.0, 0.0, 1.0, 1.0, c.p_vs_pivot_base < 0.05, frozenset()
+                    )
+                else:
+                    row[name] = empty
+            rows.append((system, ee, row))
+    return rows
+
+
 # The whole persist pipeline, from the raw files of a job to what cells.json
 # and the series files hold, written from the README and the paper's
 # definitions one snapshot, run and topic at a time.

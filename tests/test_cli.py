@@ -71,6 +71,20 @@ def copy_job(tmp_path: Path, edit) -> Path:
     return job
 
 
+def set_at(path: str, value):
+    """An edit of the parsed manifest that sets the field at ``path``
+    (dotted keys; an integer part indexes a list) to ``value``."""
+
+    def edit(config):
+        *outer, last = [int(part) if part.isdigit() else part for part in path.split(".")]
+        target = config
+        for part in outer:
+            target = target[part]
+        target[last] = value
+
+    return edit
+
+
 def add_tags(*tags):
     def edit(config):
         for tag in tags:
@@ -284,6 +298,28 @@ class TestPersistCommand:
         assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_DATA
         assert "error: system 'beta' has no run in environment 't2'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (set_at("environments.1.label", "t1"), "duplicate environment labels in manifest"),
+            (
+                set_at("runs.0.environment", "t9"),
+                "run 'baseline' references undeclared environment 't9'",
+            ),
+            (
+                lambda config: config["runs"].append(dict(config["runs"][1])),
+                "run tag 'alpha' declared twice for environment 't1'",
+            ),
+        ],
+    )
+    def test_inconsistent_declaration_exits_1_before_any_input_is_read(
+        self, tmp_path, no_reading, capsys, edit, message
+    ):
+        job = copy_job(tmp_path, edit)
+        assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_pivot_only_job_exits_1_before_any_input_is_read(
         self, tmp_path, no_reading, capsys
     ):
@@ -478,6 +514,19 @@ class TestPersistCommand:
             "error: core topic intersection across environments ['t1', 't2'] is empty\n"
         )
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_snapshot_with_one_topic_exits_3_before_scoring(
+        self, tmp_path, no_scoring, capsys, strict
+    ):
+        """The t-tests need two topics: a core of one topic, or a snapshot's
+        own set of one, is refused before any run is scored."""
+        job = copy_job(tmp_path, set_at("options.strict_topics", strict))
+        (job.parent / "topics.t1.txt").write_text("q01\n", encoding="utf-8")
+        assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: environment 't1' has 1 topic to score; the t-tests need at least 2\n"
+        )
+
     def test_label_with_a_line_break_keeps_one_line_per_row(self, tmp_path):
         """table.txt writes a label's line break as \\n, so each row is one line."""
 
@@ -600,27 +649,16 @@ class TestPersistCommand:
                 assert columns[2] == ("-" if system.startswith("baseline") else "undef")
 
 
-def set_at(path: str, value):
-    """An edit of the parsed manifest that sets the field at ``path``
-    (dotted keys; an integer part indexes a list) to ``value``."""
-
-    def edit(config):
-        *outer, last = [int(part) if part.isdigit() else part for part in path.split(".")]
-        target = config
-        for part in outer:
-            target = target[part]
-        target[last] = value
-
-    return edit
-
-
 def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def is_strings(value, keys, optional=()) -> bool:
+    """An object of the string fields ``keys`` and ``optional``; a key of
+    neither is ill-typed."""
     return (
         isinstance(value, dict)
+        and set(value) <= {*keys, *optional}
         and all(isinstance(value.get(key), str) for key in keys)
         and all(isinstance(value.get(key, ""), str) for key in optional)
     )
@@ -640,6 +678,7 @@ MANIFEST_FIELDS = {
     "runs": lambda v: isinstance(v, list)
     and all(is_strings(r, ("tag", "environment", "path")) for r in v),
     "options": lambda v: isinstance(v, dict)
+    and set(v) <= {*OPTION_TYPES, "er_exclude"}
     and all(isinstance(v.get(k, kind()), kind) for k, kind in OPTION_TYPES.items())
     and is_number(v.get("er_exclude", 1)),
     "options.t_test": lambda v: isinstance(v, str),
@@ -698,6 +737,11 @@ class TestTypedManifest:
             ("pairs", [["", "t2"]], "pairs[0]: evaluation environment labels must be non-empty"),
             ("environments.1.qrels", "", "environments[1].qrels: path is empty"),
             ("runs.2.path", "", "runs[2].path: path is empty"),
+            ("pairs", [], "pairs is empty"),
+            # A key that no field names, such as a misspelt one, is refused.
+            ("options.strict_topic", False, "options.strict_topic is not a field"),
+            ("environments.1.topic", "topics.t1.txt", "environments[1].topic is not a field"),
+            ("pivots", "baseline", "pivots is not a field"),
         ],
     )
     def test_wrong_type_is_a_named_usage_error(
@@ -939,6 +983,32 @@ class TestReportCommand:
             f'error: {bad}: malformed table JSON: malformed persistence cell record: '
             'cells[2].degenerate_t must be true or false, got "false"'
         ) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p["cells"][1].update(note="x"), "cells[1].note is not a field"),
+            (
+                lambda p: p["cells"][0]["pair"].update(base_ee="t1"),
+                "cells[0].pair.base_ee is not a field",
+            ),
+            (
+                lambda p: p["cells"][2]["arp_target"].update(sd=0.1),
+                "cells[2].arp_target.sd is not a field",
+            ),
+            (lambda p: p.update(pivots=["baseline"]), "pivots is not a field"),
+            (lambda p: p.update(pivot_tag=5), "pivot_tag must be a string, got 5"),
+        ],
+    )
+    def test_key_the_tool_does_not_read_exits_3_naming_it(self, tmp_path, capsys, edit, message):
+        payload = json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))
+        edit(payload)
+        bad = tmp_path / "cells.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli("report", bad, "--output", tmp_path / "out") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: malformed table JSON: ") and message in err
+        assert not (tmp_path / "out").exists()
 
     def test_cell_whose_system_is_the_pivot_exits_3(self, tmp_path, capsys):
         payload = json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))

@@ -86,6 +86,10 @@ class TestPAtK:
     def test_unjudged_counts_as_nonrelevant(self):
         assert p_at_k(["x", "y"], {}, 10) == 0.0
 
+    def test_depth_zero_rejected(self):
+        with pytest.raises(DataError, match=r"^k must be >= 1, got 0$"):
+            p_at_k(["a"], {"a": 1}, 0)
+
 
 class TestNdcg:
     def test_ideal_ranking(self):

@@ -10,8 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from persisteval.errors import DataError, UsageError
-from persisteval.measures import BPREF, NDCG, P_AT_10, MeasureId, TopicScoreVector, arp
-from persisteval.persistence import EEPair, persistence_cell
+from persisteval.measures import (
+    BPREF, NDCG, P_AT_10, ARPValue, MeasureId, TopicScoreVector, arp,
+)
+from persisteval.persistence import EEPair, PersistenceCell, persistence_cell
 from persisteval.report import (
     PersistenceTable,
     ScatterPoint,
@@ -35,6 +37,7 @@ from oracles import (
     oracle_render_table_text,
     oracle_scatter_csv,
     oracle_series_csv,
+    oracle_table_rows,
 )
 from reference_table import ARP, E5_P10_LT_EFFECT_RATIO
 from synth import MISFITS, four_vectors, misfit, score_tags, synthetic_cells, synthetic_environment
@@ -113,6 +116,17 @@ class TestTableConstruction:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             persistence_table([])
+
+    def test_inconsistent_pivot_means_rejected(self, cells):
+        """beta's last bpref cell, based in t1, gives the pivot another mean
+        there than alpha's bpref cells, which come first."""
+        last = cells[-1]
+        assert (last.system_tag, last.measure, last.pair.base_label) == ("beta", BPREF, "t1")
+        moved = last._replace(pivot_arp_base=ARPValue(0.5, 8))
+        known = last.pivot_arp_base.value
+        with pytest.raises(DataError) as excinfo:
+            persistence_table([*cells[:-1], moved])
+        assert str(excinfo.value) == f"inconsistent pivot means for bpref in 't1': {known} vs 0.5"
 
     def test_derived_ee_order(self, cells):
         built = persistence_table(cells)
@@ -329,6 +343,70 @@ class TestRenderersMatchTheOracle:
         header = "system,measure,base_ee,target_ee,topic,delta\n"
         assert series_csv(empty) == oracle_series_csv(empty) == header
         assert scatter_csv([]) == oracle_scatter_csv([])
+
+
+# Pairs that chain (t1 -> t2 -> t3), fan out from t1, replicate t2 on itself
+# and give t3 and t4 a second base; few distinct means, so that a pivot base
+# mean of zero and equal means come up.
+ORACLE_PAIRS = [
+    EEPair(*pair)
+    for pair in (("t1", "t2"), ("t2", "t3"), ("t1", "t3"), ("t1", "t4"), ("t3", "t4"), ("t2", "t2"))
+]
+oracle_means = st.sampled_from([0.0, 0.25, 0.5, 0.75])
+oracle_changes = st.none() | st.sampled_from([-0.5, 0.0, 1.5])
+oracle_p_values = st.sampled_from([0.01, 0.05, 0.5])
+
+
+@st.composite
+def oracle_cases(draw):
+    """Cells of up to three systems over two measures, each system targeting
+    an EE at most once per measure, and an ee_order. In about one case in
+    four one cell moves a pivot mean, which the other cells may contradict."""
+    labels = ["t1", "t2", "t3", "t4"]
+    pivot = {(m, label): draw(oracle_means) for m in (P_AT_10, NDCG) for label in labels}
+    tags = st.sampled_from(["alpha", "beta", "gamma"])
+    systems = draw(st.lists(tags, min_size=1, max_size=3, unique=True))
+    cells = []
+    for system in systems:
+        for measure in (P_AT_10, NDCG):
+            pairs = st.lists(
+                st.sampled_from(ORACLE_PAIRS), min_size=0 if cells else 1, max_size=3,
+                unique_by=lambda pair: pair.target_label,
+            )
+            for pair in draw(pairs):
+                cells.append(PersistenceCell(
+                    system, "pivot", measure, pair,
+                    ARPValue(draw(oracle_means), 5), ARPValue(draw(oracle_means), 5),
+                    ARPValue(pivot[measure, pair.base_label], 5),
+                    ARPValue(pivot[measure, pair.target_label], 5),
+                    draw(oracle_changes), None, None, draw(oracle_changes), draw(oracle_changes),
+                    None, draw(oracle_p_values), draw(oracle_p_values), draw(oracle_p_values),
+                ))
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(cells) - 1))
+        cells[i] = cells[i]._replace(pivot_arp_target=ARPValue(0.125, 5))
+    return draw(st.permutations(cells)), draw(st.permutations(labels))
+
+
+class TestTableRowsMatchTheOracle:
+    """persistence_table builds the rows the two-pass oracle builds, and
+    refuses contradicting pivot means with the oracle's message."""
+
+    @given(oracle_cases())
+    def test_rows(self, case):
+        cells, ee_order = case
+        try:
+            expected = oracle_table_rows(cells, ee_order)
+        except ValueError as exc:
+            with pytest.raises(DataError) as excinfo:
+                persistence_table(cells, ee_order)
+            assert str(excinfo.value) == str(exc)
+            return
+        built = [
+            (row.system_tag, row.ee_label, {name: tuple(c) for name, c in row.cells.items()})
+            for row in persistence_table(cells, ee_order).rows
+        ]
+        assert built == expected
 
 
 class TestScatter:

@@ -50,6 +50,10 @@ class TestParseRun:
         run = parse_run("q1 Q0 d7 1 1.0 A\nq1 Q0 d9 2 5.0 A")
         assert run.rankings["q1"] == ("d9", "d7")
 
+    def test_empty_ranking_rejected(self):
+        with pytest.raises(DataError, match=r"^run 'A': topic 'q2' has an empty ranking$"):
+            Run.from_rankings("A", {"q1": {"d1": 1.0}, "q2": {}})
+
     def test_tie_breaks_by_doc_id_descending(self):
         run = parse_run("q1 Q0 da 1 2.0 A\nq1 Q0 dc 2 2.0 A\nq1 Q0 db 3 2.0 A")
         assert run.docs("q1") == ("dc", "db", "da")
