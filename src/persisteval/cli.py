@@ -306,10 +306,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     measures = _flag("--measures", _read_measures, _comma_list(args.measures))
     run = load_run(Path(args.run))
     qrels = load_qrels(Path(args.qrels))
-    if args.topics:
-        topics = load_topics(Path(args.topics))
-    else:
-        topics = run.topics | qrels.topics
+    topics = load_topics(Path(args.topics)) if args.topics else run.topics | qrels.topics
     out_dir = _default_output(Path(args.output) if args.output else None)
     files: list[tuple[str, str]] = []
     arp_payload: dict[str, dict] = {}

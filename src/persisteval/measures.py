@@ -27,9 +27,11 @@ import json
 import math
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
+from itertools import repeat
+from operator import truediv
 
 from .errors import DataError, Record
-from .run_io import Qrels, Run, TopicSet
+from .run_io import Qrels, Run, TopicJudgments, TopicSet
 from .stats import mean
 
 KINDS = ("precision_at_k", "ndcg", "bpref")
@@ -105,29 +107,27 @@ class ARPValue(Record, namedtuple("ARPValue", "value n_topics")):
     __slots__ = ()
 
 
+def _judged(topic_qrels: Mapping[str, int]) -> TopicJudgments:
+    return topic_qrels if isinstance(topic_qrels, TopicJudgments) else TopicJudgments(topic_qrels)
+
+
 def p_at_k(ranking: Sequence[str], topic_qrels: Mapping[str, int], k: int) -> float:
     """Precision at depth k over a ranking in canonical order."""
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    relevant = sum(1 for doc in ranking[:k] if topic_qrels.get(doc, 0) >= 1)
-    return relevant / k
+    return sum(1 for doc in ranking[:k] if topic_qrels.get(doc, 0) >= 1) / k
 
 
 def _dcg(gains: Sequence[int]) -> float:
-    return math.fsum(g / math.log2(i + 1) for i, g in enumerate(gains, start=1))
+    return math.fsum(map(truediv, gains, map(math.log2, range(2, len(gains) + 2))))
 
 
-def ndcg(
-    ranking: Sequence[str],
-    topic_qrels: Mapping[str, int],
-    cutoff: int | None = None,
-) -> float:
+def ndcg(ranking: Sequence[str], topic_qrels: Mapping[str, int], cutoff: int | None = None) -> float:
     """Normalized DCG with linear gains; 0 when nothing relevant is judged."""
-    ideal = sorted((g for g in topic_qrels.values() if g >= 1), reverse=True)
+    ideal = _judged(topic_qrels).ideal
     if not ideal:
         return 0.0
-    gains = [topic_qrels.get(doc, 0) for doc in ranking]
-    return _dcg(gains[:cutoff]) / _dcg(ideal[:cutoff])
+    return _dcg([*map(topic_qrels.get, ranking[:cutoff], repeat(0))]) / math.fsum(ideal[:cutoff])
 
 
 def bpref(ranking: Sequence[str], topic_qrels: Mapping[str, int]) -> float:
@@ -138,25 +138,21 @@ def bpref(ranking: Sequence[str], topic_qrels: Mapping[str, int]) -> float:
     1 - min(nonrelevant_above(r), min(R, N)) / min(R, N),
     or exactly 1 when N = 0. Returns 0 when R = 0.
     """
-    relevant = {doc for doc, grade in topic_qrels.items() if grade >= 1}
-    nonrelevant = {doc for doc, grade in topic_qrels.items() if grade == 0}
-    r_count, n_count = len(relevant), len(nonrelevant)
+    judged = _judged(topic_qrels)
+    r_count, n_count = len(judged.ideal), judged.nonrelevant
     if r_count == 0:
         return 0.0
     bound = min(r_count, n_count)
-    total = 0.0
-    nonrel_above = 0
-    for doc in ranking:
-        if doc in relevant:
+    total, nonrel_above = 0.0, 0
+    for grade in map(judged.get, ranking):  # None: unjudged
+        if grade is not None and grade >= 1:
             total += 1.0 if n_count == 0 else 1.0 - min(nonrel_above, bound) / bound
-        elif doc in nonrelevant:
+        elif grade == 0:
             nonrel_above += 1
     return total / r_count
 
 
-def score_topic(
-    ranking: Sequence[str], topic_qrels: Mapping[str, int], measure: MeasureId
-) -> float:
+def score_topic(ranking: Sequence[str], topic_qrels: Mapping[str, int], measure: MeasureId) -> float:
     if measure.kind == "precision_at_k":
         return p_at_k(ranking, topic_qrels, measure.k)
     if measure.kind == "ndcg":
@@ -165,21 +161,14 @@ def score_topic(
 
 
 def score_run(
-    run: Run,
-    qrels: Qrels,
-    measure: MeasureId,
-    topics: TopicSet,
-    ee_label: str = "",
+    run: Run, qrels: Qrels, measure: MeasureId, topics: TopicSet, ee_label: str = ""
 ) -> TopicScoreVector:
     """Score one run over an explicit topic set. Topics missing from the
     run (or entirely unjudged) score 0; results are independent of input
     ordering."""
     if not topics:
         raise DataError("cannot score over an empty topic set")
-    scores = {
-        topic: score_topic(run.docs(topic), qrels.for_topic(topic), measure)
-        for topic in sorted(topics)
-    }
+    scores = {t: score_topic(run.docs(t), qrels.for_topic(t), measure) for t in sorted(topics)}
     return TopicScoreVector(measure=measure, run_tag=run.run_tag, ee_label=ee_label, scores=scores)
 
 
@@ -194,10 +183,7 @@ def arp(vector: TopicScoreVector) -> ARPValue:
 def format_scores(vector: TopicScoreVector) -> str:
     """3-column text form (topic, measure, score to 6 decimals), topic-sorted,
     with a final ``all`` row carrying the mean."""
-    lines = [
-        f"{topic} {vector.measure.name} {vector.scores[topic]:.6f}"
-        for topic in sorted(vector.scores)
-    ]
+    lines = [f"{t} {vector.measure.name} {vector.scores[t]:.6f}" for t in sorted(vector.scores)]
     lines.append(f"all {vector.measure.name} {arp(vector).value:.6f}")
     return "\n".join(lines) + "\n"
 

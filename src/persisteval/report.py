@@ -316,7 +316,7 @@ def table_to_json(table: PersistenceTable) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-# The fields of cells.json, as json_fields reads them; measures and pivot_tag are only typed.
+# The fields of cells.json, as json_fields reads them.
 _TABLE_FIELDS = (
     ("cells", list, None, MISSING, MISSING), ("ee_order", list, json_strings, MISSING, MISSING),
     ("measures", list, json_strings, MISSING, ()), ("pivot_tag", str, None, MISSING, ""),
@@ -324,13 +324,20 @@ _TABLE_FIELDS = (
 
 
 def table_from_json(text: str, *, path: str | None = None) -> PersistenceTable:
-    """Rebuild a table from table_to_json's form. Each field must have its
-    JSON type; the cells are checked as persistence_table checks them."""
+    """Rebuild a table from table_to_json's form. Each field must have its JSON type, the cells
+    pass persistence_table's checks, and a given pivot_tag and measures set must be theirs."""
     payload = parse_json(text, path=path)
     try:
-        records, order, *_ = json_fields(json_typed(payload, dict, "the cells file"), _TABLE_FIELDS)
+        data = json_typed(payload, dict, "the cells file")
+        records, order, names, pivot = json_fields(data, _TABLE_FIELDS)
         cells = [cell_from_dict(record, f"cells[{i}]") for i, record in enumerate(records)]
-        return persistence_table(cells, order)
+        table = persistence_table(cells, order)
+        if "pivot_tag" in data and pivot != table.pivot_tag:
+            raise ValueError(f"pivot_tag {pivot!r} is not the cells' pivot {table.pivot_tag!r}")
+        measures = [m.name for m in table.measures]
+        if "measures" in data and set(names) != set(measures):
+            raise ValueError(f"measures {list(names)} are not the cells' measures {measures}")
+        return table
     except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"malformed table JSON: {exc}", path=path) from exc
 

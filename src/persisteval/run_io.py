@@ -15,7 +15,7 @@ descending, then doc id descending. Scores only set that order and are not
 kept; the rank column of a run file is validated but otherwise ignored, so
 scores are reproducible regardless of input line order. Per-topic rankings
 deeper than MAX_DEPTH documents are truncated with a warning. Qrels hold one
-map, topic -> doc -> grade.
+map, topic -> doc -> grade, each topic's a read-only TopicJudgments.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import json
 import warnings
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from math import isfinite
-from operator import itemgetter
+from math import isfinite, log2
+from operator import itemgetter, truediv
 from pathlib import Path
 
 from .errors import DataError, DiagnosticWarning, ParseError, Record, UsageError
@@ -81,18 +81,43 @@ class Run(Record, namedtuple("Run", "run_tag rankings")):
         return self.rankings.get(topic_id, ())
 
 
+class TopicJudgments(dict):
+    """One topic's doc_id -> grade map. ``ideal`` holds the ideal ranking's DCG terms (grades
+    >= 1, descending, the i-th over log2(i + 1)); ``nonrelevant`` counts the grade-0 judgments."""
+
+    __slots__ = ("ideal", "nonrelevant")
+
+    def __init__(self, grades: Mapping[str, int]) -> None:
+        super().__init__(grades)
+        relevant = sorted((grade for grade in self.values() if grade >= 1), reverse=True)
+        self.ideal = tuple(map(truediv, relevant, map(log2, range(2, len(relevant) + 2))))
+        self.nonrelevant = [*self.values()].count(0)
+
+    def __setitem__(self, *args, **kwargs):  # a write would leave the summary stale
+        raise TypeError("a topic's judgments are read-only")
+
+    __delitem__ = clear = pop = popitem = setdefault = update = __ior__ = __setitem__
+
+    def __reduce__(self):  # copy and pickle would otherwise rebuild it by item assignment
+        return TopicJudgments, (dict(self),)
+
+
 class Qrels(Record, namedtuple("Qrels", "judgments")):
-    """Graded relevance judgments: topic_id -> doc_id -> grade."""
+    """Graded relevance judgments: topic_id -> TopicJudgments, each built once here."""
 
     __slots__ = ()
+    _UNJUDGED = TopicJudgments({})
+
+    def __new__(cls, judgments: Mapping[str, Mapping[str, int]]):
+        return tuple.__new__(cls, ({t: TopicJudgments(g) for t, g in judgments.items()},))
 
     @property
     def topics(self) -> TopicSet:
         return frozenset(self.judgments)
 
-    def for_topic(self, topic_id: str) -> Mapping[str, int]:
-        """doc_id -> grade for one topic; empty for an unjudged topic."""
-        return self.judgments.get(topic_id, {})
+    def for_topic(self, topic_id: str) -> TopicJudgments:
+        """One topic's read-only doc_id -> grade map; empty for an unjudged topic."""
+        return self.judgments.get(topic_id, self._UNJUDGED)
 
 
 def parse_run(

@@ -439,6 +439,36 @@ class TestPersistCommand:
         # (run, qrels, measure) once, whatever topics the series share.
         assert len(calls) == len(set(calls)) == 3 * 2 * 3
 
+    def test_summarizes_each_judged_topic_once(self, tmp_path, monkeypatch):
+        made = []  # per summary: whether score_run was running when it was made
+        scoring = []
+        init, score_run = run_io.TopicJudgments.__init__, measures.score_run
+
+        def counting_init(self, grades):
+            made.append(bool(scoring))
+            init(self, grades)
+
+        def flagged_score_run(*args, **kwargs):
+            scoring.append(True)
+            try:
+                return score_run(*args, **kwargs)
+            finally:
+                scoring.pop()
+
+        monkeypatch.setattr(run_io.TopicJudgments, "__init__", counting_init)
+        monkeypatch.setattr(measures, "score_run", flagged_score_run)
+        code = run_cli(
+            "persist", "--config", FIXTURE / "job.json", "--no-strict-topics",
+            "--series", "pivot-delta", "--output", tmp_path,
+        )
+        assert code == EXIT_OK
+        # One summary per (snapshot, judged topic), each made when its qrels load.
+        judged = [
+            {line.split()[0] for line in (FIXTURE / name).read_text().splitlines() if line.strip()}
+            for name in ("qrels.t1.txt", "qrels.t2.txt")
+        ]
+        assert len(made) == sum(map(len, judged)) and not any(made)
+
     def test_no_strict_pivot_delta_matches_golden(self, tmp_path):
         code = run_cli(
             "persist", "--config", FIXTURE / "job.json", "--no-strict-topics",
@@ -1021,6 +1051,52 @@ class TestReportCommand:
             "cells[0]: system and pivot share the tag 'baseline'"
         ) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda p: p.update(pivot_tag="other"),
+                "pivot_tag 'other' is not the cells' pivot 'baseline'",
+            ),
+            (
+                lambda p: p.update(measures=["MAP"]),
+                "measures ['MAP'] are not the cells' measures ['P@10', 'bpref', 'nDCG']",
+            ),
+            (
+                lambda p: p["measures"].remove("bpref"),
+                "measures ['P@10', 'nDCG'] are not the cells' measures",
+            ),
+        ],
+        ids=["other-pivot", "other-measure", "missing-measure"],
+    )
+    def test_metadata_that_contradicts_the_cells_exits_3(self, tmp_path, capsys, edit, message):
+        payload = json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))
+        edit(payload)
+        bad = tmp_path / "cells.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli("report", bad, "--output", tmp_path / "out") == EXIT_DATA
+        assert f"error: {bad}: malformed table JSON: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p.pop("pivot_tag"),
+            lambda p: p.pop("measures"),
+            lambda p: p["measures"].reverse(),
+        ],
+        ids=["no-pivot-tag", "no-measures", "measures-unsorted"],
+    )
+    def test_absent_or_reordered_metadata_renders(self, tmp_path, edit):
+        payload = json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))
+        edit(payload)
+        cells = tmp_path / "cells.json"
+        cells.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli("report", cells, "--output", tmp_path / "out") == EXIT_OK
+        for name in ("table.txt", "table.csv", "scatter.csv"):
+            golden = (GOLDEN_CELLS.parent / name).read_bytes()
+            assert (tmp_path / "out" / name).read_bytes() == golden
 
     def test_sorts_each_cell_once(self, tmp_path, monkeypatch):
         calls = []

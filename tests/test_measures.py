@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persisteval.errors import DataError
@@ -21,7 +23,7 @@ from persisteval.measures import (
     parse_measure,
     score_run,
 )
-from persisteval.run_io import Run, parse_qrels, parse_run
+from persisteval.run_io import Qrels, Run, TopicJudgments, parse_qrels, parse_run
 
 from oracles import oracle_bpref, oracle_ndcg, oracle_p_at_k
 
@@ -241,6 +243,93 @@ class TestScoreRun:
         for measure in (P_AT_10, NDCG, BPREF):
             vector = score_run(run, qrels, measure, frozenset({"q2"}) | run.topics)
             assert vector.scores["q2"] == 0.0
+
+
+POOL = [f"d{i:02d}" for i in range(12)]
+
+
+@st.composite
+def judged_topics(draw):
+    """Rankings and grades 0-2 of up to four topics over a 12-document pool.
+    A topic's grades are drawn from 0-2, or only 0, or only 1-2, so some
+    topics judge nothing relevant and some nothing nonrelevant; rankings
+    hold unjudged documents, and at most 8 documents, so a cutoff of up to
+    12 can pass the ranking's end and a topic can judge more documents
+    relevant than the ranking is deep. A topic with an empty ranking is
+    left out of the run."""
+    rankings, grades = {}, {}
+    for topic in ("q1", "q2", "q3", "q4")[: draw(st.integers(1, 4))]:
+        grade = draw(st.sampled_from([st.integers(0, 2), st.just(0), st.integers(1, 2)]))
+        grades[topic] = draw(st.dictionaries(st.sampled_from(POOL), grade, max_size=12))
+        ranking = tuple(draw(st.lists(st.sampled_from(POOL), unique=True, max_size=8)))
+        if ranking:
+            rankings[topic] = ranking
+    return rankings, grades
+
+
+class TestJudgmentSummaries:
+    """Scores read from a Qrels's per-topic summaries against the public
+    measures on plain dicts (which summarize each call) and the oracles."""
+
+    @settings(max_examples=100)
+    @given(judged_topics(), st.integers(1, 12))
+    def test_summaries_score_as_plain_maps_and_oracles(self, case, depth):
+        rankings, grades = case
+        # One more topic that the run ranks and no one judged.
+        run, qrels = Run("A", {**rankings, "unjudged": ("d00",)}), Qrels(grades)
+        topics = frozenset(grades) | frozenset(run.rankings)
+        rebuilt = (qrels, qrels._replace(), Qrels._make(qrels))
+        measures = (
+            MeasureId("precision_at_k", k=depth), NDCG, MeasureId("ndcg", cutoff=depth), BPREF,
+        )
+        for measure in measures:
+            vectors = [score_run(run, q, measure, topics) for q in rebuilt]
+            for topic in sorted(topics):
+                ranking, plain = run.docs(topic), dict(grades.get(topic, {}))
+                if measure.kind == "precision_at_k":
+                    direct = p_at_k(ranking, plain, depth)
+                    oracle = oracle_p_at_k(list(ranking), plain, depth)
+                elif measure.kind == "ndcg":
+                    direct = ndcg(ranking, plain, measure.cutoff)
+                    oracle = oracle_ndcg(list(ranking), plain, measure.cutoff)
+                else:
+                    direct = bpref(ranking, plain)
+                    oracle = oracle_bpref(list(ranking), plain)
+                assert all(vector.scores[topic] == direct for vector in vectors)
+                assert abs(direct - oracle) <= 1e-12
+        for topic, topic_grades in grades.items():
+            summary = qrels.for_topic(topic)
+            relevant = sorted((g for g in topic_grades.values() if g >= 1), reverse=True)
+            assert type(summary) is TopicJudgments and summary == topic_grades
+            assert summary.ideal == tuple(g / math.log2(i + 2) for i, g in enumerate(relevant))
+            assert summary.nonrelevant == sum(g == 0 for g in topic_grades.values())
+
+    def test_unjudged_topic_has_an_empty_summary(self):
+        summary = Qrels({"q1": {"d1": 1}}).for_topic("q2")
+        assert summary == {} and summary.ideal == () and summary.nonrelevant == 0
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda m: m.__setitem__("d9", 2), lambda m: m.__delitem__("d1"), lambda m: m.clear(),
+            lambda m: m.pop("d1"), lambda m: m.popitem(), lambda m: m.setdefault("d9", 2),
+            lambda m: m.update(d9=2), lambda m: m.__ior__({"d9": 2}),
+        ],
+    )
+    @pytest.mark.parametrize("topic", ["q1", "unjudged"])
+    def test_summaries_refuse_writes(self, write, topic):
+        qrels = Qrels({"q1": {"d1": 1, "d2": 0}})
+        with pytest.raises(TypeError, match="read-only"):
+            write(qrels.for_topic(topic))
+        assert qrels.for_topic("q1") == {"d1": 1, "d2": 0} and qrels.for_topic("unjudged") == {}
+        assert Qrels({}).for_topic("q1") == {}
+
+    def test_copies_keep_their_summaries(self):
+        qrels = Qrels({"q1": {"d1": 1, "d2": 2, "d3": 0}})
+        for copied in (copy.copy(qrels), copy.deepcopy(qrels), pickle.loads(pickle.dumps(qrels))):
+            summary, original = copied.for_topic("q1"), qrels.for_topic("q1")
+            assert type(summary) is TopicJudgments and summary == original
+            assert (summary.ideal, summary.nonrelevant) == (original.ideal, original.nonrelevant)
 
 
 class TestArp:
