@@ -331,7 +331,7 @@ def cmd_persist(args: argparse.Namespace) -> int:
     from .report import (
         persistence_table, pivot_delta_series, series_csv, table_to_json, topic_delta_series,
     )
-    from .run_io import load_qrels, load_run, load_topics
+    from .run_io import core_topics, load_qrels, load_run, load_topics
 
     config = load_job_config(Path(args.config), args)
     qrels = {spec.label: load_qrels(spec.qrels_path) for spec in config.environments}
@@ -346,10 +346,7 @@ def cmd_persist(args: argparse.Namespace) -> int:
 
     # Strict mode scores each environment on the core topics, else on its own.
     if config.strict_topics:
-        core = frozenset.intersection(*topics.values())
-        if not core:
-            raise DataError(f"core topic intersection across environments {list(topics)} is empty")
-        topics = dict.fromkeys(topics, core)
+        topics = dict.fromkeys(topics, core_topics(topics))
     # Series use the topics a pair shares, so both series modes stay defined.
     shared = {pair: topics[pair.base_label] & topics[pair.target_label] for pair in config.pairs}
     for pair, common in shared.items():

@@ -39,8 +39,8 @@ class UsageError(EvaluationError):
 
 
 class DiagnosticWarning(UserWarning):
-    """Non-fatal diagnostic: empty topic intersections, truncated rankings,
-    duplicate-but-consistent judgments."""
+    """Non-fatal diagnostic: truncated rankings, duplicate-but-consistent
+    judgments."""
 
 
 class Record(tuple):

@@ -21,6 +21,7 @@ map, topic -> doc -> grade, each topic's a read-only TopicJudgments.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
@@ -269,14 +270,21 @@ def _non_finite(literal: str):
 
 
 def parse_json(text: str, *, path: str | None = None):
-    """Decode a JSON document. Text the decoder refuses, or a NaN or Infinity
-    literal, is a ParseError naming the path (and the line, if it gives one)."""
+    """Decode a JSON document. Text the decoder refuses, a NaN or Infinity
+    literal, or a string that UTF-8 cannot hold (a lone surrogate escape) is
+    a ParseError naming the path (and the line, if it gives one)."""
     try:
-        return json.loads(text, parse_constant=_non_finite)
+        data = json.loads(text, parse_constant=_non_finite)
+        if "\\" in text and re.search(r"\\u[dD][89a-fA-F]", text):  # any surrogate escape
+            json.dumps(data, ensure_ascii=False).encode()
+        return data
+    except UnicodeEncodeError as exc:  # the line is that of the first string holding it
+        strings = re.finditer(r'"(?:[^"\\]|\\.)*"', text)
+        at = next(m.start() for m in strings if exc.object[exc.start] in json.loads(m[0]))
+        reason, line = "a string holds a lone surrogate escape", text.count("\n", 0, at) + 1
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise ParseError(
-            f"invalid JSON: {exc}", line=getattr(exc, "lineno", None), path=path
-        ) from exc
+        reason, line = exc, getattr(exc, "lineno", None)
+    raise ParseError(f"invalid JSON: {reason}", line=line, path=path)
 
 
 _JSON_TYPES = {
@@ -360,15 +368,13 @@ def load_topics(path: str | Path) -> TopicSet:
     return parse_topics(read_input(path), path=str(path))
 
 
-def core_topics(sets: Sequence[TopicSet]) -> TopicSet:
-    """Intersection of all given topic sets (the topics present everywhere).
-
-    An empty intersection is legal but flagged with a warning since every
-    downstream score would be computed over nothing.
-    """
+def core_topics(sets: Mapping[str, TopicSet]) -> TopicSet:
+    """The topics that every snapshot holds: the intersection of the topic
+    sets, keyed by snapshot label. No set, or an empty core, is a DataError;
+    the latter names the snapshots."""
     if not sets:
         raise DataError("core_topics needs at least one topic set")
-    core = frozenset(sets[0]).intersection(*sets[1:])
+    core = frozenset.intersection(*map(frozenset, sets.values()))
     if not core:
-        warnings.warn("topic intersection is empty", DiagnosticWarning, stacklevel=2)
+        raise DataError(f"core topic intersection across environments {list(sets)} is empty")
     return core

@@ -67,7 +67,7 @@ def fixture_core_topics():
     t2 = qrels2.topics
     for run in runs2.values():
         t2 |= run.topics
-    return core_topics([t1, t2])
+    return core_topics({"t1": t1, "t2": t2})
 
 
 def test_1_measure_oracle_equivalence():

@@ -1446,6 +1446,101 @@ class TestInputVariantsProperty:
         assert sorted(named) == self.INPUTS
 
 
+# Pieces that a path or a label must survive: NUL, a parent directory, and
+# a lone surrogate, which json.dumps writes as the escape \ud800.
+ODD_PIECES = ["\ud800", "\0", ".."]
+ODD_STRINGS = st.builds("".join, st.tuples(st.text(max_size=3), st.sampled_from(ODD_PIECES)))
+JSON_VALUES = st.recursive(
+    st.one_of(
+        ODD_STRINGS, st.text(max_size=8), st.none(), st.booleans(), st.integers(),
+        st.sampled_from([float("nan"), float("inf"), -float("inf")]), st.floats(),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3), st.dictionaries(st.text(max_size=8), children, max_size=3)
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def mutated(draw, document):
+    """A copy of ``document`` with one value set, deleted or added at a drawn
+    path, or with an odd piece put into one string wherever it occurs, so that
+    a label or a tag stays consistent."""
+    document = json.loads(json.dumps(document))
+    containers, slots = [document], []
+    for node in containers:
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            slots.append((node, key))
+            if isinstance(child, (dict, list)):
+                containers.append(child)
+    operation = draw(st.sampled_from(["rename", "set", "delete", "add"]))
+    if operation == "rename":
+        strings = sorted({node[key] for node, key in slots if type(node[key]) is str})
+        old = draw(st.sampled_from(strings))
+        at = draw(st.integers(0, len(old)))
+        new = old[:at] + draw(st.sampled_from(ODD_PIECES)) + old[at:]
+        for node, key in slots:
+            if node[key] == old:
+                node[key] = new
+    elif operation == "add":
+        node = draw(st.sampled_from(containers))
+        if isinstance(node, dict):
+            node[draw(st.one_of(ODD_STRINGS, st.text(max_size=8)))] = draw(JSON_VALUES)
+        else:
+            node.insert(draw(st.integers(0, len(node))), draw(JSON_VALUES))
+    else:
+        node, key = draw(st.sampled_from(slots))
+        if operation == "set":
+            node[key] = draw(JSON_VALUES)
+        else:
+            del node[key]
+    return document
+
+
+class TestJsonInputsProperty:
+    """A mutated two_ee manifest or golden cells.json: ``persist`` or
+    ``report`` gives a result or one documented error, never a traceback.
+    ``--output`` names the output directory, so no mutation moves it, and a
+    refused input leaves none."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), command=st.sampled_from(["persist", "report"]))
+    def test_mutation_gives_a_result_or_a_documented_error(self, data, command):
+        source = FIXTURE / "job.json" if command == "persist" else GOLDEN_CELLS
+        document = data.draw(mutated(json.loads(source.read_text(encoding="utf-8"))))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp_path = Path(tmp)
+            if command == "persist":
+                shutil.copytree(FIXTURE, tmp_path / "two_ee")
+                target = tmp_path / "two_ee" / "job.json"
+                argv = ["persist", "--config", target]
+            else:
+                target = tmp_path / "cells.json"
+                argv = ["report", target]
+            target.write_text(json.dumps(document), encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli(*argv, "--output", tmp_path / "out")
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_DATA)
+            assert "Traceback" not in err.getvalue()
+            if code != EXIT_OK:
+                assert not (tmp_path / "out").exists()
+
+    def test_lone_surrogate_label_exits_2_naming_the_manifest(self, tmp_path, capsys):
+        def rename_t2(config):
+            config["environments"][1]["label"] = config["pairs"][0][1] = "t\ud800"
+            for run in config["runs"][3:]:
+                run["environment"] = "t\ud800"
+
+        job = copy_job(tmp_path, rename_t2)
+        assert run_cli("persist", "--config", job, "--output", tmp_path / "out") == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: {job}:1: invalid JSON: a string holds a lone surrogate escape\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+
 class TestUsage:
     def test_no_command_exits_1(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

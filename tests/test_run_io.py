@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -172,30 +173,48 @@ class TestParseJson:
         with pytest.raises(ParseError, match=r"^deep\.json: invalid JSON"):
             parse_json("[" * 100_000, path="deep.json")
 
+    def test_lone_surrogate_escape_names_path_and_line(self):
+        from persisteval.run_io import parse_json
+
+        with pytest.raises(ParseError) as excinfo:
+            parse_json('{"a": "\\ud83d\\ude00",\n "b": ["x\\udc00"]}', path="job.json")
+        assert str(excinfo.value) == "job.json:2: invalid JSON: a string holds a lone surrogate escape"
+
+    def test_paired_surrogates_and_escaped_backslashes_decode(self):
+        from persisteval.run_io import parse_json
+
+        assert parse_json('["\\ud83d\\ude00", "C:\\\\ud800"]') == ["\U0001f600", "C:\\ud800"]
+
 
 class TestCoreTopics:
     def test_intersection(self):
-        sets = [frozenset("ABC"), frozenset("BCD"), frozenset("CB")]
+        sets = {"t1": frozenset("ABC"), "t2": frozenset("BCD"), "t3": frozenset("CB")}
         assert core_topics(sets) == {"B", "C"}
 
-    def test_disjoint_warns(self):
-        with pytest.warns(DiagnosticWarning):
-            assert core_topics([frozenset("A"), frozenset("B")]) == frozenset()
+    def test_disjoint_raises_naming_the_labels_in_order(self):
+        with pytest.raises(DataError) as excinfo:
+            core_topics({"t2": frozenset("A"), "t1": frozenset("B")})
+        assert str(excinfo.value) == "core topic intersection across environments ['t2', 't1'] is empty"
 
-    def test_empty_list_rejected(self):
+    def test_empty_mapping_rejected(self):
         with pytest.raises(DataError):
-            core_topics([])
+            core_topics({})
 
     def test_single_set_identity(self):
-        assert core_topics([frozenset("AB")]) == {"A", "B"}
+        assert core_topics({"t1": frozenset("AB")}) == {"A", "B"}
 
     @given(st.lists(st.frozensets(tokens, max_size=6), min_size=1, max_size=5))
     def test_commutative_and_associative(self, sets):
-        expected = frozenset(sets[0]).intersection(*sets[1:]) if len(sets) > 1 else sets[0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DiagnosticWarning)
-            assert core_topics(sets) == expected
-            assert core_topics(list(reversed(sets))) == expected
+        """The core does not depend on the order of the labels, and an empty
+        core is refused in either order, naming the labels in that order."""
+        expected = frozenset.intersection(*sets)
+        labelled = {f"t{i}": topics for i, topics in enumerate(sets)}
+        for ordered in (labelled, dict(reversed(labelled.items()))):
+            if expected:
+                assert core_topics(ordered) == expected
+            else:
+                with pytest.raises(DataError, match=re.escape(str(list(ordered)))):
+                    core_topics(ordered)
 
 
 class TestCanonicalOrderOracle:
