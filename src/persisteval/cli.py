@@ -276,6 +276,9 @@ def _default_output(explicit: Path | None) -> Path:
 
 def _write(out_dir: Path, files: Sequence[tuple[str, str]]) -> None:
     """Write each (name, content) under ``out_dir``, then list the names."""
+    for name, _ in files:  # 255 bytes is NAME_MAX on Linux file systems
+        if any(len(part.encode("utf-8")) > 255 for part in Path(name).parts):
+            raise UsageError(f"cannot write {out_dir / name}: file name longer than 255 bytes")
     for name, content in files:
         path = out_dir / name
         try:

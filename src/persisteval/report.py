@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import repeat
 from operator import attrgetter
@@ -110,34 +110,6 @@ _cell_sort_key = attrgetter("system_tag", "measure.name", "pair.base_label", "pa
 _undefinable = attrgetter(*_UNDEFINABLE)
 
 
-def _check_cells(cells: Sequence[PersistenceCell]) -> Iterable[tuple]:
-    """The places of the cells, sorted, and the cells in that order."""
-    if not cells:
-        raise DataError("cannot build a table from zero cells")
-    pivots = {c.pivot_tag for c in cells}
-    if len(pivots) != 1:
-        raise DataError(f"cells mix pivots: {sorted(pivots)}")
-    # A target row shows one cell per measure; a repeated pair repeats its target.
-    targets: set[tuple] = set()
-    for i, cell in enumerate(cells):
-        # Numbers with a finite sum are each finite. Only a cell this screen
-        # stops is checked field by field, and a finite sum may overflow.
-        numbers = _numbers(cell)
-        if cell.system_tag in pivots or None in numbers or not math.isfinite(sum(numbers)):
-            check_distinct_tags(cell.system_tag, cell.pivot_tag, f"cells[{i}]")
-            for name, value in zip(CELL_NUMBERS, numbers):
-                if value is not None and not math.isfinite(value):
-                    raise DataError(f"cells[{i}].{name} must be finite, got {value}")
-        key = (cell.system_tag, cell.measure.name, cell.pair.target_label)
-        if key in targets:
-            raise DataError(
-                f"duplicate cell: system {cell.system_tag!r} has two cells targeting "
-                f"{cell.pair.target_label!r} for {cell.measure.name}"
-            )
-        targets.add(key)
-    return zip(*sorted(zip(map(_cell_sort_key, cells), cells)))
-
-
 def persistence_table(
     cells: Sequence[PersistenceCell], ee_order: Sequence[str] | None = None
 ) -> PersistenceTable:
@@ -145,11 +117,35 @@ def persistence_table(
 
     ``ee_order`` fixes the row chronology (base snapshots first); when
     omitted it falls back to base labels then target labels, each sorted.
-    A cell whose system is the pivot, or whose number is not finite, is a
-    DataError naming the cell.
+    DataErrors, in the order raised: zero cells; mixed pivots; per cell in
+    input order, a system that is its pivot or a non-finite number (each
+    naming the cell), or a repeated target; an ``ee_order`` that misses or
+    repeats a label; in table order, two pivot means in one EE.
     """
-    places, ordered_cells = _check_cells(cells)
-    pivot_tag = ordered_cells[0].pivot_tag
+    if not cells:
+        raise DataError("cannot build a table from zero cells")
+    pivots = {c.pivot_tag for c in cells}
+    if len(pivots) != 1:
+        raise DataError(f"cells mix pivots: {sorted(pivots)}")
+    (pivot_tag,) = pivots
+    # A target row shows one cell per measure; a repeated pair repeats its target.
+    targets: dict[tuple, tuple] = {}  # (system, measure name, target) -> (place, cell)
+    for i, cell in enumerate(cells):
+        # Numbers with a finite sum are each finite. Only a cell this screen
+        # stops is checked field by field, and a finite sum may overflow.
+        numbers = _numbers(cell)
+        if cell.system_tag == pivot_tag or None in numbers or not math.isfinite(sum(numbers)):
+            check_distinct_tags(cell.system_tag, pivot_tag, f"cells[{i}]")
+            for name, value in zip(CELL_NUMBERS, numbers):
+                if value is not None and not math.isfinite(value):
+                    raise DataError(f"cells[{i}].{name} must be finite, got {value}")
+        system, name, _, target = place = _cell_sort_key(cell)
+        if (system, name, target) in targets:
+            raise DataError(
+                f"duplicate cell: system {system!r} has two cells targeting {target!r} for {name}"
+            )
+        targets[system, name, target] = place, cell
+    places, ordered_cells = zip(*sorted(targets.values()))
     measures = tuple(sorted({c.measure for c in ordered_cells}, key=attrgetter("name")))
     names = [m.name for m in measures]
     bases = {base for _, _, base, _ in places}
@@ -164,39 +160,39 @@ def persistence_table(
             raise DataError(f"ee_order repeats a label: {json.dumps(list(ee_order))}")
         order = tuple(label for label in ee_order if label in labels)
 
-    # (system, EE) -> measure name -> TableCell, the pivot's under its tag. The
-    # first cell that targets an EE fills the row there, else the first based
-    # there shows the ideal values; every cell repeats the pivot's mean in an EE.
-    found: defaultdict[tuple[str, str], dict[str, TableCell]] = defaultdict(dict)
-    filled: dict[tuple[str, str, str], PersistenceCell] = {}  # place -> first cell to fill it
+    # Keyed by (row tag, EE, measure name): each cell fills its system's row at
+    # its target, and the first cell to target an EE fills the pivot's row
+    # there. A row not filled shows the ideal values of the first cell based
+    # in its EE, for that cell's system and for the pivot, else _EMPTY.
+    means: dict[tuple[str, str], float] = {}  # (EE, measure name) -> the pivot's mean
+    filled: dict[tuple[str, str, str], TableCell] = {}
+    ideal: dict[tuple[str, str, str], TableCell] = {}
     for c, (system, name, base, target) in zip(ordered_cells, places):
         piv_base, piv_target = c.pivot_arp_base.value, c.pivot_arp_target.value
-        rd = result_delta(piv_base, piv_target)
-        rd_undefined = frozenset() if rd is not None else frozenset({"result_delta"})
+        for ee, mean in ((base, piv_base), (target, piv_target)):
+            known = means.setdefault((ee, name), mean)
+            if known != mean:
+                raise DataError(f"inconsistent pivot means for {name} in {ee!r}: {known} vs {mean}")
+        if (pivot_tag, target, name) not in filled:
+            rd = result_delta(piv_base, piv_target)
+            undefined = frozenset() if rd is not None else frozenset({"result_delta"})
+            filled[pivot_tag, target, name] = TableCell(piv_target, rd, undefined_fields=undefined)
         changes = _undefinable(c)
         undefined = frozenset() if None not in changes else frozenset(
             n for n, v in zip(_UNDEFINABLE, changes) if v is None
         )
-        sig_base = c.p_vs_pivot_base < SIGNIFICANCE_ALPHA
         sig_target = c.p_vs_pivot_target < SIGNIFICANCE_ALPHA
-        # The entries a cell may place: row, whether it fills there, values.
-        for who, ee, fills, values in (
-            (pivot_tag, base, False, (piv_base, 0.0)),
-            (pivot_tag, target, True, (piv_target, rd, None, None, None, None, rd_undefined)),
-            (system, base, False, (c.arp_base.value, 0.0, 0.0, 1.0, 1.0, sig_base)),
-            (system, target, True, (c.arp_target.value, *changes, c.p_value, sig_target, undefined)),
-        ):
-            row = found[who, ee]
-            known = row.get(name)
-            if who == pivot_tag and known is not None and known.arp != values[0]:
-                raise DataError(
-                    f"inconsistent pivot means for {name} in {ee!r}: {known.arp} vs {values[0]}"
-                )
-            if fills and filled.setdefault((who, ee, name), c) is c or known is None:
-                row[name] = TableCell(*values)
+        filled[system, target, name] = TableCell(
+            c.arp_target.value, *changes, c.p_value, sig_target, undefined
+        )
+        if (system, base, name) not in ideal:
+            sig_base = c.p_vs_pivot_base < SIGNIFICANCE_ALPHA
+            ideal[system, base, name] = TableCell(c.arp_base.value, 0.0, 0.0, 1.0, 1.0, sig_base)
+            ideal.setdefault((pivot_tag, base, name), TableCell(piv_base, 0.0))
 
+    shown = ideal | filled
     rows = tuple(
-        TableRow(who, ee, {name: found.get((who, ee), {}).get(name, _EMPTY) for name in names})
+        TableRow(who, ee, {name: shown.get((who, ee, name), _EMPTY) for name in names})
         for who in (pivot_tag, *dict.fromkeys(place[0] for place in places))
         for ee in order
     )

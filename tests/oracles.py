@@ -300,18 +300,60 @@ def oracle_series_csv(series):
 # every pivot row first, then each system's rows, each row scanning the cells.
 
 
+# The numbers of a cell, as attribute paths: each mean's value, then each
+# number field, in field order.
+ORACLE_CELL_NUMBERS = (
+    "arp_base.value", "arp_target.value", "pivot_arp_base.value", "pivot_arp_target.value",
+    "result_delta", "ri_base", "ri_target", "delta_ri", "effect_ratio", "t_statistic",
+    "p_value", "p_vs_pivot_base", "p_vs_pivot_target",
+)
+
+
 def oracle_table_rows(cells, ee_order):
     """The rows of the table of ``cells`` as (system, EE, {measure name:
     (ARP, RD, DRI, ER, p, significant, undefined fields)}): the pivot's rows,
     then each system's in tag order, one per label of ``ee_order`` that a
-    cell names. A ValueError if two cells give the pivot two means in an EE."""
+    cell names. A ValueError, with the package's message, for the first of
+    these faults: zero cells; cells of two pivots; cell by cell in input
+    order, a system that is its pivot, a number that is not finite, or a
+    second cell of a system targeting an EE for a measure; an ``ee_order``
+    that misses a label of the cells, or repeats one; then two cells that
+    give the pivot two means in an EE."""
+    if len(cells) == 0:
+        raise ValueError("cannot build a table from zero cells")
+    pivots = sorted({c.pivot_tag for c in cells})
+    if len(pivots) > 1:
+        raise ValueError(f"cells mix pivots: {pivots}")
+    pivot = pivots[0]
+    targeted = []
+    for i, c in enumerate(cells):
+        if c.system_tag == pivot:
+            raise ValueError(f"cells[{i}]: system and pivot share the tag {pivot!r}")
+        for path in ORACLE_CELL_NUMBERS:
+            value = c
+            for attribute in path.split("."):
+                value = getattr(value, attribute)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"cells[{i}].{path} must be finite, got {value}")
+        target = (c.system_tag, c.measure.name, c.pair.target_label)
+        if target in targeted:
+            raise ValueError(
+                f"duplicate cell: system {c.system_tag!r} has two cells targeting "
+                f"{c.pair.target_label!r} for {c.measure.name}"
+            )
+        targeted.append(target)
+    labels = {c.pair.base_label for c in cells} | {c.pair.target_label for c in cells}
+    uncovered = sorted(label for label in labels if label not in ee_order)
+    if uncovered:
+        raise ValueError(f"ee_order does not cover {uncovered}")
+    if len(set(ee_order)) != len(ee_order):
+        quoted = ", ".join(f'"{label}"' for label in ee_order)
+        raise ValueError(f"ee_order repeats a label: [{quoted}]")
     ordered = sorted(
         cells,
         key=lambda c: (c.system_tag, c.measure.name, c.pair.base_label, c.pair.target_label),
     )
-    pivot = ordered[0].pivot_tag
     names = sorted({c.measure.name for c in cells})
-    labels = {c.pair.base_label for c in cells} | {c.pair.target_label for c in cells}
     order = [label for label in ee_order if label in labels]
     empty = (None, None, None, None, None, None, frozenset())
 

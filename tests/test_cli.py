@@ -1261,6 +1261,34 @@ class TestOutputThatIsAFile:
         assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
 
+class TestOverLongFileName:
+    """A run tag that makes an output file name longer than 255 bytes is a
+    usage error (exit 1) raised before the first write, so no output
+    directory is left behind."""
+
+    @pytest.mark.parametrize("command", ["persist", "score"])
+    def test_exits_1_leaving_no_output(self, tmp_path, capsys, command):
+        tag = "a" * 300
+        root = tmp_path / "job"
+        shutil.copytree(FIXTURE, root)
+        for path in (root / "job.json", *root.glob("runs/alpha.*.run")):
+            text = path.read_text(encoding="utf-8")
+            text = text.replace('"alpha"', f'"{tag}"').replace(" alpha", f" {tag}")
+            path.write_text(text, encoding="utf-8")
+        argv = {
+            "persist": ["persist", "--config", root / "job.json"],
+            "score": [
+                "score", root / "runs" / "alpha.t1.run", root / "qrels.t1.txt", "--measures", "p@10"
+            ],
+        }[command]
+        output = tmp_path / "out"
+        assert run_cli(*argv, "--output", output) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {output}{os.sep}")
+        assert err.endswith(": file name longer than 255 bytes\n") and err.count("\n") == 1
+        assert not output.exists()
+
+
 class TestByteOrderMark:
     """A UTF-8 byte-order mark at the start of an input changes nothing."""
 

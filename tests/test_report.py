@@ -6,7 +6,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from persisteval.errors import DataError, UsageError
@@ -33,6 +33,7 @@ from persisteval.report import (
 )
 
 from oracles import (
+    ORACLE_CELL_NUMBERS,
     oracle_render_table_csv,
     oracle_render_table_text,
     oracle_scatter_csv,
@@ -361,7 +362,11 @@ oracle_p_values = st.sampled_from([0.01, 0.05, 0.5])
 def oracle_cases(draw):
     """Cells of up to three systems over two measures, each system targeting
     an EE at most once per measure, and an ee_order. In about one case in
-    four one cell moves a pivot mean, which the other cells may contradict."""
+    four one cell moves a pivot mean, which the other cells may contradict.
+    In about one case in three one more cell is invalid: its pivot differs,
+    its system is its pivot, one of its numbers is not finite, or it repeats
+    the target of another; and in about one in five the ee_order drops or
+    repeats a label."""
     labels = ["t1", "t2", "t3", "t4"]
     pivot = {(m, label): draw(oracle_means) for m in (P_AT_10, NDCG) for label in labels}
     tags = st.sampled_from(["alpha", "beta", "gamma"])
@@ -385,14 +390,33 @@ def oracle_cases(draw):
     if draw(st.integers(0, 3)) == 0:
         i = draw(st.integers(0, len(cells) - 1))
         cells[i] = cells[i]._replace(pivot_arp_target=ARPValue(0.125, 5))
-    return draw(st.permutations(cells)), draw(st.permutations(labels))
+    fault = draw(st.sampled_from([None] * 8 + ["pivot", "self", "number", "target"]))
+    if fault is not None:
+        cell = draw(st.sampled_from(cells))
+        if fault == "pivot":
+            cell = cell._replace(pivot_tag="other")
+        elif fault == "self":
+            cell = cell._replace(system_tag="pivot")
+        elif fault == "number":
+            field, *arp = draw(st.sampled_from(ORACLE_CELL_NUMBERS)).split(".")
+            value = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+            cell = cell._replace(**{field: ARPValue(value, 5) if arp else value})
+        else:
+            same_target = [p for p in ORACLE_PAIRS if p.target_label == cell.pair.target_label]
+            cell = cell._replace(pair=draw(st.sampled_from(same_target)))
+        cells.append(cell)
+    order = draw(st.permutations(labels))
+    order = draw(st.sampled_from([order] * 8 + [order[1:], order + order[:1]]))
+    return draw(st.permutations(cells)), order
 
 
 class TestTableRowsMatchTheOracle:
     """persistence_table builds the rows the two-pass oracle builds, and
-    refuses contradicting pivot means with the oracle's message."""
+    refuses invalid cells, a bad ee_order and contradicting pivot means
+    with the oracle's message, the first fault first."""
 
     @given(oracle_cases())
+    @example(([], ["t1", "t2"]))
     def test_rows(self, case):
         cells, ee_order = case
         try:
