@@ -94,6 +94,7 @@ class JobConfig(
             raise UsageError(f"no system run besides the pivot {self.pivot!r}")
         for system, measure, pair in product(systems, self.measures, self.pairs):
             name = _series_name(system, measure, pair)
+            _check_name(_default_output(self.output), f"series/{name}")
             owner = (
                 f"system {system!r}, {measure.name}, "
                 f"pair {pair.base_label!r} -> {pair.target_label!r}"
@@ -260,13 +261,6 @@ def _series_name(system: str, measure: MeasureId, pair: EEPair) -> str:
     return f"{_safe_name(system)}.{measure.key}.{base}-{target}.csv"
 
 
-def _restrict(vector: TopicScoreVector, topics: TopicSet) -> TopicScoreVector:
-    """The vector's scores on ``topics`` alone. A topic's score does not
-    depend on the topic set."""
-    scores = {t: vector.scores[t] for t in sorted(topics)}
-    return type(vector)(vector.measure, vector.run_tag, vector.ee_label, scores)
-
-
 def _default_output(explicit: Path | None) -> Path:
     if explicit is not None:
         return explicit
@@ -274,11 +268,15 @@ def _default_output(explicit: Path | None) -> Path:
     return Path(env) if env else Path(".")
 
 
+def _check_name(out_dir: Path, name: str) -> None:  # 255 bytes is NAME_MAX on Linux
+    if any(len(part.encode("utf-8")) > 255 for part in Path(name).parts):
+        raise UsageError(f"cannot write {out_dir / name}: file name longer than 255 bytes")
+
+
 def _write(out_dir: Path, files: Sequence[tuple[str, str]]) -> None:
     """Write each (name, content) under ``out_dir``, then list the names."""
-    for name, _ in files:  # 255 bytes is NAME_MAX on Linux file systems
-        if any(len(part.encode("utf-8")) > 255 for part in Path(name).parts):
-            raise UsageError(f"cannot write {out_dir / name}: file name longer than 255 bytes")
+    for name, _ in files:
+        _check_name(out_dir, name)
     for name, content in files:
         path = out_dir / name
         try:
@@ -304,12 +302,12 @@ def _artifacts(table: PersistenceTable, er_exclude: float) -> list[tuple[str, st
 
 def cmd_score(args: argparse.Namespace) -> int:
     from .measures import arp, format_scores, score_run, scores_to_json
-    from .run_io import load_qrels, load_run, load_topics
+    from .run_io import load_qrels, load_run, snapshot_topics
 
     measures = _flag("--measures", _read_measures, _comma_list(args.measures))
     run = load_run(Path(args.run))
     qrels = load_qrels(Path(args.qrels))
-    topics = load_topics(Path(args.topics)) if args.topics else run.topics | qrels.topics
+    topics = snapshot_topics(qrels, [run], args.topics or None)
     out_dir = _default_output(Path(args.output) if args.output else None)
     files: list[tuple[str, str]] = []
     arp_payload: dict[str, dict] = {}
@@ -334,24 +332,23 @@ def cmd_persist(args: argparse.Namespace) -> int:
     from .report import (
         persistence_table, pivot_delta_series, series_csv, table_to_json, topic_delta_series,
     )
-    from .run_io import core_topics, load_qrels, load_run, load_topics
+    from .run_io import core_topics, load_qrels, load_run, snapshot_topics
 
     config = load_job_config(Path(args.config), args)
     qrels = {spec.label: load_qrels(spec.qrels_path) for spec in config.environments}
     runs = {(run.tag, run.ee_label): load_run(run.path, run.tag) for run in config.runs}
-    topics: dict[str, TopicSet] = {}
-    for spec in config.environments:
-        if spec.topics_path is not None:
-            topics[spec.label] = load_topics(spec.topics_path)
-        else:
-            run_topics = (run.topics for (_, label), run in runs.items() if label == spec.label)
-            topics[spec.label] = qrels[spec.label].topics.union(*run_topics)
+    topics = {
+        ee.label: snapshot_topics(
+            qrels[ee.label], [r for (_, at), r in runs.items() if at == ee.label], ee.topics_path
+        )
+        for ee in config.environments
+    }
 
     # Strict mode scores each environment on the core topics, else on its own.
     if config.strict_topics:
         topics = dict.fromkeys(topics, core_topics(topics))
     # Series use the topics a pair shares, so both series modes stay defined.
-    shared = {pair: topics[pair.base_label] & topics[pair.target_label] for pair in config.pairs}
+    shared = {p: sorted(topics[p.base_label] & topics[p.target_label]) for p in config.pairs}
     for pair, common in shared.items():
         if not common:
             raise DataError(
@@ -378,7 +375,8 @@ def cmd_persist(args: argparse.Namespace) -> int:
             keys = product((system, config.pivot), (pair.base_label, pair.target_label))
             vectors = [scored[key] for key in keys]
             cells.append(persistence_cell(*vectors, t_variant=config.t_test))
-            vectors = [_restrict(v, shared[pair]) for v in vectors]
+            # A topic's score does not depend on the topic set.
+            vectors = [v._replace(scores={t: v.scores[t] for t in shared[pair]}) for v in vectors]
             if config.series == "raw":
                 series = topic_delta_series(*vectors[:2])
             else:

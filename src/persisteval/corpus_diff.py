@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
-from collections.abc import Iterable
 from pathlib import Path
 
 from .errors import DataError, ParseError, Record
@@ -57,11 +56,11 @@ class DiffSummary(
         return payload
 
 
-def parse_manifest(text: str | Iterable[str], label: str, *, path: str | None = None) -> CorpusSnapshot:
-    """Parse a ``url<TAB>length`` manifest. Lengths must be non-negative
+def parse_manifest(text: str, label: str, *, path: str | None = None) -> CorpusSnapshot:
+    """Parse a ``url<TAB>length`` manifest's text. Lengths must be non-negative
     integers and URLs unique."""
     docs: dict[str, int] = {}
-    for number, line in enumerate(text.splitlines() if isinstance(text, str) else text, start=1):
+    for number, line in enumerate(text.splitlines(), start=1):
         try:
             url, length_text = line.split("\t")
         except ValueError:

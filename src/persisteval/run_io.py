@@ -1,6 +1,6 @@
 """Reading, parsing, and validation of TREC-format inputs.
 
-Three line-oriented file formats are handled:
+Three line-oriented file formats are handled, each parsed from a file's text:
 
 - Run file: 6 whitespace-separated columns per line,
   ``topic iteration doc rank score tag`` (the classic TREC run format).
@@ -121,13 +121,8 @@ class Qrels(Record, namedtuple("Qrels", "judgments")):
         return self.judgments.get(topic_id, self._UNJUDGED)
 
 
-def parse_run(
-    text: str | Iterable[str],
-    expected_tag: str | None = None,
-    *,
-    path: str | None = None,
-) -> Run:
-    """Parse a TREC run file into a Run in canonical order.
+def parse_run(text: str, expected_tag: str | None = None, *, path: str | None = None) -> Run:
+    """Parse a TREC run file's text into a Run in canonical order.
 
     The run tag is taken from the records; all lines must agree, and must
     match ``expected_tag`` when one is given. Stated ranks are validated as
@@ -137,7 +132,7 @@ def parse_run(
     tag: str | None = None
     tag_line = 0
     # The list of lines is bound to no name, so it is freed when the loop ends.
-    for number, line in enumerate(text.splitlines() if isinstance(text, str) else text, start=1):
+    for number, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
         if not fields:
             continue
@@ -186,13 +181,13 @@ def parse_run(
     return Run.from_rankings(tag, per_topic)
 
 
-def parse_qrels(text: str | Iterable[str], *, path: str | None = None) -> Qrels:
-    """Parse a TREC qrels file. Grades outside {0, 1, 2} are rejected;
+def parse_qrels(text: str, *, path: str | None = None) -> Qrels:
+    """Parse a TREC qrels file's text. Grades outside {0, 1, 2} are rejected;
     duplicate (topic, doc) lines are rejected unless the grades agree, in
     which case the duplicate is accepted with a warning."""
     judgments: dict[str, dict[str, int]] = {}
     duplicates = 0
-    for number, line in enumerate(text.splitlines() if isinstance(text, str) else text, start=1):
+    for number, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
         if not fields:
             continue
@@ -232,11 +227,11 @@ def parse_qrels(text: str | Iterable[str], *, path: str | None = None) -> Qrels:
     return Qrels(judgments=judgments)
 
 
-def parse_topics(text: str | Iterable[str], *, path: str | None = None) -> TopicSet:
-    """Parse a topic list: one id per line, ``#`` comments and blanks
+def parse_topics(text: str, *, path: str | None = None) -> TopicSet:
+    """Parse a topic list file's text: one id per line, ``#`` comments and blanks
     ignored. A list with no topic is a DataError."""
     topics: set[str] = set()
-    for number, line in enumerate(text.splitlines() if isinstance(text, str) else text, start=1):
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -378,3 +373,11 @@ def core_topics(sets: Mapping[str, TopicSet]) -> TopicSet:
     if not core:
         raise DataError(f"core topic intersection across environments {list(sets)} is empty")
     return core
+
+
+def snapshot_topics(qrels: Qrels, runs: Iterable[Run], path: str | Path | None = None) -> TopicSet:
+    """A snapshot's topic set: the topics file's at ``path`` if one is given,
+    else every topic that its qrels and runs hold."""
+    if path is not None:
+        return load_topics(path)
+    return qrels.topics.union(*(run.topics for run in runs))

@@ -235,6 +235,35 @@ class TestPersistCommand:
         # Core topics exclude the t1-only q11: every mean is over 10 topics.
         assert all(c["arp_base"]["n_topics"] == 10 for c in payload["cells"])
 
+    def test_score_and_persist_share_the_topic_rule(self, tmp_path):
+        """Without a topics file, score and persist both take every topic the
+        qrels and runs hold: q2 is judged only, q3 is retrieved only."""
+        (tmp_path / "qrels.txt").write_text("q1 0 d1 1\nq2 0 d1 1\n", encoding="utf-8")
+        for tag, doc in (("S", "d1"), ("P", "d2")):
+            text = "".join(f"{topic} Q0 {doc} 1 2.0 {tag}\n" for topic in ("q1", "q3"))
+            (tmp_path / f"{tag}.run").write_text(text, encoding="utf-8")
+        job = {
+            "environments": [{"label": label, "qrels": "qrels.txt"} for label in "ab"],
+            "runs": [
+                {"tag": tag, "environment": label, "path": f"{tag}.run"}
+                for tag, label in product("SP", "ab")
+            ],
+            "pivot": "P",
+            "measures": ["p@10"],
+            "pairs": [["a", "b"]],
+        }
+        (tmp_path / "job.json").write_text(json.dumps(job), encoding="utf-8")
+        out = tmp_path / "out"
+        score = ["score", tmp_path / "S.run", tmp_path / "qrels.txt", "--measures", "p@10"]
+        assert run_cli(*score, "--output", out) == EXIT_OK
+        persist = ["persist", "--config", tmp_path / "job.json", "--no-strict-topics"]
+        assert run_cli(*persist, "--output", out) == EXIT_OK
+        lines = (out / "S.p_at_10.scores.txt").read_text(encoding="utf-8").splitlines()
+        topics = [line.split()[0] for line in lines[:-1]]
+        (cell,) = json.loads((out / "cells.json").read_text(encoding="utf-8"))["cells"]
+        assert topics == ["q1", "q2", "q3"]
+        assert cell["arp_base"]["n_topics"] == len(topics)
+
     def test_deterministic_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli("persist", "--config", FIXTURE / "job.json", "--output", out1) == EXIT_OK
@@ -1286,6 +1315,25 @@ class TestOverLongFileName:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {output}{os.sep}")
         assert err.endswith(": file name longer than 255 bytes\n") and err.count("\n") == 1
+        assert not output.exists()
+
+
+class TestOverLongSeriesName:
+    def test_exits_1_before_any_run_is_read(self, tmp_path, capsys):
+        """The manifest fixes every series name, so an over-long one is
+        refused before any input is read: here the alpha runs do not exist."""
+        tag = "a" * 300
+        root = tmp_path / "job"
+        shutil.copytree(FIXTURE, root)
+        for path in root.glob("runs/alpha.*.run"):
+            path.unlink()
+        job = root / "job.json"
+        job.write_text(job.read_text(encoding="utf-8").replace('"alpha"', f'"{tag}"'), "utf-8")
+        output = tmp_path / "out"
+        assert run_cli("persist", "--config", job, "--output", output) == EXIT_USAGE
+        path = output / "series" / f"{tag}.p_at_10.t1-t2.csv"
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {path}: file name longer than 255 bytes\n"
         assert not output.exists()
 
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import re
 import tempfile
 import warnings
@@ -23,6 +22,7 @@ from persisteval.run_io import (
     parse_qrels,
     parse_run,
     parse_topics,
+    snapshot_topics,
 )
 from oracles import oracle_run_error
 from trec_format import format_qrels, format_run
@@ -217,6 +217,23 @@ class TestCoreTopics:
                     core_topics(ordered)
 
 
+class TestSnapshotTopics:
+    QRELS = parse_qrels("q1 0 d1 1\nq2 0 d1 0\n")  # q2 is judged only
+    RUNS = [parse_run("q1 Q0 d1 1 1.0 S\nq3 Q0 d1 1 1.0 S\n"), parse_run("q4 Q0 d2 1 1.0 P\n")]
+
+    def test_topics_file_wins_over_larger_sets(self, tmp_path):
+        path = tmp_path / "topics.txt"
+        path.write_text("q1\nq9\n", encoding="utf-8")
+        assert snapshot_topics(self.QRELS, self.RUNS, path) == {"q1", "q9"}
+
+    def test_union_of_qrels_and_runs_without_a_topics_file(self):
+        assert snapshot_topics(self.QRELS, self.RUNS) == {"q1", "q2", "q3", "q4"}
+
+    def test_run_only_and_qrels_only_topics_are_kept(self):
+        assert snapshot_topics(self.QRELS, self.RUNS[:1]) == {"q1", "q2", "q3"}
+        assert snapshot_topics(self.QRELS, []) == {"q1", "q2"}
+
+
 class TestCanonicalOrderOracle:
     """The stored rankings and judgments against maps built here from the
     lines themselves."""
@@ -386,34 +403,6 @@ class TestLineNumbers:
 
     def test_manifest(self):
         assert _error(parse_manifest, "\n  \t \na\t1\nb\t-2", "m")[1] == 4
-
-
-class TestIterableInput:
-    """Any iterable of lines parses as the joined text does, with ``\\n``
-    or ``\\r\\n`` endings left on the lines."""
-
-    RUN = ["q1 Q0 d1 1 2.0 T", "", "q1 Q0 d2 2 1.0 T", "  ", "q2 Q0 d3 1 1.0 T"]
-
-    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
-    def test_run(self, ending):
-        lines = [line + ending for line in self.RUN]
-        expected = parse_run("\n".join(self.RUN))
-        assert parse_run(lines) == expected
-        assert parse_run(io.StringIO("".join(lines), newline="")) == expected
-
-    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
-    def test_run_error_line(self, ending):
-        lines = [line + ending for line in ["q1 Q0 d1 1 2.0 T", " ", "q1 Q0 d1 2 1.0 T"]]
-        assert _error(parse_run, lines) == ("DataError", 3, "3: duplicate document 'd1' for topic 'q1'")
-
-    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
-    def test_qrels_topics_and_manifest(self, ending):
-        assert parse_qrels([f"q1 0 d1 2{ending}", ending, f"q1 0 d2 0{ending}"]).judgments == {
-            "q1": {"d1": 2, "d2": 0}
-        }
-        assert parse_topics([f"# ids{ending}", f"q1{ending}", ending, f"q2{ending}"]) == {"q1", "q2"}
-        snapshot = parse_manifest([f"a\t1{ending}", f" \t {ending}", f"b\t2{ending}"], "m")
-        assert snapshot.docs == {"a": 1, "b": 2}
 
 
 class TestManifestBlankLines:
