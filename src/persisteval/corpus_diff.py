@@ -60,7 +60,7 @@ def parse_manifest(text: str, label: str, *, path: str | None = None) -> CorpusS
     """Parse a ``url<TAB>length`` manifest's text. Lengths must be non-negative
     integers and URLs unique."""
     docs: dict[str, int] = {}
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(text.split("\n"), start=1):
         try:
             url, length_text = line.split("\t")
         except ValueError:
@@ -89,18 +89,30 @@ def parse_manifest(text: str, label: str, *, path: str | None = None) -> CorpusS
     return CorpusSnapshot(label=label, docs=docs)
 
 
+def _utf8(name: str, path: str | Path) -> str:
+    """``name`` if UTF-8 can encode it, else a ParseError naming ``path``, bytes escaped."""
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        shown = os.fsencode(path).decode("utf-8", "backslashreplace")
+        raise ParseError("file name is not UTF-8", path=shown) from None
+    return name
+
+
 def load_manifest(path: str | Path, label: str | None = None) -> CorpusSnapshot:
-    return parse_manifest(read_input(path), label or Path(path).name, path=str(path))
+    label = label or _utf8(Path(path).name, path)
+    return parse_manifest(read_input(path), label, path=str(path))
 
 
 def snapshot_from_dir(path: str | Path, label: str | None = None) -> CorpusSnapshot:
     """Derive a snapshot from a directory of text files: each regular file
     becomes one document, keyed by its path relative to the directory, with
     the character count of its decoded content as the length. A subdirectory
-    it cannot list, or a file it cannot read, is a ParseError naming it."""
+    it cannot list, or a file it cannot read or name in UTF-8, is a ParseError naming it."""
     root = Path(path)
     if not root.is_dir():
         raise ParseError(f"not a directory: {path}", path=str(path))
+    label = label or _utf8(root.name, root)
 
     def unlistable(exc: OSError):
         raise ParseError(f"cannot list {exc.filename}: {exc}", path=exc.filename) from exc
@@ -110,12 +122,12 @@ def snapshot_from_dir(path: str | Path, label: str | None = None) -> CorpusSnaps
     for directory, subdirectories, names in os.walk(root, onerror=unlistable):
         subdirectories.sort()  # a fixed order, so one tree always fails at one file
         for file_path in filter(Path.is_file, map(Path(directory).joinpath, sorted(names))):
-            url = file_path.relative_to(root).as_posix()
+            url = _utf8(file_path.relative_to(root).as_posix(), file_path)
             try:
                 docs[url] = len(file_path.read_text(encoding="utf-8", errors="replace"))
             except OSError as exc:
                 raise ParseError(f"cannot read {file_path}: {exc}", path=str(file_path)) from exc
-    return CorpusSnapshot(label=label or root.name, docs=docs)
+    return CorpusSnapshot(label=label, docs=docs)
 
 
 def diff_collections(a: CorpusSnapshot, b: CorpusSnapshot) -> DiffSummary:

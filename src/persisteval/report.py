@@ -51,8 +51,6 @@ DEFAULT_ER_EXCLUSION = 10.0
 # How a table cell's field came to be empty.
 NOT_APPLICABLE = "-"
 UNDEFINED = "undef"
-# The table's cell fields that are None when undefined.
-_UNDEFINABLE = ("result_delta", "delta_ri", "effect_ratio")
 # The numbers of a cell, all finite in a table (a JSON number too large for a
 # float decodes to inf).
 _numbers = attrgetter(*CELL_NUMBERS)
@@ -62,13 +60,13 @@ class TableCell(
     Record,
     namedtuple(
         "TableCell",
-        "arp result_delta delta_ri effect_ratio p_value significant undefined_fields",
-        defaults=(None, None, None, None, None, None, frozenset()),
+        "arp result_delta delta_ri effect_ratio p_value significant",
+        defaults=(None,) * 6,
     ),
 ):
-    """One measure's values for one (system, EE) row. ``None`` fields are
-    rendered as undefined when named in ``undefined_fields``, otherwise as
-    structurally not applicable."""
+    """One measure's values for one (system, EE) row. A None RD is undefined
+    when the cell has an ARP, a None DRI or ER when it has a p-value; any
+    other None is not applicable."""
 
     __slots__ = ()
 
@@ -107,7 +105,6 @@ class TopicDeltaSeries(Record, namedtuple("TopicDeltaSeries", "system_tag measur
 
 # A cell's place in the table, unique to it: system, measure name, base and target label.
 _cell_sort_key = attrgetter("system_tag", "measure.name", "pair.base_label", "pair.target_label")
-_undefinable = attrgetter(*_UNDEFINABLE)
 
 
 def persistence_table(
@@ -175,15 +172,10 @@ def persistence_table(
                 raise DataError(f"inconsistent pivot means for {name} in {ee!r}: {known} vs {mean}")
         if (pivot_tag, target, name) not in filled:
             rd = result_delta(piv_base, piv_target)
-            undefined = frozenset() if rd is not None else frozenset({"result_delta"})
-            filled[pivot_tag, target, name] = TableCell(piv_target, rd, undefined_fields=undefined)
-        changes = _undefinable(c)
-        undefined = frozenset() if None not in changes else frozenset(
-            n for n, v in zip(_UNDEFINABLE, changes) if v is None
-        )
+            filled[pivot_tag, target, name] = TableCell(piv_target, rd)
         sig_target = c.p_vs_pivot_target < SIGNIFICANCE_ALPHA
         filled[system, target, name] = TableCell(
-            c.arp_target.value, *changes, c.p_value, sig_target, undefined
+            c.arp_target.value, c.result_delta, c.delta_ri, c.effect_ratio, c.p_value, sig_target
         )
         if (system, base, name) not in ideal:
             sig_base = c.p_vs_pivot_base < SIGNIFICANCE_ALPHA
@@ -207,15 +199,13 @@ def _columns(records: Sequence[tuple], width: int) -> list[tuple]:
     return list(zip(*records)) or [()] * width
 
 
-def _fmt3(
-    values: Sequence[float | None], undefined: Sequence[frozenset[str]], field: str | None = None
-) -> list[str]:
+def _fmt3(values: Sequence[float | None], anchors: Iterable = repeat(None)) -> list[str]:
     """Each value to 3 decimals (adding 0.0 turns -0.0 into 0.0). A None is
-    UNDEFINED where ``field`` is among the row's ``undefined`` fields, else
-    NOT_APPLICABLE."""
+    UNDEFINED where the row's value in the ``anchors`` column is not None,
+    else NOT_APPLICABLE."""
     return [
-        f"{v + 0.0:.3f}" if v is not None else UNDEFINED if field in u else NOT_APPLICABLE
-        for v, u in zip(values, undefined)
+        f"{v + 0.0:.3f}" if v is not None else NOT_APPLICABLE if a is None else UNDEFINED
+        for v, a in zip(values, anchors)
     ]
 
 
@@ -241,15 +231,12 @@ def render_table_text(table: PersistenceTable) -> str:
         _aligned(["EE", *[_one_line(row.ee_label) for row in rows]], str.ljust),
     ]]
     for name in names:
-        arp, rd, dri, er, p, significant, undefined = _columns([r.cells[name] for r in rows], 7)
+        arp, rd, dri, er, p, significant = _columns([r.cells[name] for r in rows], 6)
         starred = [
             text + "*" if star and value is not None else text
-            for text, star, value in zip(_fmt3(arp, undefined), significant, arp)
+            for text, star, value in zip(_fmt3(arp), significant, arp)
         ]
-        columns = (
-            starred, _fmt3(rd, undefined, "result_delta"), _fmt3(dri, undefined, "delta_ri"),
-            _fmt3(er, undefined, "effect_ratio"), _fmt3(p, undefined),
-        )
+        columns = (starred, _fmt3(rd, arp), _fmt3(dri, p), _fmt3(er, p), _fmt3(p))
         groups.append(
             [_aligned([title, *column], str.rjust) for title, column in zip(VALUE_COLUMNS, columns)]
         )
@@ -285,9 +272,8 @@ def render_table_csv(table: PersistenceTable) -> str:
     """One row per system x EE x measure, full precision."""
     names = [m.name for m in table.measures]
     rows = table.rows
-    arp, rd, dri, er, p, significant, _ = _columns(
-        [row.cells[name] for row in rows for name in names], 7
-    )
+    cells = [row.cells[name] for row in rows for name in names]
+    arp, rd, dri, er, p, significant = _columns(cells, 6)
     return _csv(
         "system,ee,measure,arp,result_delta,delta_ri,effect_ratio,p_value,significant",
         [

@@ -1,6 +1,6 @@
 """Reading, parsing, and validation of TREC-format inputs.
 
-Three line-oriented file formats are handled, each parsed from a file's text:
+Three file formats of LF-ended lines are handled, each parsed from a file's text:
 
 - Run file: 6 whitespace-separated columns per line,
   ``topic iteration doc rank score tag`` (the classic TREC run format).
@@ -132,7 +132,7 @@ def parse_run(text: str, expected_tag: str | None = None, *, path: str | None = 
     tag: str | None = None
     tag_line = 0
     # The list of lines is bound to no name, so it is freed when the loop ends.
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(text.split("\n"), start=1):
         fields = line.split()
         if not fields:
             continue
@@ -187,7 +187,7 @@ def parse_qrels(text: str, *, path: str | None = None) -> Qrels:
     which case the duplicate is accepted with a warning."""
     judgments: dict[str, dict[str, int]] = {}
     duplicates = 0
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(text.split("\n"), start=1):
         fields = line.split()
         if not fields:
             continue
@@ -231,7 +231,7 @@ def parse_topics(text: str, *, path: str | None = None) -> TopicSet:
     """Parse a topic list file's text: one id per line, ``#`` comments and blanks
     ignored. A list with no topic is a DataError."""
     topics: set[str] = set()
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

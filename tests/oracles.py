@@ -218,9 +218,11 @@ def oracle_render_table_text(table):
             cell = row.cells[name]
             line.append([
                 _oracle_fmt3(cell.arp, star=bool(cell.significant)),
-                _oracle_fmt3(cell.result_delta, "result_delta" in cell.undefined_fields),
-                _oracle_fmt3(cell.delta_ri, "delta_ri" in cell.undefined_fields),
-                _oracle_fmt3(cell.effect_ratio, "effect_ratio" in cell.undefined_fields),
+                # A missing RD is undefined beside an ARP, a missing DRI or ER
+                # beside a p-value; any other missing value does not apply.
+                _oracle_fmt3(cell.result_delta, cell.arp is not None),
+                _oracle_fmt3(cell.delta_ri, cell.p_value is not None),
+                _oracle_fmt3(cell.effect_ratio, cell.p_value is not None),
                 _oracle_fmt3(cell.p_value),
             ])
         lines.append(line)
@@ -311,7 +313,7 @@ ORACLE_CELL_NUMBERS = (
 
 def oracle_table_rows(cells, ee_order):
     """The rows of the table of ``cells`` as (system, EE, {measure name:
-    (ARP, RD, DRI, ER, p, significant, undefined fields)}): the pivot's rows,
+    (ARP, RD, DRI, ER, p, significant)}): the pivot's rows,
     then each system's in tag order, one per label of ``ee_order`` that a
     cell names. A ValueError, with the package's message, for the first of
     these faults: zero cells; cells of two pivots; cell by cell in input
@@ -355,7 +357,7 @@ def oracle_table_rows(cells, ee_order):
     )
     names = sorted({c.measure.name for c in cells})
     order = [label for label in ee_order if label in labels]
-    empty = (None, None, None, None, None, None, frozenset())
+    empty = (None, None, None, None, None, None)
 
     # First pass: the pivot's mean per (measure, EE), the same in every cell,
     # and the base of the first cell that targets each (measure, EE).
@@ -385,16 +387,14 @@ def oracle_table_rows(cells, ee_order):
             if (name, ee) not in pivot_means:
                 row[name] = empty
             elif (name, ee) not in pivot_bases:
-                row[name] = (pivot_means[(name, ee)], 0.0, None, None, None, None, frozenset())
+                row[name] = (pivot_means[(name, ee)], 0.0, None, None, None, None)
             else:
                 base_mean = pivot_means[(name, pivot_bases[(name, ee)])]
                 mean = pivot_means[(name, ee)]
-                if base_mean == 0.0:
-                    undefined = frozenset({"result_delta"})
-                    row[name] = (mean, None, None, None, None, None, undefined)
-                else:
-                    rd = (base_mean - mean) / base_mean
-                    row[name] = (mean, rd, None, None, None, None, frozenset())
+                # A zero base mean leaves RD undefined; the mean beside it
+                # tells the renderer so.
+                rd = None if base_mean == 0.0 else (base_mean - mean) / base_mean
+                row[name] = (mean, rd, None, None, None, None)
         rows.append((pivot, ee, row))
     for system in sorted({c.system_tag for c in cells}):
         for ee in order:
@@ -405,20 +405,13 @@ def oracle_table_rows(cells, ee_order):
                 based = [c for c in mine if c.pair.base_label == ee]
                 if targeting:
                     c = targeting[0]
-                    undefined = frozenset(
-                        field
-                        for field in ("result_delta", "delta_ri", "effect_ratio")
-                        if getattr(c, field) is None
-                    )
                     row[name] = (
                         c.arp_target.value, c.result_delta, c.delta_ri, c.effect_ratio,
-                        c.p_value, c.p_vs_pivot_target < 0.05, undefined,
+                        c.p_value, c.p_vs_pivot_target < 0.05,
                     )
                 elif based:
                     c = based[0]
-                    row[name] = (
-                        c.arp_base.value, 0.0, 0.0, 1.0, 1.0, c.p_vs_pivot_base < 0.05, frozenset()
-                    )
+                    row[name] = (c.arp_base.value, 0.0, 0.0, 1.0, 1.0, c.p_vs_pivot_base < 0.05)
                 else:
                     row[name] = empty
             rows.append((system, ee, row))

@@ -912,6 +912,40 @@ class TestCorpusDiffCommand:
         out = capsys.readouterr().out
         assert "added     1" in out and "changed   1" in out
 
+    # A name that is not UTF-8 would become a URL or label that a UTF-8
+    # stdout, or corpus_diff.json, cannot hold.
+    @pytest.mark.parametrize(
+        "new, document, shown",
+        [
+            (b"new", b"bad\xff.txt", "new/bad\\xff.txt"),
+            (b"new", b"sub\xfe/d.txt", "new/sub\\xfe/d.txt"),
+            (b"new\xfe", b"d.txt", "new\\xfe"),
+        ],
+        ids=["document", "subdirectory", "root"],
+    )
+    def test_non_utf8_name_in_directory_mode_exits_2_naming_it(
+        self, tmp_path, capsys, new, document, shown
+    ):
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "a.txt").write_text("a", encoding="utf-8")
+        new = tmp_path / os.fsdecode(new)
+        document = new / os.fsdecode(document)
+        document.parent.mkdir(parents=True)
+        document.write_text("d", encoding="utf-8")
+        code = run_cli("corpus-diff", tmp_path / "old", new, "--from-dirs", "--verbose")
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE and captured.out == ""
+        assert captured.err == f"error: {tmp_path}/{shown}: file name is not UTF-8\n"
+
+    def test_non_utf8_manifest_name_exits_2_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / os.fsdecode(b"m\xff.tsv")
+        bad.write_text("a\t1\n", encoding="utf-8")
+        code = run_cli("corpus-diff", FIXTURE / "manifest.t1.tsv", bad, "--output", tmp_path / "out")
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE and captured.out == ""
+        assert captured.err == f"error: {tmp_path}/m\\xff.tsv: file name is not UTF-8\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_document_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "old").mkdir(), (tmp_path / "new").mkdir()
         document = tmp_path / "new" / "a.txt"

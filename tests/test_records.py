@@ -19,7 +19,7 @@ CELL = pe.PersistenceCell(
     "sys", "pivot", NDCG, PAIR, ARP, ARP, ARP, ARP, 0.0, None, 0.5, None, 1.0,
     math.inf, 0.01, 0.5, 0.2, True, ("ri_base: pivot mean is zero in the base environment",),
 )
-TABLE_CELL = TableCell(0.25, 0.0, None, 1.0, 0.5, False, frozenset({"delta_ri"}))
+TABLE_CELL = TableCell(0.25, 0.0, None, 1.0, 0.5, False)
 ROW = TableRow("sys", "t2", {"nDCG": TABLE_CELL})
 
 # One instance of each public record class, built fresh on each call.

@@ -236,6 +236,22 @@ class TestRendering:
         with pytest.raises(DataError, match=r"the cells file must be an object, got \[\]"):
             table_from_json("[]")
 
+    @pytest.mark.parametrize(
+        "cell, shown",
+        [
+            (TableCell(arp=0.5), ["0.500", "undef", "-", "-", "-"]),
+            (TableCell(), ["-", "-", "-", "-", "-"]),
+            (TableCell(p_value=0.5), ["-", "-", "undef", "undef", "0.500"]),
+            (TableCell(0.5, 0.1, 0.2, None, 0.5), ["0.500", "0.100", "0.200", "undef", "0.500"]),
+        ],
+    )
+    def test_a_missing_change_is_undefined_beside_its_anchor(self, cell, shown):
+        # A missing RD is undefined when the cell has an ARP, a missing DRI
+        # or ER when it has a p-value; otherwise it does not apply.
+        row = TableRow("sys", "t2", {"nDCG": cell})
+        text = render_table_text(PersistenceTable("pivot", (NDCG,), (), (row,), ()))
+        assert text.splitlines()[3].split(" | ")[1].split() == shown
+
     def test_significant_arp_is_starred(self, cells):
         marked = [cells[0]._replace(p_vs_pivot_target=0.001)]
         text = render_table_text(persistence_table(marked))
@@ -274,7 +290,6 @@ table_cells = st.builds(
     effect_ratio=numbers,
     p_value=numbers,
     significant=st.none() | st.booleans(),
-    undefined_fields=st.frozensets(st.sampled_from(["result_delta", "delta_ri", "effect_ratio"])),
 )
 
 

@@ -404,6 +404,22 @@ class TestLineNumbers:
     def test_manifest(self):
         assert _error(parse_manifest, "\n  \t \na\t1\nb\t-2", "m")[1] == 4
 
+    # Characters that str.splitlines breaks at but that are whitespace
+    # inside a line: only LF ends a line, so none moves the fault's line.
+    @pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_run, "q1 Q0 d1 1 1.0 T{}\nq1 Q0 d2 x 0.5 T"),
+            (parse_qrels, "q1 0 d1 1{}\nq1 0 d2 x"),
+            (parse_topics, "q1{}\nq2 q3"),
+            (lambda text: parse_manifest(text, "m"), "a\t1{}\nb\t-2"),
+        ],
+        ids=["run", "qrels", "topics", "manifest"],
+    )
+    def test_only_a_line_feed_ends_a_line(self, parse, text, space):
+        assert _error(parse, text.format(space))[1] == 2
+
 
 class TestManifestBlankLines:
     @pytest.mark.parametrize("blank", ["", "   ", "\t", "  \t ", "\t\t", " \t \t "])
