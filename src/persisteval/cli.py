@@ -261,11 +261,8 @@ def _series_name(system: str, measure: MeasureId, pair: EEPair) -> str:
     return f"{_safe_name(system)}.{measure.key}.{base}-{target}.csv"
 
 
-def _default_output(explicit: Path | None) -> Path:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(OUTPUT_ENV_VAR)
-    return Path(env) if env else Path(".")
+def _default_output(explicit: Path | str | None) -> Path:
+    return Path(explicit or os.environ.get(OUTPUT_ENV_VAR) or ".")
 
 
 def _check_name(out_dir: Path, name: str) -> None:  # 255 bytes is NAME_MAX on Linux
@@ -308,7 +305,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     run = load_run(Path(args.run))
     qrels = load_qrels(Path(args.qrels))
     topics = snapshot_topics(qrels, [run], args.topics or None)
-    out_dir = _default_output(Path(args.output) if args.output else None)
+    out_dir = _default_output(args.output)
     files: list[tuple[str, str]] = []
     arp_payload: dict[str, dict] = {}
     for measure in measures:
@@ -416,7 +413,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     _flag("--er-exclude", _checked(check_er_exclusion), er_exclude)
     table = table_from_json(read_input(args.cells), path=args.cells)
     files = _artifacts(table, er_exclude)
-    _write(_default_output(Path(args.output) if args.output else None), files)
+    _write(_default_output(args.output), files)
     return EXIT_OK
 
 

@@ -90,12 +90,11 @@ def parse_manifest(text: str, label: str, *, path: str | None = None) -> CorpusS
 
 
 def _utf8(name: str, path: str | Path) -> str:
-    """``name`` if UTF-8 can encode it, else a ParseError naming ``path``, bytes escaped."""
+    """``name`` if UTF-8 can encode it, else a ParseError naming ``path``."""
     try:
         name.encode("utf-8")
     except UnicodeEncodeError:
-        shown = os.fsencode(path).decode("utf-8", "backslashreplace")
-        raise ParseError("file name is not UTF-8", path=shown) from None
+        raise ParseError("file name is not UTF-8", path=str(path)) from None
     return name
 
 

@@ -8,10 +8,15 @@ DiagnosticWarning through the standard warnings machinery.
 
 from __future__ import annotations
 
+# Each byte of a path that is not UTF-8, as os.fsdecode escapes it, to \xNN.
+_NOT_UTF8 = {code: f"\\x{code - 0xDC00:02x}" for code in range(0xDC80, 0xDD00)}
+
 
 class EvaluationError(Exception):
     """Base class for all toolkit errors. An error about a file names its
-    path and line in a ``path:line:`` prefix of the message."""
+    path and line in a ``path:line:`` prefix of the message. The message
+    shows each byte of a path that is not UTF-8 as ``\\xNN``, so any stream
+    can print it; ``path`` keeps the name as given."""
 
     def __init__(self, message: str, *, line: int | None = None, path: str | None = None):
         self.line = line
@@ -21,7 +26,8 @@ class EvaluationError(Exception):
             prefix += f"{path}:"
         if line is not None:
             prefix += f"{line}:"
-        super().__init__(f"{prefix} {message}" if prefix else message)
+        message = f"{prefix} {message}" if prefix else message
+        super().__init__(message.translate(_NOT_UTF8))
 
 
 class ParseError(EvaluationError):

@@ -123,7 +123,10 @@ def _dcg(gains: Sequence[int]) -> float:
 
 
 def ndcg(ranking: Sequence[str], topic_qrels: Mapping[str, int], cutoff: int | None = None) -> float:
-    """Normalized DCG with linear gains; 0 when nothing relevant is judged."""
+    """Normalized DCG with linear gains, to depth ``cutoff`` (None: the whole
+    ranking); 0 when nothing relevant is judged."""
+    if cutoff is not None and cutoff < 1:
+        raise DataError(f"cutoff must be >= 1, got {cutoff}")
     ideal = _judged(topic_qrels).ideal
     if not ideal:
         return 0.0

@@ -128,14 +128,10 @@ def persistence_table(
     # A target row shows one cell per measure; a repeated pair repeats its target.
     targets: dict[tuple, tuple] = {}  # (system, measure name, target) -> (place, cell)
     for i, cell in enumerate(cells):
-        # Numbers with a finite sum are each finite. Only a cell this screen
-        # stops is checked field by field, and a finite sum may overflow.
-        numbers = _numbers(cell)
-        if cell.system_tag == pivot_tag or None in numbers or not math.isfinite(sum(numbers)):
-            check_distinct_tags(cell.system_tag, pivot_tag, f"cells[{i}]")
-            for name, value in zip(CELL_NUMBERS, numbers):
-                if value is not None and not math.isfinite(value):
-                    raise DataError(f"cells[{i}].{name} must be finite, got {value}")
+        check_distinct_tags(cell.system_tag, pivot_tag, f"cells[{i}]")
+        for name, value in zip(CELL_NUMBERS, _numbers(cell)):
+            if value is not None and not math.isfinite(value):
+                raise DataError(f"cells[{i}].{name} must be finite, got {value}")
         system, name, _, target = place = _cell_sort_key(cell)
         if (system, name, target) in targets:
             raise DataError(

@@ -289,20 +289,18 @@ _JSON_TYPES = {
 
 
 def json_typed(value, kind: type, where: str):
-    """``value`` if it has the JSON type ``kind``, else a ValueError naming
-    the field path ``where``. A number (``float``) is a JSON integer or
-    float and is returned as a float; a boolean is neither a number nor an
-    integer."""
+    """``value`` if its type is exactly the JSON type ``kind``, else a
+    ValueError naming the field path ``where``. A number (``float``) is a
+    JSON integer or float and is returned as a float; a boolean is neither
+    a number nor an integer."""
     if type(value) is kind:
         return value
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+    if kind is float and type(value) is int:
         try:
             return float(value)
         except OverflowError:
             raise ValueError(f"{where} is out of range, got {value}") from None
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{where} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
-    return value
+    raise ValueError(f"{where} must be {_JSON_TYPES[kind]}, got {json.dumps(value)}")
 
 
 def json_strings(items: list, where: str) -> tuple[str, ...]:

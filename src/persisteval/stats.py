@@ -124,8 +124,6 @@ def two_sided_p(t: float, df: float) -> float:
     the beta scale to avoid cancellation."""
     if df <= 0:
         raise DataError(f"degrees of freedom must be positive, got {df}")
-    if math.isinf(t):
-        return 0.0
     return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
 
 

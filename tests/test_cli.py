@@ -1253,7 +1253,7 @@ def copy_fixture_with_edit(tmp_path: Path, name: str, edit) -> tuple[Path, Path]
 
 
 class TestDataErrorsNamePathAndLine:
-    """A data mismatch inside one input file names that file and line."""
+    """A fault inside one input file names that file and line."""
 
     @pytest.mark.parametrize(
         "name, edit, line, message",
@@ -1297,6 +1297,25 @@ class TestDataErrorsNamePathAndLine:
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert f"error: {path}:25: " in err and message in err
+
+    # os.fsdecode keeps the byte \xff of a path as a lone surrogate, which a
+    # strict UTF-8 stderr, such as capsys's, cannot print.
+    @pytest.mark.parametrize(
+        "name, content, argv",
+        [
+            ("m.tsv", "no tab\n", lambda path: ["corpus-diff", path, path]),
+            ("job.json", "{not json", lambda path: ["persist", "--config", path]),
+        ],
+        ids=["corpus-diff", "persist"],
+    )
+    def test_path_not_utf8_is_escaped(self, tmp_path, capsys, name, content, argv):
+        path = tmp_path / os.fsdecode(b"dir\xff") / name
+        path.parent.mkdir()
+        path.write_text(content, encoding="utf-8")
+        code = run_cli(*argv(path))
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE and captured.out == ""
+        assert captured.err.startswith(f"error: {tmp_path}/dir\\xff/{name}:1: ")
 
 
 class TestOutputThatIsAFile:
@@ -1664,11 +1683,60 @@ class TestUsage:
         assert excinfo.value.code == EXIT_USAGE
         capsys.readouterr()
 
-    def test_output_env_var_fallback(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PERSISTEVAL_OUTPUT", str(tmp_path / "env_out"))
-        code = run_cli(
-            "score", FIXTURE / "runs" / "alpha.t1.run", FIXTURE / "qrels.t1.txt",
-            "--measures", "p@10",
-        )
-        assert code == EXIT_OK
-        assert (tmp_path / "env_out" / "alpha.p_at_10.scores.txt").exists()
+    # The output directory is the --output flag, then (persist only) the
+    # manifest's output, then PERSISTEVAL_OUTPUT, then the working directory.
+    # An empty flag or variable names none, except that persist reads
+    # --output "" as a path, the working directory.
+    @pytest.mark.parametrize(
+        "command, flag, manifest, env, expected",
+        [
+            *[
+                pytest.param(command, *case, id=f"{command}-{case_id}")
+                for command in ("score", "report")
+                for case_id, case in [
+                    ("flag", ("flag", None, "env", "flag")),
+                    ("env", (None, None, "env", "env")),
+                    ("cwd", (None, None, None, "cwd")),
+                    ("empty-env", (None, None, "", "cwd")),
+                    ("empty-flag", ("", None, "env", "env")),
+                ]
+            ],
+            pytest.param("persist", "flag", "manifest", "env", "flag", id="persist-flag"),
+            pytest.param("persist", None, "manifest", "env", "manifest", id="persist-manifest"),
+            pytest.param("persist", None, None, "env", "env", id="persist-env"),
+            pytest.param("persist", None, None, None, "cwd", id="persist-cwd"),
+            pytest.param("persist", None, "", "", "cwd", id="persist-empty-manifest-env"),
+            pytest.param("persist", "", "manifest", "env", "cwd", id="persist-empty-flag"),
+        ],
+    )
+    def test_output_directory_precedence(
+        self, tmp_path, monkeypatch, capsys, command, flag, manifest, env, expected
+    ):
+        job = copy_job(tmp_path, lambda config: config.update(output=manifest or ""))
+        places = {
+            "flag": tmp_path / "flag",
+            "manifest": job.parent / "manifest",
+            "env": tmp_path / "env",
+            "cwd": tmp_path / "cwd",
+        }
+        places["cwd"].mkdir()
+        monkeypatch.chdir(places["cwd"])
+        if env is None:
+            monkeypatch.delenv("PERSISTEVAL_OUTPUT", raising=False)
+        else:
+            monkeypatch.setenv("PERSISTEVAL_OUTPUT", str(places[env]) if env else "")
+        argv, written = {
+            "score": (
+                ["score", FIXTURE / "runs" / "alpha.t1.run", FIXTURE / "qrels.t1.txt"]
+                + ["--measures", "p@10"],
+                "alpha.p_at_10.scores.txt",
+            ),
+            "report": (["report", GOLDEN_CELLS], "table.txt"),
+            "persist": (["persist", "--config", job], "cells.json"),
+        }[command]
+        if flag is not None:
+            argv += ["--output", places[flag] if flag else ""]
+        assert run_cli(*argv) == EXIT_OK
+        capsys.readouterr()
+        holding = {name for name, place in places.items() if (place / written).exists()}
+        assert holding == {expected}

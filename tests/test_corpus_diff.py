@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -44,6 +45,13 @@ class TestParseManifest:
     def test_missing_tab(self):
         with pytest.raises(ParseError):
             parse_manifest("http://a 10", "s1")
+
+    def test_path_not_utf8_is_escaped_in_the_message_only(self):
+        path = os.fsdecode(b"dir\xff/m.tsv")
+        with pytest.raises(ParseError) as excinfo:
+            parse_manifest("http://a 10", "s1", path=path)
+        assert excinfo.value.path == path
+        assert str(excinfo.value).startswith("dir\\xff/m.tsv:1: ")
 
     def test_non_integer_length(self):
         with pytest.raises(ParseError):

@@ -110,6 +110,16 @@ class TestNdcg:
         cut = ndcg(["x", "a", "b"], qrels, cutoff=1)
         assert cut == 0.0 and full > 0.0
 
+    # A cutoff of 0 divided by an empty ideal sum; -1 dropped the last rank.
+    @pytest.mark.parametrize(
+        "ranking, qrels, cutoff",
+        [(["a"], {"a": 1}, 0), (["a", "b"], {"a": 1, "b": 2}, -1)],
+        ids=["zero", "negative"],
+    )
+    def test_cutoff_below_one_rejected(self, ranking, qrels, cutoff):
+        with pytest.raises(DataError, match=rf"^cutoff must be >= 1, got {cutoff}$"):
+            ndcg(ranking, qrels, cutoff=cutoff)
+
     def test_range(self):
         rng = random.Random(5)
         for _ in range(200):

@@ -94,6 +94,12 @@ class TestTCdf:
         values = [t_cdf(t / 4.0, 7) for t in range(-40, 41)]
         assert values == sorted(values)
 
+    def test_infinite_t(self):
+        # df / (df + t * t) is 0.0, where the incomplete beta is 0.0.
+        for df in (1, 2, 5, 30.5, 246):
+            assert two_sided_p(math.inf, df) == two_sided_p(-math.inf, df) == 0.0
+            assert t_cdf(-math.inf, df) == 0.0 and t_cdf(math.inf, df) == 1.0
+
 
 class TestTTest:
     def test_reference_value(self):
