@@ -92,9 +92,10 @@ class JobConfig(
         systems = sorted(tags - {self.pivot})
         if not systems:
             raise UsageError(f"no system run besides the pivot {self.pivot!r}")
+        out_dir = _default_output(self.output)
         for system, measure, pair in product(systems, self.measures, self.pairs):
             name = _series_name(system, measure, pair)
-            _check_name(_default_output(self.output), f"series/{name}")
+            _check_name(out_dir, f"series/{name}")
             owner = (
                 f"system {system!r}, {measure.name}, "
                 f"pair {pair.base_label!r} -> {pair.target_label!r}"
@@ -102,6 +103,9 @@ class JobConfig(
             if name in series_owners:
                 raise UsageError(f"series/{name} would hold both {series_owners[name]} and {owner}")
             series_owners[name] = owner
+        for path in sorted((out_dir / "series").glob("*.csv")):  # one job per output directory
+            if path.name not in series_owners:
+                raise UsageError(f"{path} is not a series of this job; use a new output directory")
         # A missing run is a data property of the job, not a usage bug.
         pair_labels = {p.base_label for p in self.pairs} | {p.target_label for p in self.pairs}
         for tag, label in product([self.pivot, *systems], sorted(pair_labels)):
@@ -302,9 +306,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     from .run_io import load_qrels, load_run, snapshot_topics
 
     measures = _flag("--measures", _read_measures, _comma_list(args.measures))
-    run = load_run(Path(args.run))
-    qrels = load_qrels(Path(args.qrels))
+    run, qrels = load_run(Path(args.run)), load_qrels(Path(args.qrels))
     topics = snapshot_topics(qrels, [run], args.topics or None)
+    run = run.judged(qrels, max(measure.depth for measure in measures))
     out_dir = _default_output(args.output)
     files: list[tuple[str, str]] = []
     arp_payload: dict[str, dict] = {}
@@ -333,7 +337,10 @@ def cmd_persist(args: argparse.Namespace) -> int:
 
     config = load_job_config(Path(args.config), args)
     qrels = {spec.label: load_qrels(spec.qrels_path) for spec in config.environments}
-    runs = {(run.tag, run.ee_label): load_run(run.path, run.tag) for run in config.runs}
+    depth = max(measure.depth for measure in config.measures)
+    runs = {}
+    for run in config.runs:  # judged as it loads, so no doc id outlives loading
+        runs[run.tag, run.ee_label] = load_run(run.path, run.tag).judged(qrels[run.ee_label], depth)
     topics = {
         ee.label: snapshot_topics(
             qrels[ee.label], [r for (_, at), r in runs.items() if at == ee.label], ee.topics_path
@@ -456,7 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-topic series: raw score changes, or pivot-delta: changes of the improvement"
         " over the pivot",
     )
-    persist.add_argument("--output", help="output directory (overrides manifest)")
+    persist.add_argument(
+        "--output", type=lambda text: text or None, help="output directory (overrides manifest)"
+    )
     persist.set_defaults(handler=cmd_persist)
 
     diff = subparsers.add_parser("corpus-diff", help="compare two corpus snapshot manifests")

@@ -1,7 +1,7 @@
 """Per-topic effectiveness measures and their aggregation.
 
-Three measures are provided, matching the reference evaluation tool's
-conventions for graded judgments:
+Three measures read a ranking's grades (``Run.judged``) and its topic's
+``TopicJudgments``, with the reference evaluation tool's graded conventions:
 
 - P@k: fraction of the first k retrieved documents judged relevant
   (grade >= 1). Unjudged documents count as not relevant and the
@@ -26,15 +26,15 @@ import functools
 import json
 import math
 from collections import namedtuple
-from collections.abc import Mapping, Sequence
-from itertools import repeat
+from collections.abc import Sequence
 from operator import truediv
 
 from .errors import DataError, Record
-from .run_io import Qrels, Run, TopicJudgments, TopicSet
+from .run_io import MAX_DEPTH, Qrels, Run, TopicJudgments, TopicSet
 from .stats import mean
 
 KINDS = ("precision_at_k", "ndcg", "bpref")
+Grades = Sequence[int | None]  # one ranking's grades in rank order; None: unjudged
 
 
 class MeasureId(Record, namedtuple("MeasureId", "kind k cutoff")):
@@ -67,6 +67,11 @@ class MeasureId(Record, namedtuple("MeasureId", "kind k cutoff")):
     def key(self) -> str:
         """File-name-safe identifier: p_at_10, ndcg, ndcg_at_20, bpref."""
         return self.name.lower().replace("@", "_at_")
+
+    @property
+    def depth(self) -> int:
+        """The ranks it reads: k for P@k, the cutoff for nDCG@c, else all of them."""
+        return {"precision_at_k": self.k, "ndcg": self.cutoff}.get(self.kind) or MAX_DEPTH
 
 
 P_AT_10 = MeasureId("precision_at_k", k=10)
@@ -107,71 +112,60 @@ class ARPValue(Record, namedtuple("ARPValue", "value n_topics")):
     __slots__ = ()
 
 
-def _judged(topic_qrels: Mapping[str, int]) -> TopicJudgments:
-    return topic_qrels if isinstance(topic_qrels, TopicJudgments) else TopicJudgments(topic_qrels)
-
-
-def p_at_k(ranking: Sequence[str], topic_qrels: Mapping[str, int], k: int) -> float:
-    """Precision at depth k over a ranking in canonical order."""
+def p_at_k(grades: Grades, k: int) -> float:
+    """Precision at depth k: the share of the first k ranks judged relevant."""
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    return sum(1 for doc in ranking[:k] if topic_qrels.get(doc, 0) >= 1) / k
+    return sum(1 for grade in grades[:k] if grade is not None and grade >= 1) / k
 
 
-def _dcg(gains: Sequence[int]) -> float:
-    return math.fsum(map(truediv, gains, map(math.log2, range(2, len(gains) + 2))))
-
-
-def ndcg(ranking: Sequence[str], topic_qrels: Mapping[str, int], cutoff: int | None = None) -> float:
+def ndcg(grades: Grades, judgments: TopicJudgments, cutoff: int | None = None) -> float:
     """Normalized DCG with linear gains, to depth ``cutoff`` (None: the whole
     ranking); 0 when nothing relevant is judged."""
     if cutoff is not None and cutoff < 1:
         raise DataError(f"cutoff must be >= 1, got {cutoff}")
-    ideal = _judged(topic_qrels).ideal
-    if not ideal:
-        return 0.0
-    return _dcg([*map(topic_qrels.get, ranking[:cutoff], repeat(0))]) / math.fsum(ideal[:cutoff])
+    gains = [0 if grade is None else grade for grade in grades[:cutoff]]
+    dcg = math.fsum(map(truediv, gains, map(math.log2, range(2, len(gains) + 2))))
+    return dcg / math.fsum(judgments.ideal[:cutoff]) if judgments.ideal else 0.0
 
 
-def bpref(ranking: Sequence[str], topic_qrels: Mapping[str, int]) -> float:
-    """Binary preference over a ranking in canonical order.
+def bpref(grades: Grades, judgments: TopicJudgments) -> float:
+    """Binary preference over a ranking's grades.
 
     With R judged-relevant and N judged-nonrelevant documents, each
     retrieved relevant document r contributes
     1 - min(nonrelevant_above(r), min(R, N)) / min(R, N),
     or exactly 1 when N = 0. Returns 0 when R = 0.
     """
-    judged = _judged(topic_qrels)
-    r_count, n_count = len(judged.ideal), judged.nonrelevant
-    if r_count == 0:
-        return 0.0
+    r_count, n_count = len(judgments.ideal), judgments.nonrelevant
     bound = min(r_count, n_count)
     total, nonrel_above = 0.0, 0
-    for grade in map(judged.get, ranking):  # None: unjudged
+    for grade in grades:
         if grade is not None and grade >= 1:
             total += 1.0 if n_count == 0 else 1.0 - min(nonrel_above, bound) / bound
         elif grade == 0:
             nonrel_above += 1
-    return total / r_count
+    return total / r_count if r_count else 0.0
 
 
-def score_topic(ranking: Sequence[str], topic_qrels: Mapping[str, int], measure: MeasureId) -> float:
+def score_topic(grades: Grades, judgments: TopicJudgments, measure: MeasureId) -> float:
     if measure.kind == "precision_at_k":
-        return p_at_k(ranking, topic_qrels, measure.k)
+        return p_at_k(grades, measure.k)
     if measure.kind == "ndcg":
-        return ndcg(ranking, topic_qrels, measure.cutoff)
-    return bpref(ranking, topic_qrels)
+        return ndcg(grades, judgments, measure.cutoff)
+    return bpref(grades, judgments)
 
 
 def score_run(
     run: Run, qrels: Qrels, measure: MeasureId, topics: TopicSet, ee_label: str = ""
 ) -> TopicScoreVector:
-    """Score one run over an explicit topic set. Topics missing from the
-    run (or entirely unjudged) score 0; results are independent of input
-    ordering."""
+    """Score one run, judged to at least ``measure.depth`` (a run of doc ids is a
+    TypeError), over an explicit topic set. Topics missing from the run (or
+    entirely unjudged) score 0; results are independent of input ordering."""
     if not topics:
         raise DataError("cannot score over an empty topic set")
-    scores = {t: score_topic(run.docs(t), qrels.for_topic(t), measure) for t in sorted(topics)}
+    grades, judgments = run.rankings.get, qrels.for_topic
+    scores = {t: score_topic(grades(t, ()), judgments(t), measure) for t in sorted(topics)}
     return TopicScoreVector(measure=measure, run_tag=run.run_tag, ee_label=ee_label, scores=scores)
 
 

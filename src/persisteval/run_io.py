@@ -9,11 +9,11 @@ Three file formats of LF-ended lines are handled, each parsed from a file's text
 - Topic list file: one topic id per line; blank lines and lines starting
   with ``#`` are ignored.
 
-Parsed values are immutable after construction and safe to share across
-threads. A run holds each topic's ranked doc ids in canonical order: score
-descending, then doc id descending. Scores only set that order and are not
-kept; the rank column of a run file is validated but otherwise ignored, so
-scores are reproducible regardless of input line order. Per-topic rankings
+Parsed values are immutable and safe to share across threads. A run holds
+each topic's ranked doc ids in canonical order (score descending, then doc
+id descending) until ``Run.judged``, the one place doc ids meet qrels, turns
+them into grades. Scores only set that order; the rank column is validated
+but otherwise ignored, so scores do not depend on input line order. Rankings
 deeper than MAX_DEPTH documents are truncated with a warning. Qrels hold one
 map, topic -> doc -> grade, each topic's a read-only TopicJudgments.
 """
@@ -43,8 +43,8 @@ MISSING = object()
 
 
 class Run(Record, namedtuple("Run", "run_tag rankings")):
-    """A system's ranked output: per-topic doc ids in canonical order, keyed
-    by topic and identified by a run tag."""
+    """A system's ranked output: per-topic doc ids in canonical order (or,
+    once judged, their grades), keyed by topic and identified by a run tag."""
 
     __slots__ = ()
 
@@ -77,9 +77,10 @@ class Run(Record, namedtuple("Run", "run_tag rankings")):
     def topics(self) -> TopicSet:
         return frozenset(self.rankings)
 
-    def docs(self, topic_id: str) -> tuple[str, ...]:
-        """Ranked doc ids for one topic; empty for an absent topic."""
-        return self.rankings.get(topic_id, ())
+    def judged(self, qrels: Qrels, depth: int = MAX_DEPTH) -> "Run":
+        """Each topic's first ``depth`` doc ids as their grades in ``qrels`` (None: unjudged)."""
+        judged = {t: tuple(map(qrels.for_topic(t).get, d[:depth])) for t, d in self.rankings.items()}
+        return self._replace(rankings=judged)
 
 
 class TopicJudgments(dict):

@@ -6,7 +6,7 @@ import random
 
 from persisteval.measures import BPREF, NDCG, parse_measure, score_run
 from persisteval.persistence import PersistenceCell, persistence_cell
-from persisteval.run_io import Run, parse_qrels
+from persisteval.run_io import Qrels, Run, parse_qrels
 
 
 def synthetic_environment(seed, tags=("pivot", "sys"), n_topics=8):
@@ -34,7 +34,14 @@ def synthetic_environment(seed, tags=("pivot", "sys"), n_topics=8):
 
 def score_tags(runs, qrels, measure, topics, label, tags=("sys", "pivot")):
     """One score vector per tag, in the order of ``tags``."""
-    return tuple(score_run(runs[tag], qrels, measure, topics, label) for tag in tags)
+    return tuple(score_run(runs[tag].judged(qrels), qrels, measure, topics, label) for tag in tags)
+
+
+def judge(ranking, grades):
+    """One ranking of doc ids as the measures read it: its grades under the
+    doc -> grade map ``grades`` (None: unjudged), and that map's TopicJudgments."""
+    qrels = Qrels({"q": grades})
+    return Run("A", {"q": tuple(ranking)}).judged(qrels).rankings["q"], qrels.for_topic("q")
 
 
 def four_vectors(seed=90):

@@ -37,6 +37,7 @@ from persisteval.cli import main as cli_main
 
 import reference_table as ref
 from oracles import oracle_bpref, oracle_diff_counts, oracle_ndcg, oracle_p_at_k
+from synth import judge
 
 FIXTURE = Path(__file__).parent / "fixtures" / "two_ee"
 GOLDEN = Path(__file__).parent / "golden" / "two_ee"
@@ -53,9 +54,10 @@ def criterion(number: int, name: str):
 
 
 def load_fixture_environment(label: str):
+    """One snapshot's qrels and its runs, each judged by those qrels."""
     qrels = load_qrels(FIXTURE / f"qrels.{label}.txt")
     runs = {
-        tag: load_run(FIXTURE / "runs" / f"{tag}.{label}.run", expected_tag=tag)
+        tag: load_run(FIXTURE / "runs" / f"{tag}.{label}.run", expected_tag=tag).judged(qrels)
         for tag in ("baseline", "alpha", "beta")
     }
     return qrels, runs
@@ -79,11 +81,14 @@ def test_1_measure_oracle_equivalence():
             ranking = rng.sample(pool, rng.randint(0, 50))
             judged = rng.sample(pool, rng.randint(0, 20))
             qrels = {doc: rng.choice([0, 1, 2]) for doc in judged}
-            assert p_at_k(ranking, qrels, 10) == pytest.approx(
-                oracle_p_at_k(ranking, qrels, 10), abs=1e-9
+            grades, judgments = judge(ranking, qrels)
+            assert p_at_k(grades, 10) == pytest.approx(oracle_p_at_k(ranking, qrels, 10), abs=1e-9)
+            assert ndcg(grades, judgments) == pytest.approx(
+                oracle_ndcg(ranking, qrels), abs=1e-9
             )
-            assert ndcg(ranking, qrels) == pytest.approx(oracle_ndcg(ranking, qrels), abs=1e-9)
-            assert bpref(ranking, qrels) == pytest.approx(oracle_bpref(ranking, qrels), abs=1e-9)
+            assert bpref(grades, judgments) == pytest.approx(
+                oracle_bpref(ranking, qrels), abs=1e-9
+            )
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"oracle comparison took {elapsed:.2f}s"
 

@@ -113,7 +113,7 @@ def test_readme_library_example_runs(monkeypatch, capsys):
 def test_readme_library_functions_resolve():
     """Each module-level function of a stage that the README's Library
     bullet list names, with or without its arguments, is a package export.
-    A method, such as ``Run.docs``, is not module-level."""
+    A method, such as ``Run.judged``, is not module-level."""
     library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     bullets = library.split("\n- ", 1)[1].split("\n\n", 1)[0]
     named = set(re.findall(r"`([A-Za-z_]\w*)", bullets))
@@ -124,7 +124,7 @@ def test_readme_library_functions_resolve():
 
 
 # ROADMAP's line ceiling for src/ (a stated budget raises it with the ROADMAP).
-LINE_CEILING = 2263
+LINE_CEILING = 2267
 
 
 def test_package_stays_under_the_line_ceiling():

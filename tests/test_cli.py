@@ -214,7 +214,7 @@ class TestScoreCommand:
         per_topic = [line.split() for line in lines[:-1]]
         assert len(per_topic) == 3
         for topic, _, value in per_topic:
-            expected = oracle_p_at_k(list(run.docs(topic)), qrels.for_topic(topic), 10)
+            expected = oracle_p_at_k(list(run.rankings.get(topic, ())), qrels.for_topic(topic), 10)
             assert float(value) == pytest.approx(expected, abs=5e-7)
         mean_value = float(lines[-1].split()[2])
         assert mean_value == pytest.approx(
@@ -843,6 +843,74 @@ class TestTypedManifest:
         )
 
 
+class TestJudgedOnLoad:
+    """Each run is judged once, as it loads, to the deepest rank that a
+    measure of the job reads; score_run sees only judged runs."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The loads, judgings and scorings of a command, in order."""
+        calls = []
+        load_run, judged, score_run = run_io.load_run, run_io.Run.judged, measures.score_run
+
+        def recording_load_run(path, *args):
+            calls.append(("load", Path(path).name))
+            return load_run(path, *args)
+
+        def recording_judged(run, qrels, depth=run_io.MAX_DEPTH):
+            result = judged(run, qrels, depth)
+            calls.append(("judge", (run.run_tag, id(qrels)), depth, result))
+            return result
+
+        def recording_score_run(run, qrels, measure, topics, ee_label=""):
+            calls.append(("score", run))
+            return score_run(run, qrels, measure, topics, ee_label)
+
+        monkeypatch.setattr(run_io, "load_run", recording_load_run)
+        monkeypatch.setattr(run_io.Run, "judged", recording_judged)
+        monkeypatch.setattr(measures, "score_run", recording_score_run)
+        return calls
+
+    def test_persist_judges_each_run_once_as_it_loads(self, tmp_path, calls):
+        assert run_cli("persist", "--config", FIXTURE / "job.json", "--output", tmp_path) == 0
+        loads_and_judgings = [call[0] for call in calls if call[0] != "score"]
+        # Each run is judged before the next one loads, so no doc id outlives loading.
+        assert loads_and_judgings == ["load", "judge"] * 6
+        judgings = [call for call in calls if call[0] == "judge"]
+        assert len({key for _, key, _, _ in judgings}) == 6
+        judged_runs = [result for _, _, _, result in judgings]
+        scored = [run for kind, run, *_ in calls if kind == "score"]
+        assert len(scored) == 6 * 3
+        assert all(any(run is judged for judged in judged_runs) for run in scored)
+        for run in scored:
+            grades = [grade for ranking in run.rankings.values() for grade in ranking]
+            assert grades and set(grades) <= {None, *run_io.GRADES}
+
+    @pytest.mark.parametrize(
+        "names, depth",
+        [("p@5,ndcg@10", 10), ("p@5,ndcg@10,bpref", run_io.MAX_DEPTH), ("ndcg", run_io.MAX_DEPTH)],
+    )
+    def test_depth_is_the_deepest_rank_a_measure_reads(self, tmp_path, calls, names, depth):
+        code = run_cli(
+            "persist", "--config", FIXTURE / "job.json", "--measures", names, "--output", tmp_path
+        )
+        assert code == EXIT_OK
+        assert {call[2] for call in calls if call[0] == "judge"} == {depth}
+        # The fixture ranks 12 documents per topic.
+        kept = {len(r) for kind, run, *_ in calls if kind == "score" for r in run.rankings.values()}
+        assert kept == {min(depth, 12)}
+
+    def test_score_judges_its_run_once(self, tmp_path, calls):
+        code = run_cli(
+            "score", FIXTURE / "runs" / "alpha.t1.run", FIXTURE / "qrels.t1.txt",
+            "--measures", "p@5,ndcg@7", "--output", tmp_path,
+        )
+        assert code == EXIT_OK
+        assert [call[0] for call in calls] == ["load", "judge", "score", "score"]
+        _, _, depth, judged = calls[1]
+        assert depth == 7 and all(run is judged for _, run in calls[2:])
+
+
 class TestCorpusDiffCommand:
     def test_manifest_diff(self, capsys):
         code = run_cli("corpus-diff", FIXTURE / "manifest.t1.tsv", FIXTURE / "manifest.t2.tsv")
@@ -1390,6 +1458,35 @@ class TestOverLongSeriesName:
         assert not output.exists()
 
 
+class TestOneJobPerOutputDirectory:
+    """persist refuses an output directory holding a series file that the
+    job would not write, before it reads any input, and deletes nothing."""
+
+    def test_a_smaller_job_into_a_full_jobs_output_exits_1(self, tmp_path, monkeypatch, capsys):
+        output = tmp_path / "out"
+        assert run_cli("persist", "--config", FIXTURE / "job.json", "--output", output) == 0
+        before = tree(output)
+        def drop_beta(config):
+            config["runs"] = [run for run in config["runs"] if run["tag"] != "beta"]
+
+        job = copy_job(tmp_path, drop_beta)
+        capsys.readouterr()
+        for name in ("load_qrels", "load_run", "load_topics"):
+            monkeypatch.setattr(run_io, name, lambda *args: pytest.fail("read an input"))
+        assert run_cli("persist", "--config", job, "--output", output) == EXIT_USAGE
+        stale = output / "series" / "beta.bpref.t1-t2.csv"
+        assert capsys.readouterr() == (
+            "", f"error: {stale} is not a series of this job; use a new output directory\n"
+        )
+        assert tree(output) == before
+
+    def test_the_same_job_into_its_own_output_is_byte_identical(self, tmp_path):
+        output = tmp_path / "out"
+        for _ in range(2):
+            assert run_cli("persist", "--config", FIXTURE / "job.json", "--output", output) == 0
+            assert tree(output) == tree(GOLDEN_CELLS.parent)
+
+
 class TestByteOrderMark:
     """A UTF-8 byte-order mark at the start of an input changes nothing."""
 
@@ -1685,8 +1782,7 @@ class TestUsage:
 
     # The output directory is the --output flag, then (persist only) the
     # manifest's output, then PERSISTEVAL_OUTPUT, then the working directory.
-    # An empty flag or variable names none, except that persist reads
-    # --output "" as a path, the working directory.
+    # An empty flag, manifest field or variable names none.
     @pytest.mark.parametrize(
         "command, flag, manifest, env, expected",
         [
@@ -1706,7 +1802,7 @@ class TestUsage:
             pytest.param("persist", None, None, "env", "env", id="persist-env"),
             pytest.param("persist", None, None, None, "cwd", id="persist-cwd"),
             pytest.param("persist", None, "", "", "cwd", id="persist-empty-manifest-env"),
-            pytest.param("persist", "", "manifest", "env", "cwd", id="persist-empty-flag"),
+            pytest.param("persist", "", "manifest", "env", "manifest", id="persist-empty-flag"),
         ],
     )
     def test_output_directory_precedence(

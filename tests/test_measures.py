@@ -26,6 +26,7 @@ from persisteval.measures import (
 from persisteval.run_io import Qrels, Run, TopicJudgments, parse_qrels, parse_run
 
 from oracles import oracle_bpref, oracle_ndcg, oracle_p_at_k
+from synth import judge
 
 
 def random_topic(rng: random.Random, max_ranked=50, max_judged=20):
@@ -73,41 +74,41 @@ class TestMeasureId:
 class TestPAtK:
     def test_all_relevant(self):
         qrels = {f"d{i}": 1 for i in range(10)}
-        assert p_at_k([f"d{i}" for i in range(10)], qrels, 10) == 1.0
+        assert p_at_k(judge([f"d{i}" for i in range(10)], qrels)[0], 10) == 1.0
 
     def test_three_in_ten(self):
         ranking = [f"d{i}" for i in range(10)]
         qrels = {"d0": 1, "d4": 2, "d9": 1, "d3": 0}
-        assert p_at_k(ranking, qrels, 10) == pytest.approx(0.3)
+        assert p_at_k(judge(ranking, qrels)[0], 10) == pytest.approx(0.3)
 
     def test_short_ranking_keeps_denominator(self):
         ranking = ["a", "b", "c", "d", "e"]
         qrels = {"a": 1, "c": 2}
-        assert p_at_k(ranking, qrels, 10) == pytest.approx(0.2)
+        assert p_at_k(judge(ranking, qrels)[0], 10) == pytest.approx(0.2)
 
     def test_unjudged_counts_as_nonrelevant(self):
-        assert p_at_k(["x", "y"], {}, 10) == 0.0
+        assert p_at_k(judge(["x", "y"], {})[0], 10) == 0.0
 
     def test_depth_zero_rejected(self):
         with pytest.raises(DataError, match=r"^k must be >= 1, got 0$"):
-            p_at_k(["a"], {"a": 1}, 0)
+            p_at_k(judge(["a"], {"a": 1})[0], 0)
 
 
 class TestNdcg:
     def test_ideal_ranking(self):
         qrels = {"a": 2, "b": 2, "c": 1, "z": 0}
-        assert ndcg(["a", "b", "c"], qrels) == pytest.approx(1.0)
+        assert ndcg(*judge(["a", "b", "c"], qrels)) == pytest.approx(1.0)
 
     def test_single_relevant_at_rank_two(self):
-        assert ndcg(["x", "r"], {"r": 1}) == pytest.approx(1.0 / math.log2(3), abs=1e-12)
+        assert ndcg(*judge(["x", "r"], {"r": 1})) == pytest.approx(1.0 / math.log2(3), abs=1e-12)
 
     def test_no_relevant_judgments(self):
-        assert ndcg(["a", "b"], {"a": 0}) == 0.0
+        assert ndcg(*judge(["a", "b"], {"a": 0})) == 0.0
 
     def test_cutoff(self):
         qrels = {"a": 2, "b": 1}
-        full = ndcg(["x", "a", "b"], qrels)
-        cut = ndcg(["x", "a", "b"], qrels, cutoff=1)
+        full = ndcg(*judge(["x", "a", "b"], qrels))
+        cut = ndcg(*judge(["x", "a", "b"], qrels), cutoff=1)
         assert cut == 0.0 and full > 0.0
 
     # A cutoff of 0 divided by an empty ideal sum; -1 dropped the last rank.
@@ -118,49 +119,49 @@ class TestNdcg:
     )
     def test_cutoff_below_one_rejected(self, ranking, qrels, cutoff):
         with pytest.raises(DataError, match=rf"^cutoff must be >= 1, got {cutoff}$"):
-            ndcg(ranking, qrels, cutoff=cutoff)
+            ndcg(*judge(ranking, qrels), cutoff=cutoff)
 
     def test_range(self):
         rng = random.Random(5)
         for _ in range(200):
             ranked, qrels = random_topic(rng)
-            value = ndcg(ranked, qrels)
+            value = ndcg(*judge(ranked, qrels))
             assert 0.0 <= value <= 1.0 + 1e-12
 
     def test_non_ideal_prefix_scores_below_one(self):
         qrels = {"low": 1, "high": 2}
-        assert ndcg(["low", "high"], qrels) < 1.0
-        assert ndcg(["high", "low"], qrels) == pytest.approx(1.0)
+        assert ndcg(*judge(["low", "high"], qrels)) < 1.0
+        assert ndcg(*judge(["high", "low"], qrels)) == pytest.approx(1.0)
 
 
 class TestBpref:
     def test_all_relevant_above_nonrelevant(self):
         qrels = {"r1": 1, "r2": 2, "n1": 0, "n2": 0}
-        assert bpref(["r1", "r2", "n1", "n2"], qrels) == 1.0
+        assert bpref(*judge(["r1", "r2", "n1", "n2"], qrels)) == 1.0
 
     def test_relevant_below_nonrelevant(self):
-        assert bpref(["n", "r"], {"r": 1, "n": 0}) == 0.0
+        assert bpref(*judge(["n", "r"], {"r": 1, "n": 0})) == 0.0
 
     def test_no_judged_nonrelevant(self):
-        assert bpref(["a", "x", "b"], {"a": 1, "b": 2}) == 1.0
+        assert bpref(*judge(["a", "x", "b"], {"a": 1, "b": 2})) == 1.0
 
     def test_no_relevant(self):
-        assert bpref(["a"], {"a": 0}) == 0.0
+        assert bpref(*judge(["a"], {"a": 0})) == 0.0
 
     def test_unjudged_docs_do_not_matter(self):
         qrels = {"r1": 1, "r2": 1, "n1": 0}
-        base = bpref(["r1", "n1", "r2"], qrels)
-        padded = bpref(["u1", "r1", "u2", "n1", "u3", "r2", "u4"], qrels)
+        base = bpref(*judge(["r1", "n1", "r2"], qrels))
+        padded = bpref(*judge(["u1", "r1", "u2", "n1", "u3", "r2", "u4"], qrels))
         assert padded == base
 
     @given(st.data())
     def test_unjudged_invariance_property(self, data):
         rng = random.Random(data.draw(st.integers(0, 10_000)))
         ranked, qrels = random_topic(rng, max_ranked=20, max_judged=10)
-        value = bpref(ranked, qrels)
+        value = bpref(*judge(ranked, qrels))
         spot = data.draw(st.integers(0, len(ranked)))
         inserted = ranked[:spot] + ["unjudged-doc"] + ranked[spot:]
-        assert bpref(inserted, qrels) == value
+        assert bpref(*judge(inserted, qrels)) == value
 
 
 class TestOracleAgreement:
@@ -168,15 +169,16 @@ class TestOracleAgreement:
         rng = random.Random(99)
         for _ in range(150):
             ranked, qrels = random_topic(rng)
-            assert p_at_k(ranked, qrels, 10) == pytest.approx(
-                oracle_p_at_k(ranked, qrels, 10), abs=1e-9
-            )
-            assert ndcg(ranked, qrels) == pytest.approx(oracle_ndcg(ranked, qrels), abs=1e-9)
+            grades, judgments = judge(ranked, qrels)
+            assert p_at_k(grades, 10) == pytest.approx(oracle_p_at_k(ranked, qrels, 10), abs=1e-9)
+            assert ndcg(grades, judgments) == pytest.approx(oracle_ndcg(ranked, qrels), abs=1e-9)
             cutoff = rng.randint(1, 30)
-            assert ndcg(ranked, qrels, cutoff) == pytest.approx(
+            assert ndcg(grades, judgments, cutoff) == pytest.approx(
                 oracle_ndcg(ranked, qrels, cutoff), abs=1e-9
             )
-            assert bpref(ranked, qrels) == pytest.approx(oracle_bpref(ranked, qrels), abs=1e-9)
+            assert bpref(grades, judgments) == pytest.approx(
+                oracle_bpref(ranked, qrels), abs=1e-9
+            )
 
 
 class TestRelabelingInvariance:
@@ -187,9 +189,10 @@ class TestRelabelingInvariance:
         relabel = {doc: f"X{doc}" for doc in set(ranked) | set(qrels)}
         ranked2 = [relabel[d] for d in ranked]
         qrels2 = {relabel[d]: g for d, g in qrels.items()}
-        assert p_at_k(ranked, qrels, 10) == p_at_k(ranked2, qrels2, 10)
-        assert ndcg(ranked, qrels) == ndcg(ranked2, qrels2)
-        assert bpref(ranked, qrels) == bpref(ranked2, qrels2)
+        (grades, judgments), (grades2, judgments2) = judge(ranked, qrels), judge(ranked2, qrels2)
+        assert p_at_k(grades, 10) == p_at_k(grades2, 10)
+        assert ndcg(grades, judgments) == ndcg(grades2, judgments2)
+        assert bpref(grades, judgments) == bpref(grades2, judgments2)
 
 
 class TestSwapMonotonicity:
@@ -207,8 +210,9 @@ class TestSwapMonotonicity:
         i = rng.choice(positions)
         swapped = ranked.copy()
         swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        assert p_at_k(swapped, qrels, 10) >= p_at_k(ranked, qrels, 10) - 1e-12
-        assert ndcg(swapped, qrels) >= ndcg(ranked, qrels) - 1e-12
+        (grades, judgments), (swapped_grades, _) = judge(ranked, qrels), judge(swapped, qrels)
+        assert p_at_k(swapped_grades, 10) >= p_at_k(grades, 10) - 1e-12
+        assert ndcg(swapped_grades, judgments) >= ndcg(grades, judgments) - 1e-12
 
 
 class TestScoreRun:
@@ -228,31 +232,43 @@ class TestScoreRun:
     def test_vector_matches_per_topic_oracle(self):
         run, qrels = self._fixture()
         topics = frozenset({"q1", "q2", "q3"})
-        vector = score_run(run, qrels, P_AT_10, topics)
+        vector = score_run(run.judged(qrels), qrels, P_AT_10, topics)
         for topic in topics:
-            expected = oracle_p_at_k(list(run.docs(topic)), qrels.for_topic(topic), 10)
+            expected = oracle_p_at_k(list(run.rankings.get(topic, ())), qrels.for_topic(topic), 10)
             assert vector.scores[topic] == pytest.approx(expected, abs=1e-12)
 
     def test_missing_topic_scores_zero(self):
         run, qrels = self._fixture()
-        vector = score_run(run, qrels, NDCG, frozenset({"q1", "q2"}))
+        vector = score_run(run.judged(qrels), qrels, NDCG, frozenset({"q1", "q2"}))
         assert vector.scores["q2"] == 0.0
 
     def test_determinism(self):
         run, qrels = self._fixture()
         topics = frozenset({"q1", "q2", "q3"})
-        assert score_run(run, qrels, BPREF, topics) == score_run(run, qrels, BPREF, topics)
+        judged = run.judged(qrels)
+        assert score_run(judged, qrels, BPREF, topics) == score_run(judged, qrels, BPREF, topics)
 
     def test_empty_topics_rejected(self):
         run, qrels = self._fixture()
         with pytest.raises(DataError):
-            score_run(run, qrels, P_AT_10, frozenset())
+            score_run(run.judged(qrels), qrels, P_AT_10, frozenset())
 
     def test_missing_topic_zero_for_all_measures(self):
         run, qrels = self._fixture()
         for measure in (P_AT_10, NDCG, BPREF):
-            vector = score_run(run, qrels, measure, frozenset({"q2"}) | run.topics)
+            vector = score_run(run.judged(qrels), qrels, measure, frozenset({"q2"}) | run.topics)
             assert vector.scores["q2"] == 0.0
+
+    # Also where nothing is judged, so that no measure can return 0 unread.
+    @pytest.mark.parametrize("judged", [True, False], ids=["judged", "unjudged"])
+    @pytest.mark.parametrize(
+        "measure", [P_AT_10, NDCG, MeasureId("ndcg", cutoff=2), BPREF], ids=lambda m: m.name
+    )
+    def test_a_run_of_doc_ids_is_a_type_error(self, measure, judged):
+        run, qrels = self._fixture()
+        qrels = qrels if judged else Qrels({})
+        with pytest.raises(TypeError):
+            score_run(run, qrels, measure, run.topics)
 
 
 POOL = [f"d{i:02d}" for i in range(12)]
@@ -277,9 +293,46 @@ def judged_topics(draw):
     return rankings, grades
 
 
+@st.composite
+def scored_runs(draw):
+    """A run's scores and the grades of up to four topics each, over a
+    12-document pool. Scores come from three values, so ties are common
+    and the canonical order breaks them; rankings hold 1 to 12 documents
+    and unjudged ones; the run and the qrels each lack some topics."""
+    topics = ("q1", "q2", "q3", "q4")
+    scores = st.dictionaries(st.sampled_from(POOL), st.sampled_from([0.0, 0.5, 1.0]), min_size=1)
+    run = {t: draw(scores) for t in draw(st.lists(st.sampled_from(topics), unique=True))}
+    grades = st.dictionaries(st.sampled_from(POOL), st.integers(0, 2), max_size=12)
+    qrels = {t: draw(grades) for t in draw(st.lists(st.sampled_from(topics), unique=True))}
+    return Run.from_rankings("A", run), qrels
+
+
+class TestJudgedRunsMatchTheOracles:
+    """Scores over ``run.judged(qrels, measure.depth)`` against the
+    oracles, which score the doc ids themselves."""
+
+    @settings(max_examples=150)
+    @given(scored_runs(), st.integers(1, 14), st.integers(1, 14))
+    def test_each_measure(self, case, k, cutoff):
+        run, grades = case
+        qrels = Qrels(grades)
+        topics = frozenset({"q1", "q2", "q3", "q4", "q5"})
+        oracles = {
+            MeasureId("precision_at_k", k=k): lambda docs, judged: oracle_p_at_k(docs, judged, k),
+            NDCG: oracle_ndcg,
+            MeasureId("ndcg", cutoff=cutoff): lambda docs, judged: oracle_ndcg(docs, judged, cutoff),
+            BPREF: oracle_bpref,
+        }
+        for measure, oracle in oracles.items():
+            vector = score_run(run.judged(qrels, measure.depth), qrels, measure, topics)
+            for topic in sorted(topics):
+                expected = oracle(list(run.rankings.get(topic, ())), grades.get(topic, {}))
+                assert abs(vector.scores[topic] - expected) <= 1e-12
+
+
 class TestJudgmentSummaries:
     """Scores read from a Qrels's per-topic summaries against the public
-    measures on plain dicts (which summarize each call) and the oracles."""
+    measures on a summary built afresh from a plain dict, and the oracles."""
 
     @settings(max_examples=100)
     @given(judged_topics(), st.integers(1, 12))
@@ -293,17 +346,18 @@ class TestJudgmentSummaries:
             MeasureId("precision_at_k", k=depth), NDCG, MeasureId("ndcg", cutoff=depth), BPREF,
         )
         for measure in measures:
-            vectors = [score_run(run, q, measure, topics) for q in rebuilt]
+            vectors = [score_run(run.judged(q, measure.depth), q, measure, topics) for q in rebuilt]
             for topic in sorted(topics):
-                ranking, plain = run.docs(topic), dict(grades.get(topic, {}))
+                ranking, plain = run.rankings.get(topic, ()), dict(grades.get(topic, {}))
+                judged, summary = judge(ranking, plain)
                 if measure.kind == "precision_at_k":
-                    direct = p_at_k(ranking, plain, depth)
+                    direct = p_at_k(judged, depth)
                     oracle = oracle_p_at_k(list(ranking), plain, depth)
                 elif measure.kind == "ndcg":
-                    direct = ndcg(ranking, plain, measure.cutoff)
+                    direct = ndcg(judged, summary, measure.cutoff)
                     oracle = oracle_ndcg(list(ranking), plain, measure.cutoff)
                 else:
-                    direct = bpref(ranking, plain)
+                    direct = bpref(judged, summary)
                     oracle = oracle_bpref(list(ranking), plain)
                 assert all(vector.scores[topic] == direct for vector in vectors)
                 assert abs(direct - oracle) <= 1e-12
@@ -346,7 +400,7 @@ class TestArp:
     def test_mean(self):
         run = Run.from_rankings("A", {"q1": {"d1": 1.0}, "q2": {"d2": 1.0}})
         qrels = parse_qrels("q1 0 d1 1\nq2 0 d9 1")
-        vector = score_run(run, qrels, P_AT_10, run.topics)
+        vector = score_run(run.judged(qrels), qrels, P_AT_10, run.topics)
         assert vector.scores == {"q1": 0.1, "q2": 0.0}
         value = arp(vector)
         assert value.value == pytest.approx(0.05)

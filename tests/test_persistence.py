@@ -177,7 +177,7 @@ class TestPersistenceCell:
             from oracles import oracle_p_at_k
 
             return {
-                t: oracle_p_at_k(list(run.docs(t)), qrels.for_topic(t), 10)
+                t: oracle_p_at_k(list(run.rankings.get(t, ())), qrels.for_topic(t), 10)
                 for t in sorted(topics)
             }
 
@@ -251,10 +251,8 @@ class TestPersistenceCell:
         qrels_base, runs_base, topics = synthetic_environment(61, n_topics=8)
         qrels_target, runs_target, _ = synthetic_environment(62, n_topics=8)
         smaller = frozenset(sorted(topics)[:5])
-        sys_b = score_run(runs_base["sys"], qrels_base, P_AT_10, topics, "E1")
-        piv_b = score_run(runs_base["pivot"], qrels_base, P_AT_10, topics, "E1")
-        sys_t = score_run(runs_target["sys"], qrels_target, P_AT_10, smaller, "E2")
-        piv_t = score_run(runs_target["pivot"], qrels_target, P_AT_10, smaller, "E2")
+        sys_b, piv_b = score_tags(runs_base, qrels_base, P_AT_10, topics, "E1")
+        sys_t, piv_t = score_tags(runs_target, qrels_target, P_AT_10, smaller, "E2")
         cell = persistence_cell(sys_b, sys_t, piv_b, piv_t)
         assert cell.arp_base.n_topics == 8
         assert cell.arp_target.n_topics == 5
@@ -580,6 +578,6 @@ class TestDecoderPaths:
 class TestArpOnScoredRuns:
     def test_arp_uses_common_topic_base(self):
         qrels, runs, topics = synthetic_environment(81)
-        vector = score_run(runs["sys"], qrels, P_AT_10, topics | {"missing"})
+        vector = score_run(runs["sys"].judged(qrels), qrels, P_AT_10, topics | {"missing"})
         assert vector.scores["missing"] == 0.0
         assert arp(vector).n_topics == len(topics) + 1

@@ -567,10 +567,12 @@ class TestTopicDeltaSeries:
         qrels_target, runs_target, _ = synthetic_environment(301)
         from persisteval.measures import score_run
 
-        sys_b = score_run(runs_base["sys"], qrels_base, NDCG, topics, "t1")
-        piv_b = score_run(runs_base["pivot"], qrels_base, NDCG, topics, "t1")
-        sys_t = score_run(runs_target["sys"], qrels_target, NDCG, topics, "t2")
-        piv_t = score_run(runs_target["pivot"], qrels_target, NDCG, topics, "t2")
+        sys_b = score_run(runs_base["sys"].judged(qrels_base), qrels_base, NDCG, topics, "t1")
+        piv_b = score_run(runs_base["pivot"].judged(qrels_base), qrels_base, NDCG, topics, "t1")
+        sys_t = score_run(runs_target["sys"].judged(qrels_target), qrels_target, NDCG, topics, "t2")
+        piv_t = score_run(
+            runs_target["pivot"].judged(qrels_target), qrels_target, NDCG, topics, "t2"
+        )
         series = pivot_delta_series(sys_b, sys_t, piv_b, piv_t)
         by_topic = dict(series.entries)
         for topic in topics:

@@ -57,7 +57,7 @@ class TestParseRun:
 
     def test_tie_breaks_by_doc_id_descending(self):
         run = parse_run("q1 Q0 da 1 2.0 A\nq1 Q0 dc 2 2.0 A\nq1 Q0 db 3 2.0 A")
-        assert run.docs("q1") == ("dc", "db", "da")
+        assert run.rankings["q1"] == ("dc", "db", "da")
 
     def test_malformed_rank_is_parse_error_with_line(self):
         with pytest.raises(ParseError) as excinfo:
@@ -142,6 +142,24 @@ class TestParseQrels:
         qrels = parse_qrels("q1 0 d7 1\nq1 0 d8 0\nq2 0 d9 2")
         assert qrels.for_topic("q1") == {"d7": 1, "d8": 0}
         assert qrels.for_topic("missing") == {}
+
+
+class TestJudged:
+    RUN = "q1 Q0 da 1 3.0 A\nq1 Q0 db 2 2.0 A\nq1 Q0 dc 3 1.0 A\nq2 Q0 dd 1 1.0 A\n"
+    QRELS = "q1 0 da 2\nq1 0 dc 0\nq3 0 dz 1\n"
+
+    def test_grades_replace_doc_ids(self):
+        run, qrels = parse_run(self.RUN), parse_qrels(self.QRELS)
+        judged = run.judged(qrels)
+        # Unjudged is None, distinct from grade 0; q2 has no judgments at all.
+        assert judged == Run("A", {"q1": (2, None, 0), "q2": (None,)})
+        assert judged.topics == run.topics
+        assert run.rankings == {"q1": ("da", "db", "dc"), "q2": ("dd",)}
+
+    def test_depth_keeps_the_first_ranks(self):
+        run, qrels = parse_run(self.RUN), parse_qrels(self.QRELS)
+        assert run.judged(qrels, 2).rankings == {"q1": (2, None), "q2": (None,)}
+        assert run.judged(qrels, 1).rankings == {"q1": (2,), "q2": (None,)}
 
 
 class TestParseTopics:
