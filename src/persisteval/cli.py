@@ -132,7 +132,7 @@ def _read_measures(names: list, where: str) -> list[MeasureId]:
     measures = []
     for i, name in enumerate(names):
         path = f"{where}[{i}]"
-        measure = json_checked(path, parse_measure, json_typed(name, str, path))
+        measure = json_checked(parse_measure)(json_typed(name, str, path), path)
         if measure in measures:
             raise ValueError(f"{path}: measure {measure.name} is declared twice")
         measures.append(measure)
@@ -145,13 +145,6 @@ def _check_series(mode: str) -> str:
     if mode not in SERIES_MODES:
         raise UsageError(f"unknown series mode {mode!r}; expected one of {list(SERIES_MODES)}")
     return mode
-
-
-def _checked(check):
-    """The reader of a value that ``check`` returns or refuses; a refusal names the path."""
-    from .run_io import json_checked
-
-    return lambda value, where: json_checked(where, check, value)
 
 
 def _flag(flag: str, read, value):
@@ -170,7 +163,8 @@ def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
     passed, and its value goes through the field's reader."""
     from .persistence import EEPair
     from .report import DEFAULT_ER_EXCLUSION, check_er_exclusion
-    from .run_io import MISSING, json_checked, json_fields, json_typed, parse_json, read_input
+    from .run_io import MISSING, json_checked, json_fields, json_object, json_typed, parse_json
+    from .run_io import read_input
     from .stats import check_t_variant
 
     raw = parse_json(read_input(path), path=str(path))
@@ -194,7 +188,7 @@ def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
             if not (type(item) is list and len(item) == 2 and all(type(x) is str for x in item)):
                 shape = "a pair must be a [base, target] list of two strings"
                 raise ValueError(f"{at}: {shape}, got {json.dumps(item)}")
-            pair = json_checked(at, EEPair, *item)
+            pair = json_checked(EEPair._make)(item, at)
             first = targets.setdefault(pair.target_label, pair)
             if first is not pair:
                 target = pair.target_label
@@ -204,11 +198,9 @@ def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
         return list(targets.values())
 
     def objects(fields, build):
-        """The reader of a list of objects, each read by ``fields`` into ``build``."""
-        return lambda items, where: [
-            build(*json_fields(json_typed(item, dict, f"{where}[{i}]"), fields, f"{where}[{i}]"))
-            for i, item in enumerate(items)
-        ]
+        """The reader of a list of objects, each read by ``json_object(fields, build)``."""
+        read = json_object(fields, build)
+        return lambda items, where: [read(item, f"{where}[{i}]") for i, item in enumerate(items)]
 
     # Each field: (key, JSON type, reader, null, default) as json_fields reads
     # it, then, if the flag --<key> overrides it, the JSON form of its value.
@@ -224,13 +216,13 @@ def load_job_config(path: Path, args: argparse.Namespace) -> JobConfig:
     )
     option_fields = (
         ("strict_topics", bool, None, MISSING, True, bool),
-        ("t_test", str, _checked(check_t_variant), MISSING, "student", str),
-        ("er_exclude", float, _checked(check_er_exclusion), MISSING, DEFAULT_ER_EXCLUSION, float),
-        ("series", str, _checked(_check_series), MISSING, "raw", str),
+        ("t_test", str, json_checked(check_t_variant), MISSING, "student", str),
+        ("er_exclude", float, json_checked(check_er_exclusion), MISSING, DEFAULT_ER_EXCLUSION, float),
+        ("series", str, json_checked(_check_series), MISSING, "raw", str),
     )
     top_level = (
-        ("environments", list, objects(environment, EESpec), MISSING, []),
-        ("runs", list, objects(run, RunSpec), MISSING, []),
+        ("environments", list, objects(environment, EESpec._make), MISSING, []),
+        ("runs", list, objects(run, RunSpec._make), MISSING, []),
         ("pivot", str, None, MISSING, "", str),
         ("measures", list, _read_measures, MISSING, MISSING, _comma_list),
         ("pairs", list, pairs, MISSING, MISSING, _pair_list),
@@ -413,11 +405,11 @@ def cmd_corpus_diff(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     from .report import DEFAULT_ER_EXCLUSION, check_er_exclusion, table_from_json
-    from .run_io import read_input
+    from .run_io import json_checked, read_input
 
     # cells.json does not hold the threshold persist used (README).
     er_exclude = DEFAULT_ER_EXCLUSION if args.er_exclude is None else args.er_exclude
-    _flag("--er-exclude", _checked(check_er_exclusion), er_exclude)
+    _flag("--er-exclude", json_checked(check_er_exclusion), er_exclude)
     table = table_from_json(read_input(args.cells), path=args.cells)
     files = _artifacts(table, er_exclude)
     _write(_default_output(args.output), files)

@@ -98,12 +98,12 @@ def _utf8(name: str, path: str | Path) -> str:
     return name
 
 
-def load_manifest(path: str | Path, label: str | None = None) -> CorpusSnapshot:
-    label = label or _utf8(Path(path).name, path)
+def load_manifest(path: str | Path) -> CorpusSnapshot:
+    label = _utf8(Path(path).name, path)
     return parse_manifest(read_input(path), label, path=str(path))
 
 
-def snapshot_from_dir(path: str | Path, label: str | None = None) -> CorpusSnapshot:
+def snapshot_from_dir(path: str | Path) -> CorpusSnapshot:
     """Derive a snapshot from a directory of text files: each regular file
     becomes one document, keyed by its path relative to the directory, with
     the character count of its decoded content as the length. A subdirectory
@@ -111,7 +111,7 @@ def snapshot_from_dir(path: str | Path, label: str | None = None) -> CorpusSnaps
     root = Path(path)
     if not root.is_dir():
         raise ParseError(f"not a directory: {path}", path=str(path))
-    label = label or _utf8(root.name, root)
+    label = _utf8(root.name, root)
 
     def unlistable(exc: OSError):
         raise ParseError(f"cannot list {exc.filename}: {exc}", path=exc.filename) from exc

@@ -159,11 +159,13 @@ def score_topic(grades: Grades, judgments: TopicJudgments, measure: MeasureId) -
 def score_run(
     run: Run, qrels: Qrels, measure: MeasureId, topics: TopicSet, ee_label: str = ""
 ) -> TopicScoreVector:
-    """Score one run, judged to at least ``measure.depth`` (a run of doc ids is a
-    TypeError), over an explicit topic set. Topics missing from the run (or
-    entirely unjudged) score 0; results are independent of input ordering."""
+    """Score one run, judged to at least ``measure.depth`` (a run of doc ids, or one
+    judged shallower, is a TypeError), over an explicit topic set. Topics missing from
+    the run (or entirely unjudged) score 0; results are independent of input ordering."""
     if not topics:
         raise DataError("cannot score over an empty topic set")
+    if run.depth is None or run.depth < min(measure.depth, MAX_DEPTH):
+        raise TypeError(f"run {run.run_tag!r} is not judged as deep as {measure.name} reads")
     grades, judgments = run.rankings.get, qrels.for_topic
     scores = {t: score_topic(grades(t, ()), judgments(t), measure) for t in sorted(topics)}
     return TopicScoreVector(measure=measure, run_tag=run.run_tag, ee_label=ee_label, scores=scores)

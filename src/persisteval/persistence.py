@@ -36,8 +36,8 @@ from collections.abc import Mapping, Sequence, Set
 from operator import itemgetter
 
 from .errors import DataError, Record
-from .measures import ARPValue, MeasureId, TopicScoreVector, arp, parse_measure
-from .run_io import MISSING, json_checked, json_fields, json_strings, json_typed
+from .measures import ARPValue, TopicScoreVector, arp, parse_measure
+from .run_io import MISSING, json_checked, json_fields, json_object, json_strings, json_typed
 from .stats import mean, t_test_unpaired
 
 
@@ -138,27 +138,16 @@ def effect_ratio(
     return target_mean / base_mean
 
 
-def _measure(name: str, where: str) -> MeasureId:
-    return json_checked(where, parse_measure, name)
-
-
-def _pair(data: dict, where: str) -> EEPair:
-    return json_checked(where, EEPair, *json_fields(data, _PAIR_FIELDS, where))
-
-
-def _arp(data: dict, where: str) -> ARPValue:
-    return ARPValue(*json_fields(data, _ARP_FIELDS, where))
-
-
 # The fields of a JSON object as json_fields reads them: (key, JSON type,
 # decode, null, default). Without a decoder a value is its own JSON form.
 _PAIR_FIELDS = (("base", str, None, MISSING, MISSING), ("target", str, None, MISSING, MISSING))
 _ARP_FIELDS = (("value", float, None, MISSING, MISSING), ("n_topics", int, None, MISSING, MISSING))
+_pair, _arp = json_object(_PAIR_FIELDS, EEPair._make), json_object(_ARP_FIELDS, ARPValue._make)
 # Each PersistenceCell field, in order.
 _FIELDS = (
     ("system_tag", str, None, MISSING, MISSING),
     ("pivot_tag", str, None, MISSING, MISSING),
-    ("measure", str, _measure, MISSING, MISSING),
+    ("measure", str, json_checked(parse_measure), MISSING, MISSING),
     ("pair", dict, _pair, MISSING, MISSING),
     ("arp_base", dict, _arp, MISSING, MISSING),
     ("arp_target", dict, _arp, MISSING, MISSING),

@@ -16,6 +16,10 @@ them into grades. Scores only set that order; the rank column is validated
 but otherwise ignored, so scores do not depend on input line order. Rankings
 deeper than MAX_DEPTH documents are truncated with a warning. Qrels hold one
 map, topic -> doc -> grade, each topic's a read-only TopicJudgments.
+
+JSON inputs (the job manifest and cells.json) are read by the typed-JSON
+readers ``json_fields``, ``json_checked`` and ``json_object``, the one place
+where a refused value gets its field path, e.g. ``cells[3].pair``.
 """
 
 from __future__ import annotations
@@ -42,9 +46,9 @@ TopicSet = frozenset[str]
 MISSING = object()
 
 
-class Run(Record, namedtuple("Run", "run_tag rankings")):
+class Run(Record, namedtuple("Run", "run_tag rankings depth", defaults=(None,))):
     """A system's ranked output: per-topic doc ids in canonical order (or,
-    once judged, their grades), keyed by topic and identified by a run tag."""
+    once judged to ``depth``, their grades), keyed by topic and identified by a run tag."""
 
     __slots__ = ()
 
@@ -80,7 +84,7 @@ class Run(Record, namedtuple("Run", "run_tag rankings")):
     def judged(self, qrels: Qrels, depth: int = MAX_DEPTH) -> "Run":
         """Each topic's first ``depth`` doc ids as their grades in ``qrels`` (None: unjudged)."""
         judged = {t: tuple(map(qrels.for_topic(t).get, d[:depth])) for t, d in self.rankings.items()}
-        return self._replace(rankings=judged)
+        return self._replace(rankings=judged, depth=min(depth, MAX_DEPTH))
 
 
 class TopicJudgments(dict):
@@ -312,14 +316,25 @@ def json_strings(items: list, where: str) -> tuple[str, ...]:
     return tuple(items)
 
 
-def json_checked(where: str, build, *args):
-    """``build(*args)``; a ValueError, DataError or UsageError it raises (a
-    value of the right JSON type failed a value check) names the field path
-    ``where``."""
-    try:
-        return build(*args)
-    except (ValueError, DataError, UsageError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+def json_checked(check):
+    """The reader ``read(value, where)`` of ``check(value)``: a ValueError,
+    DataError or UsageError that ``check`` raises (a value of the right JSON
+    type failed a value check) names the field path ``where``."""
+
+    def read(value, where: str):
+        try:
+            return check(value)
+        except (ValueError, DataError, UsageError) as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+
+    return read
+
+
+def json_object(fields: Sequence[tuple], build):
+    """The reader of one JSON object: ``build`` of the values of its ``fields``
+    (see ``json_fields``), checked as ``json_checked`` checks."""
+    checked = json_checked(build)
+    return lambda value, at: checked(json_fields(json_typed(value, dict, at), fields, at), at)
 
 
 def json_fields(data: Mapping, fields: Sequence[tuple], where: str = "") -> list:

@@ -75,7 +75,7 @@ class TestSnapshotFromDir(object):
         (tmp_path / "sub").mkdir()
         (tmp_path / "a.txt").write_text("hello", encoding="utf-8")
         (tmp_path / "sub" / "b.txt").write_text("hi there", encoding="utf-8")
-        snapshot = snapshot_from_dir(tmp_path, "dir1")
+        snapshot = snapshot_from_dir(tmp_path)
         assert snapshot.docs == {"a.txt": 5, "sub/b.txt": 8}
 
     def test_missing_directory(self, tmp_path):

@@ -23,7 +23,7 @@ from persisteval.measures import (
     parse_measure,
     score_run,
 )
-from persisteval.run_io import Qrels, Run, TopicJudgments, parse_qrels, parse_run
+from persisteval.run_io import MAX_DEPTH, Qrels, Run, TopicJudgments, parse_qrels, parse_run
 
 from oracles import oracle_bpref, oracle_ndcg, oracle_p_at_k
 from synth import judge
@@ -269,6 +269,41 @@ class TestScoreRun:
         qrels = qrels if judged else Qrels({})
         with pytest.raises(TypeError):
             score_run(run, qrels, measure, run.topics)
+
+
+
+class TestJudgedDepth:
+    """A run judged shallower than a measure reads is a TypeError, not a
+    silently wrong score: a ranking's grades do not show where it was cut."""
+
+    # Twelve documents; the only relevant one is at rank 12.
+    RUN = "".join(f"q1 Q0 d{i:02d} {i} {20 - i} A\n" for i in range(1, 13))
+    QRELS = "q1 0 d12 1\n"
+
+    def test_a_run_judged_too_shallow_is_a_type_error(self):
+        run, qrels = parse_run(self.RUN), parse_qrels(self.QRELS)
+        shallow = run.judged(qrels, 10)
+        for measure in (BPREF, NDCG):
+            with pytest.raises(TypeError, match=f"not judged as deep as {measure.name} reads"):
+                score_run(shallow, qrels, measure, run.topics)
+        whole = run.judged(qrels)
+        assert score_run(whole, qrels, BPREF, run.topics).scores == {"q1": 1.0}
+        ndcg_score = score_run(whole, qrels, NDCG, run.topics).scores["q1"]
+        assert ndcg_score == pytest.approx(1 / math.log2(13))
+
+    def test_a_measure_within_the_judged_depth_scores(self):
+        run, qrels = parse_run(self.RUN), parse_qrels(self.QRELS)
+        vector = score_run(run.judged(qrels, 10), qrels, P_AT_10, run.topics)
+        assert vector.scores == {"q1": 0.0}
+        with pytest.raises(TypeError):
+            score_run(run.judged(qrels, 9), qrels, P_AT_10, run.topics)
+
+    def test_depth_is_capped_at_max_depth(self):
+        run, qrels = parse_run(self.RUN), parse_qrels(self.QRELS)
+        judged = run.judged(qrels, 5000)
+        assert judged.depth == MAX_DEPTH
+        vector = score_run(judged, qrels, parse_measure("p@5000"), run.topics)
+        assert vector.scores == {"q1": 1 / 5000}
 
 
 POOL = [f"d{i:02d}" for i in range(12)]

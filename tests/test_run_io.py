@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 
 from persisteval.corpus_diff import load_manifest, parse_manifest
 from persisteval import errors
-from persisteval.errors import DataError, DiagnosticWarning, EvaluationError, ParseError
+from persisteval.errors import DataError, DiagnosticWarning, EvaluationError, ParseError, UsageError
 from persisteval.run_io import (
     MAX_DEPTH,
+    MISSING,
     Run,
     core_topics,
+    json_checked,
+    json_object,
     load_qrels,
     load_run,
     load_topics,
@@ -152,7 +155,7 @@ class TestJudged:
         run, qrels = parse_run(self.RUN), parse_qrels(self.QRELS)
         judged = run.judged(qrels)
         # Unjudged is None, distinct from grade 0; q2 has no judgments at all.
-        assert judged == Run("A", {"q1": (2, None, 0), "q2": (None,)})
+        assert judged == Run("A", {"q1": (2, None, 0), "q2": (None,)}, MAX_DEPTH)
         assert judged.topics == run.topics
         assert run.rankings == {"q1": ("da", "db", "dc"), "q2": ("dd",)}
 
@@ -202,6 +205,71 @@ class TestParseJson:
         from persisteval.run_io import parse_json
 
         assert parse_json('["\\ud83d\\ude00", "C:\\\\ud800"]') == ["\U0001f600", "C:\\ud800"]
+
+
+class TestJsonReaders:
+    """json_checked and json_object: readers ``read(value, where)`` whose
+    refusals name the field path ``where``."""
+
+    FIELDS = (("base", str, None, MISSING, MISSING), ("target", str, None, MISSING, MISSING))
+
+    @staticmethod
+    def check(value):
+        if value == "bad":
+            raise ValueError("value is bad")
+        if value == "data":
+            raise DataError("labels must be non-empty")
+        if value == "usage":
+            raise UsageError("unknown mode 'usage'")
+        if value == "type":
+            raise TypeError("not a value")
+        return value.upper()
+
+    def test_checked_returns_the_check(self):
+        assert json_checked(self.check)("ok", "options.mode") == "OK"
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("bad", "options.mode: value is bad"),
+            ("data", "options.mode: labels must be non-empty"),
+            ("usage", "options.mode: unknown mode 'usage'"),
+        ],
+    )
+    def test_checked_prefixes_the_path(self, value, message):
+        with pytest.raises(ValueError) as excinfo:
+            json_checked(self.check)(value, "options.mode")
+        assert type(excinfo.value) is ValueError and str(excinfo.value) == message
+
+    def test_checked_lets_a_type_error_pass(self):
+        with pytest.raises(TypeError) as excinfo:
+            json_checked(self.check)("type", "options.mode")
+        assert str(excinfo.value) == "not a value"
+
+    def test_object_builds_its_fields(self):
+        read = json_object(self.FIELDS, tuple)
+        assert read({"base": "t1", "target": "t2"}, "cells[0].pair") == ("t1", "t2")
+
+    def test_object_refuses_a_non_object(self):
+        read = json_object(self.FIELDS, tuple)
+        with pytest.raises(ValueError) as excinfo:
+            read(["t1", "t2"], "cells[0].pair")
+        assert str(excinfo.value) == 'cells[0].pair must be an object, got ["t1", "t2"]'
+
+    def test_object_refuses_an_unknown_key(self):
+        read = json_object(self.FIELDS, tuple)
+        with pytest.raises(ValueError) as excinfo:
+            read({"base": "t1", "target": "t2", "topic": "q1"}, "cells[0].pair")
+        assert str(excinfo.value) == "cells[0].pair.topic is not a field"
+
+    def test_object_prefixes_the_path_to_a_refused_build(self):
+        def build(values):
+            raise DataError("evaluation environment labels must be non-empty")
+
+        with pytest.raises(ValueError) as excinfo:
+            json_object(self.FIELDS, build)({"base": "", "target": "t2"}, "cells[3].pair")
+        message = "cells[3].pair: evaluation environment labels must be non-empty"
+        assert str(excinfo.value) == message
 
 
 class TestCoreTopics:
