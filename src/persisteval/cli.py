@@ -267,16 +267,25 @@ def _check_name(out_dir: Path, name: str) -> None:  # 255 bytes is NAME_MAX on L
 
 
 def _write(out_dir: Path, files: Sequence[tuple[str, str]]) -> None:
-    """Write each (name, content) under ``out_dir``, then list the names."""
+    """Write each (name, content) under ``out_dir``, then list the names. Each
+    file goes first to a temporary name in its own directory, and only once all
+    are written are they renamed into place, so a failed write keeps the old files."""
     for name, _ in files:
         _check_name(out_dir, name)
-    for name, content in files:
-        path = out_dir / name
-        try:
+    written: list[tuple[Path, Path]] = []  # (temporary, final); never a series/*.csv
+    try:
+        for name, content in files:
+            path = out_dir / name
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(content, encoding="utf-8")
-        except OSError as exc:  # e.g. a file where a directory should be
-            raise UsageError(f"cannot write {path}: {exc}") from exc
+            temporary = path.with_name(f".persisteval-{len(written)}.tmp")
+            written.append((temporary, path))  # before writing, so a partial file is removed
+            temporary.write_text(content, encoding="utf-8")
+        for temporary, path in written:
+            os.replace(temporary, path)
+    except OSError as exc:  # e.g. a file where a directory should be
+        for temporary, _ in written:
+            temporary.unlink(missing_ok=True)
+        raise UsageError(f"cannot write {path}: {exc}") from exc
     for name, _ in files:
         print(f"wrote {name}")
 
@@ -386,20 +395,17 @@ def cmd_persist(args: argparse.Namespace) -> int:
 
 
 def cmd_corpus_diff(args: argparse.Namespace) -> int:
-    from .corpus_diff import diff_collections, format_diff, load_manifest, snapshot_from_dir
+    from .corpus_diff import diff_collections, diff_json, format_diff
+    from .corpus_diff import load_manifest, snapshot_from_dir
 
     load = snapshot_from_dir if args.from_dirs else load_manifest
     snapshot_a, snapshot_b = load(Path(args.manifest_a)), load(Path(args.manifest_b))
-    summary = diff_collections(snapshot_a, snapshot_b)
-    sys.stdout.write(format_diff(summary, snapshot_a.label, snapshot_b.label, verbose=args.verbose))
+    summary, labels = diff_collections(snapshot_a, snapshot_b), (snapshot_a.label, snapshot_b.label)
+    del snapshot_a, snapshot_b  # free both url -> length maps before rendering
+    sys.stdout.write(format_diff(summary, *labels, verbose=args.verbose))
     if args.output:
-        payload = {
-            "a": snapshot_a.label,
-            "b": snapshot_b.label,
-            **summary.to_dict(include_urls=args.verbose),
-        }
-        blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        _write(Path(args.output), [("corpus_diff.json", blob)])
+        payload = dict(zip("ab", labels), **summary.to_dict(include_urls=args.verbose))
+        _write(Path(args.output), [("corpus_diff.json", diff_json(payload))])
     return EXIT_OK
 
 

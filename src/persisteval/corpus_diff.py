@@ -16,6 +16,7 @@ of text files, using each file's relative path as its URL.
 
 from __future__ import annotations
 
+import json
 import os
 from collections import namedtuple
 from pathlib import Path
@@ -130,12 +131,17 @@ def snapshot_from_dir(path: str | Path) -> CorpusSnapshot:
 
 
 def diff_collections(a: CorpusSnapshot, b: CorpusSnapshot) -> DiffSummary:
-    """Classify every URL of the two snapshots: one pass over each, no sets."""
-    removed, changed, unchanged, missing = [], [], [], object()
+    """Classify every URL of the two snapshots: one pass over a, one set difference."""
+    removed, changed, unchanged, missing, get = [], [], [], object(), b.docs.get
     for url, length in a.docs.items():
-        other = b.docs.get(url, missing)
-        (removed if other is missing else unchanged if other == length else changed).append(url)
-    added = [url for url in b.docs if url not in a.docs]
+        other = get(url, missing)
+        if other is missing:
+            removed.append(url)
+        elif other == length:
+            unchanged.append(url)
+        else:
+            changed.append(url)
+    added = b.docs.keys() - a.docs.keys()
     return DiffSummary(*(tuple(sorted(urls)) for urls in (added, removed, changed, unchanged)))
 
 
@@ -147,3 +153,15 @@ def format_diff(summary: DiffSummary, a_label: str, b_label: str, *, verbose: bo
     if verbose:
         lines.extend(f"{name}\t" + f"\n{name}\t".join(urls) for name, urls in summary.urls() if urls)
     return "\n".join(lines) + "\n"
+
+
+def diff_json(payload: dict) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` for a flat payload of labels,
+    counts and URL lists, encoding each list in one C call (``indent`` forces pure Python)."""
+    def encode(value) -> str:
+        if not isinstance(value, list) or not value:
+            return json.dumps(value)
+        return "[\n    " + json.dumps(value, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
+
+    fields = (f"  {json.dumps(key)}: {encode(value)}" for key, value in sorted(payload.items()))
+    return "{\n" + ",\n".join(fields) + "\n}\n"

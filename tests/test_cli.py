@@ -1487,6 +1487,51 @@ class TestOneJobPerOutputDirectory:
             assert tree(output) == tree(GOLDEN_CELLS.parent)
 
 
+class TestAtomicWrite:
+    """Every output file is written under a temporary name before any is
+    renamed into place, so a write that fails part-way keeps the old files
+    and leaves no temporary file behind."""
+
+    NAMES = sorted(tree(GOLDEN_CELLS.parent))  # the order persist writes in
+
+    @pytest.mark.parametrize("name", ["cells.json", "series/alpha.ndcg.t1-t2.csv", "table.txt"])
+    def test_a_write_that_fails_part_way_keeps_the_old_files(
+        self, tmp_path, monkeypatch, capsys, name
+    ):
+        failing = self.NAMES.index(name)  # the files before it are written, under temporary names
+        output = tmp_path / "out"
+        assert run_cli("persist", "--config", FIXTURE / "job.json", "--output", output) == 0
+        before = tree(output)
+
+        def welch_pivot_delta(config):  # the same file names, each with new content
+            config["options"].update(t_test="welch", series="pivot-delta")
+
+        job = copy_job(tmp_path, welch_pivot_delta)
+        write_text, calls = Path.write_text, []
+
+        def full_disk(path, *args, **kwargs):
+            calls.append(path)
+            if len(calls) > failing:
+                raise OSError(28, "No space left on device")
+            return write_text(path, *args, **kwargs)
+
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", full_disk)
+            assert run_cli("persist", "--config", job, "--output", output) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {output / name}: [Errno 28] No space left on device\n"
+        )
+        # each file went to a temporary name in its own directory, never a series/*.csv
+        temporary = [((output / n).parent, ".tmp") for n in self.NAMES[: failing + 1]]
+        assert [(path.parent, path.suffix) for path in calls] == temporary
+        assert tree(output) == before  # byte-identical, and no temporary file left
+        assert run_cli("persist", "--config", job, "--output", output) == EXIT_OK
+        changed = tree(output)
+        assert changed.keys() == before.keys()
+        assert [n for n in self.NAMES if changed[n] == before[n]] == ["scatter.csv"]
+
+
 class TestByteOrderMark:
     """A UTF-8 byte-order mark at the start of an input changes nothing."""
 

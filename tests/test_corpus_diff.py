@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import os
 import random
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 
 from persisteval.corpus_diff import (
     CorpusSnapshot,
+    DiffSummary,
     diff_collections,
+    diff_json,
     format_diff,
     parse_manifest,
     snapshot_from_dir,
@@ -31,6 +35,9 @@ odd_url_maps = st.dictionaries(
     values=st.integers(min_value=0, max_value=2),
     max_size=12,
 )
+# Every character str.strip removes, except the tab and line feed that
+# delimit a manifest's fields and lines. int() alone refuses \x1c-\x1f.
+STRIPPED = [c for c in map(chr, range(sys.maxunicode + 1)) if not c.strip() and c not in "\t\n"]
 
 
 def snap(label, docs):
@@ -68,6 +75,16 @@ class TestParseManifest:
     def test_blank_lines_skipped(self):
         snapshot = parse_manifest("u\t1\n\n\nv\t2\n", "s1")
         assert len(snapshot.docs) == 2
+
+    def test_stripped_characters_cover_the_separators_and_unicode_spaces(self):
+        assert set("\x1c\x1d\x1e\x1f\x85\xa0\u3000") <= set(STRIPPED)
+
+    @pytest.mark.parametrize("pad", STRIPPED, ids=lambda c: f"U+{ord(c):04X}")
+    def test_a_length_padded_with_what_strip_removes_parses(self, pad):
+        assert parse_manifest(f"u\t{pad}{pad}7{pad}\n", "s1").docs == {"u": 7}
+        with pytest.raises(ParseError) as excinfo:
+            parse_manifest(f"u\t{pad}7 x{pad}\n", "s1")
+        assert str(excinfo.value) == "1: non-integer length '7 x'"
 
 
 class TestSnapshotFromDir(object):
@@ -170,3 +187,23 @@ class TestFormatting:
         summary = diff_collections(snap("a", {"u": 1}), snap("b", {"u": 2}))
         text = format_diff(summary, "a", "b", verbose=True)
         assert "changed\tu" in text
+
+
+# Labels and URLs as --from-dirs names can hold them: quotes, backslashes,
+# control characters, tabs, line breaks and non-ASCII text.
+json_texts = st.text(alphabet='"\\/\t\n\r\x00\x1f\x7fa é東\u2028\U0001f600', max_size=4) | st.text(
+    max_size=3
+)
+url_lists = st.lists(json_texts, max_size=4, unique=True).map(lambda urls: tuple(sorted(urls)))
+
+
+class TestDiffJson:
+    """diff_json gives exactly json.dumps(payload, indent=2, sort_keys=True) + "\\n"."""
+
+    @given(st.tuples(json_texts, json_texts), st.tuples(*[url_lists] * 4), st.booleans())
+    @example(("a", "b"), ((),) * 4, True)
+    @example(("a", "b"), ((),) * 4, False)
+    @example(('"\\', "\t\n"), (("\x00",), (), ("é", "東"), ("\U0001f600",)), True)
+    def test_matches_json_dumps(self, labels, classes, include_urls):
+        payload = dict(zip("ab", labels), **DiffSummary(*classes).to_dict(include_urls=include_urls))
+        assert diff_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
