@@ -280,6 +280,9 @@ def _write(out_dir: Path, files: Sequence[tuple[str, str]]) -> None:
             temporary = path.with_name(f".persisteval-{len(written)}.tmp")
             written.append((temporary, path))  # before writing, so a partial file is removed
             temporary.write_text(content, encoding="utf-8")
+        for _, path in written:  # a directory in the way would stop the renames part-way
+            if path.is_dir() and not path.is_symlink():
+                raise IsADirectoryError("Is a directory")
         for temporary, path in written:
             os.replace(temporary, path)
     except OSError as exc:  # e.g. a file where a directory should be

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Mapping, Sequence, Set
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .errors import DataError, Record
@@ -267,43 +268,64 @@ def cell_to_dict(cell: PersistenceCell) -> dict:
     return record
 
 
-# The one-check path of cell_from_dict reads a record's fields, its pair's
-# labels and its ARPs' values and counts at once. It takes a record only if
-# it and its five objects hold just the keys read (their sizes lead _EXACT)
-# and each value has exactly its JSON type: no null, no integer for a
-# number, no absent optional key and no flag that is not a string.
-_fields_of = itemgetter(*_NAMES)
-_pair_of = itemgetter("base", "target")
-_arp_of = itemgetter("value", "n_topics")
-_EXACT = (len(_NAMES), *[2] * 5, *(f[1] for f in _FIELDS), str, str, *(float, int) * 4)
+# cells_from_dicts reads a chunk of _CHUNK records at a time, a column at a
+# time. It takes a chunk only if each record is an object of exactly the 19
+# fields, its pair and ARPs objects of their two keys, and each value of exactly
+# its JSON type or a null that its field reads; then each distinct measure name
+# and pair is checked once. Any other chunk (so a refused record costs only its
+# chunk) is read by _cell_per_field, the home of every lenient form and message.
+_CHUNK = 256
+_ARP = [itemgetter("value"), itemgetter("n_topics")]
+# The types that each field, each pair label, each ARP value and count and each flag may hold.
+_KINDS = [{kind} if null is MISSING else {kind, type(None)} for _, kind, _, null, _ in _FIELDS]
+_KINDS += [{str}, {str}, *[{float}, {int}] * 4, {str}]
+
+
+def cells_from_dicts(records: list, where: str = "cells") -> list[PersistenceCell]:
+    """The cells of JSON records (see cell_from_dict); ``where[i]`` names the
+    record at index i in error messages."""
+    cells: list[PersistenceCell] = []
+    for start in range(0, len(records), _CHUNK):
+        chunk = records[start : start + _CHUNK]
+        cells += _columnwise(chunk) or [
+            _cell_per_field(record, f"{where}[{i}]") for i, record in enumerate(chunk, start)
+        ]
+    return cells
+
+
+def _columnwise(records: list) -> list[PersistenceCell] | None:
+    """The cells of ``records`` if every record passes the column checks, else None."""
+    if set(map(type, records)) - {dict} or set(map(len, records)) - {len(_NAMES)}:
+        return None
+    try:  # a KeyError is an absent key, a TypeError a pair or an ARP that is no object
+        columns = [list(map(itemgetter(key), records)) for key in _NAMES]
+        labels = [list(map(itemgetter(key), columns[3])) for key in ("base", "target")]
+        arps = [[list(map(get, column)) for get in _ARP] for column in columns[4:8]]
+    except (KeyError, TypeError):
+        return None
+    typed = (*columns, *labels, *chain(*arps), chain.from_iterable(columns[-1]))
+    sizes = set(map(len, chain(*columns[3:8])))  # of the pairs and ARPs
+    if sizes - {2} or any(set(map(type, column)) - kinds for column, kinds in zip(typed, _KINDS)):
+        return None
+    try:
+        measures = {name: parse_measure(name) for name in set(columns[2])}
+        pairs = {pair: EEPair(*pair) for pair in set(zip(*labels))}
+    except (ValueError, DataError):
+        return None
+    # Neither record class checks its values, so each is built as the tuple it is.
+    values = (
+        *columns[:2], map(measures.__getitem__, columns[2]), map(pairs.__getitem__, zip(*labels)),
+        *(map(tuple.__new__, repeat(ARPValue), zip(*arp)) for arp in arps),
+        *columns[8:-1], map(tuple, columns[-1]),
+    )
+    return list(map(tuple.__new__, repeat(PersistenceCell), zip(*values)))
 
 
 def cell_from_dict(data: dict, where: str = "") -> PersistenceCell:
     """Rebuild a cell from its JSON form (inverse of cell_to_dict). Each
     field must have its JSON type; ``where`` is the record's path in error
     messages, e.g. ``cells[3]``."""
-    try:
-        fields = _fields_of(data)
-        flags = fields[-1]
-        pair, ab, at = _pair_of(fields[3]), _arp_of(fields[4]), _arp_of(fields[5])
-        pb, pt = _arp_of(fields[6]), _arp_of(fields[7])
-        sizes = map(len, (data, *fields[3:8]))
-        kinds = (*sizes, *map(type, (*fields, *pair, *ab, *at, *pb, *pt, *flags)))
-        exact = kinds == _EXACT + (str,) * len(flags)
-    except (KeyError, TypeError):
-        exact = False
-    if exact:
-        # Neither record class checks its values, so each is built as the tuple it is.
-        new = tuple.__new__
-        try:
-            return new(PersistenceCell, (
-                fields[0], fields[1], parse_measure(fields[2]), EEPair(*pair),
-                new(ARPValue, ab), new(ARPValue, at), new(ARPValue, pb), new(ARPValue, pt),
-                *fields[8:-1], tuple(flags),
-            ))
-        except (ValueError, DataError):
-            pass  # a value check failed: the per-field path names the field
-    return _cell_per_field(data, where)
+    return (_columnwise([data]) or [_cell_per_field(data, where)])[0]
 
 
 def _cell_per_field(data, where: str) -> PersistenceCell:

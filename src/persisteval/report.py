@@ -26,8 +26,8 @@ import json
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import repeat
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 
 from .errors import DataError, Record, UsageError
 from .measures import TopicScoreVector
@@ -35,8 +35,8 @@ from .persistence import (
     CELL_NUMBERS,
     EEPair,
     PersistenceCell,
-    cell_from_dict,
     cell_to_dict,
+    cells_from_dicts,
     check_distinct_tags,
     check_fit,
     check_same_topics,
@@ -125,21 +125,29 @@ def persistence_table(
     if len(pivots) != 1:
         raise DataError(f"cells mix pivots: {sorted(pivots)}")
     (pivot_tag,) = pivots
-    # A target row shows one cell per measure; a repeated pair repeats its target.
-    targets: dict[tuple, tuple] = {}  # (system, measure name, target) -> (place, cell)
-    for i, cell in enumerate(cells):
-        check_distinct_tags(cell.system_tag, pivot_tag, f"cells[{i}]")
-        for name, value in zip(CELL_NUMBERS, _numbers(cell)):
-            if value is not None and not math.isfinite(value):
-                raise DataError(f"cells[{i}].{name} must be finite, got {value}")
-        system, name, _, target = place = _cell_sort_key(cell)
-        if (system, name, target) in targets:
-            raise DataError(
-                f"duplicate cell: system {system!r} has two cells targeting {target!r} for {name}"
-            )
-        targets[system, name, target] = place, cell
-    places, ordered_cells = zip(*sorted(targets.values()))
-    measures = tuple(sorted({c.measure for c in ordered_cells}, key=attrgetter("name")))
+    # Every check runs over a whole column; only when one fails is each cell
+    # checked in input order, so that the earliest fault is the one named.
+    places = list(map(_cell_sort_key, cells))
+    numbers = filter(None, chain.from_iterable(map(_numbers, cells)))  # drops None and 0.0
+    if (
+        pivot_tag in set(map(itemgetter(0), places))
+        or not all(map(math.isfinite, numbers))
+        or len(set(map(itemgetter(0, 1, 3), places))) < len(places)
+    ):
+        targets = set()  # (system, measure name, target): a target row shows one cell per measure
+        for i, (cell, (system, name, _, target)) in enumerate(zip(cells, places)):
+            check_distinct_tags(system, pivot_tag, f"cells[{i}]")
+            for field, value in zip(CELL_NUMBERS, _numbers(cell)):
+                if value is not None and not math.isfinite(value):
+                    raise DataError(f"cells[{i}].{field} must be finite, got {value}")
+            if (system, name, target) in targets:
+                raise DataError(
+                    f"duplicate cell: system {system!r} has two cells targeting {target!r} "
+                    f"for {name}"
+                )
+            targets.add((system, name, target))
+    places, ordered_cells = zip(*sorted(zip(places, cells)))
+    measures = tuple(sorted(set(map(attrgetter("measure"), cells)), key=attrgetter("name")))
     names = [m.name for m in measures]
     bases = {base for _, _, base, _ in places}
     labels = bases | {target for *_, target in places}
@@ -212,7 +220,8 @@ def _aligned(column: list[str], justify) -> list[str]:
 
 def _one_line(label: str) -> str:
     """``label`` with each non-printable character written as its Python escape."""
-    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in label)
+    escaped = (c if c.isprintable() else repr(c)[1:-1] for c in label)
+    return label if label.isprintable() else "".join(escaped)
 
 
 def render_table_text(table: PersistenceTable) -> str:
@@ -308,8 +317,7 @@ def table_from_json(text: str, *, path: str | None = None) -> PersistenceTable:
     try:
         data = json_typed(payload, dict, "the cells file")
         records, order, names, pivot = json_fields(data, _TABLE_FIELDS)
-        cells = [cell_from_dict(record, f"cells[{i}]") for i, record in enumerate(records)]
-        table = persistence_table(cells, order)
+        table = persistence_table(cells_from_dicts(records), order)
         if "pivot_tag" in data and pivot != table.pivot_tag:
             raise ValueError(f"pivot_tag {pivot!r} is not the cells' pivot {table.pivot_tag!r}")
         measures = [m.name for m in table.measures]

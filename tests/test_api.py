@@ -124,7 +124,7 @@ def test_readme_library_functions_resolve():
 
 
 # ROADMAP's line ceiling for src/ (a stated budget raises it with the ROADMAP).
-LINE_CEILING = 2289
+LINE_CEILING = 2322
 
 
 def test_package_stays_under_the_line_ceiling():

@@ -1531,6 +1531,20 @@ class TestAtomicWrite:
         assert changed.keys() == before.keys()
         assert [n for n in self.NAMES if changed[n] == before[n]] == ["scatter.csv"]
 
+    @pytest.mark.parametrize("name", ["series/alpha.ndcg.t1-t2.csv", "table.txt"])
+    def test_a_directory_in_the_way_replaces_nothing(self, tmp_path, capsys, name):
+        output = tmp_path / "out"
+        assert run_cli("persist", "--config", FIXTURE / "job.json", "--output", output) == 0
+        (output / name).unlink()
+        (output / name).mkdir()
+        before = tree(output)
+        job = copy_job(tmp_path, lambda config: config["options"].update(t_test="welch"))
+        capsys.readouterr()
+        assert run_cli("persist", "--config", job, "--output", output) == EXIT_USAGE
+        assert tree(output) == before  # byte-identical, and no temporary file left
+        assert capsys.readouterr() == ("", f"error: cannot write {output / name}: Is a directory\n")
+        assert (output / name).is_dir()
+
 
 class TestByteOrderMark:
     """A UTF-8 byte-order mark at the start of an input changes nothing."""

@@ -26,6 +26,7 @@ from persisteval.persistence import (
     PersistenceCell,
     cell_from_dict,
     cell_to_dict,
+    cells_from_dicts,
     delta_ri,
     effect_ratio,
     persistence_cell,
@@ -492,17 +493,42 @@ exact_cells = generated_cells.map(
 )
 
 
+def _without(key: str):
+    return lambda record: {k: v for k, v in record.items() if k != key}
+
+
+# Edits of a cell's JSON record: canonical, with a null, lenient, then malformed.
+RECORD_EDITS = {
+    "canonical": lambda r: {**r, **{key: 0.5 for key in UNDEFINABLE if r[key] is None}},
+    "nulls": lambda r: {**r, "t_statistic": None},
+    "integer-number": lambda r: {**r, "p_value": 1},
+    "integer-arp-value": lambda r: {**r, "arp_target": {**r["arp_target"], "value": 0}},
+    "no-degenerate_t": _without("degenerate_t"),
+    "no-undefined_flags": _without("undefined_flags"),
+    "wrong-type": lambda r: {**r, "p_value": "0.5"},
+    "null-p": lambda r: {**r, "p_value": None},
+    "float-count": lambda r: {**r, "arp_base": {**r["arp_base"], "n_topics": 4.0}},
+    "unknown-key": lambda r: {**r, "extra": 1},
+    "unknown-pair-key": lambda r: {**r, "pair": {**r["pair"], "extra": "t3"}},
+    "bad-measure": lambda r: {**r, "measure": "P@0"},
+    "empty-label": lambda r: {**r, "pair": {**r["pair"], "base": ""}},
+    "non-string-flag": lambda r: {**r, "undefined_flags": ["a", 1]},
+    "not-an-object": lambda r: [r["system_tag"]],
+}
+
 def one_check(record: dict) -> PersistenceCell:
-    """cell_from_dict on the one-check path; fails if it takes the per-field path."""
+    """cell_from_dict on the column path; fails if it takes the per-field path."""
     failing = mock.Mock(side_effect=AssertionError("took the per-field path"))
     with mock.patch.object(persistence, "_cell_per_field", failing):
         return cell_from_dict(record, "cells[3]")
 
 
 class TestDecoderPaths:
-    """cell_from_dict takes a record whose values all have their exact JSON
-    types after one comparison of a tuple of types; every other record
-    takes the per-field path, the home of every error message."""
+    """cells_from_dicts checks records a chunk at a time, a column at a time,
+    and builds a chunk's cells together when every record in it is an object of
+    exactly its fields, each value of its exact JSON type or a null its field
+    reads; cell_from_dict is the one-record case. Any other chunk, or record,
+    takes the per-field path, the home of every lenient form and message."""
 
     @given(exact_cells)
     def test_one_check_path_builds_what_the_per_field_path_builds(self, cell):
@@ -530,11 +556,8 @@ class TestDecoderPaths:
             ),
             (lambda r: r.pop("degenerate_t"), lambda c: c.degenerate_t is False),
             (lambda r: r.pop("undefined_flags"), lambda c: c.undefined_flags == ()),
-            (lambda r: r.update(t_statistic=None), lambda c: c.t_statistic is None),
-            (lambda r: r.update(effect_ratio=None), lambda c: c.effect_ratio is None),
         ],
-        ids=["integer-number", "integer-arp-value", "no-degenerate_t", "no-undefined_flags",
-             "null-t", "null-undefined-value"],
+        ids=["integer-number", "integer-arp-value", "no-degenerate_t", "no-undefined_flags"],
     )
     def test_records_the_check_refuses_are_read_field_by_field(self, edit, check):
         record = json.loads(json.dumps(GOLDEN_CELL))
@@ -544,6 +567,59 @@ class TestDecoderPaths:
             cell = cell_from_dict(record, "cells[3]")
         per_field.assert_called_once_with(record, "cells[3]")
         assert check(cell)
+
+    @pytest.mark.parametrize(
+        "edit, check",
+        [
+            (lambda r: r.update(t_statistic=None), lambda c: c.t_statistic is None),
+            (lambda r: r.update(effect_ratio=None), lambda c: c.effect_ratio is None),
+        ],
+        ids=["null-t", "null-undefined-value"],
+    )
+    def test_records_with_nulls_take_the_column_path(self, edit, check):
+        record = json.loads(json.dumps(GOLDEN_CELL))
+        edit(record)
+        cell = one_check(record)
+        assert cell == persistence._cell_per_field(record, "cells[3]")
+        assert check(cell)
+
+    @given(
+        st.lists(st.tuples(generated_cells, st.sampled_from(sorted(RECORD_EDITS))), max_size=8),
+        st.integers(1, 4),
+    )
+    def test_the_column_path_reads_any_list_as_the_per_field_path(self, drawn, chunk):
+        """Canonical, null-holding, lenient and malformed records at random
+        places, read in chunks of 1 to 4: the cells, or the first malformed
+        record's error, are those of reading each record field by field as
+        cells[i]."""
+        records = [RECORD_EDITS[kind](cell_to_dict(cell)) for cell, kind in drawn]
+
+        def read(decode):
+            try:
+                cells = decode()
+            except DataError as exc:
+                return str(exc)
+            return cells, repr(cells)  # repr tells 0 from 0.0, also in an ARP
+
+        expected = read(lambda: [
+            persistence._cell_per_field(record, f"cells[{i}]") for i, record in enumerate(records)
+        ])
+        with mock.patch.object(persistence, "_CHUNK", chunk):
+            if {kind for _, kind in drawn} <= {"canonical", "nulls"}:
+                with mock.patch.object(persistence, "_cell_per_field", side_effect=AssertionError):
+                    assert read(lambda: cells_from_dicts(records)) == expected
+            assert read(lambda: cells_from_dicts(records)) == expected
+
+    def test_only_a_chunk_holding_a_refused_record_is_read_field_by_field(self):
+        records = [json.loads(json.dumps(GOLDEN_CELL)) for _ in range(3 * persistence._CHUNK)]
+        records[persistence._CHUNK + 7]["p_value"] = 1
+        per_field = mock.Mock(wraps=persistence._cell_per_field)
+        with mock.patch.object(persistence, "_cell_per_field", per_field):
+            cells = cells_from_dicts(records)
+        second = range(persistence._CHUNK, 2 * persistence._CHUNK)
+        assert per_field.call_args_list == [mock.call(records[i], f"cells[{i}]") for i in second]
+        assert cells == [cell_from_dict(record) for record in records]
+        assert cells[persistence._CHUNK + 7].p_value == 1.0
 
     @pytest.mark.parametrize(
         "key, value, message",

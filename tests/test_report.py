@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -113,6 +114,59 @@ class TestTableConstruction:
         with pytest.raises(DataError) as excinfo:
             persistence_table([cells[0], as_pivot])
         assert str(excinfo.value) == "cells[1]: system and pivot share the tag 'pivot'"
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(["tag", "number", "duplicate"])))
+    def test_the_earliest_faulty_cell_is_named(self, cells, order):
+        """A cell whose system is the pivot, a cell holding inf and a cell that
+        repeats cells[0]'s target, in each order: the first of them is named."""
+        first = cells[0]
+        system, name, target = first.system_tag, first.measure.name, first.pair.target_label
+        faults = {  # each fault's edit and its message, for the cell at {}
+            "tag": (
+                lambda c: c._replace(system_tag=c.pivot_tag),
+                "{}: system and pivot share the tag 'pivot'",
+            ),
+            "number": (
+                lambda c: c._replace(effect_ratio=math.inf),
+                "{}.effect_ratio must be finite, got inf",
+            ),
+            "duplicate": (
+                lambda c: cells[0],
+                f"duplicate cell: system {system!r} has two cells targeting {target!r} for {name}",
+            ),
+        }
+        faulty = [faults[fault][0](cell) for fault, cell in zip(order, cells[1:4])]
+        with pytest.raises(DataError) as excinfo:
+            persistence_table([cells[0], *faulty, *cells[4:]])
+        assert str(excinfo.value) == faults[order[0]][1].format("cells[1]")
+
+    @pytest.mark.parametrize(
+        "faulty, message",
+        [
+            (  # a tag and a number: the tag
+                [lambda c: c._replace(system_tag="pivot", p_value=math.nan)],
+                "cells[1]: system and pivot share the tag 'pivot'",
+            ),
+            (  # two numbers: the first in CELL_NUMBERS order
+                [lambda c: c._replace(p_value=math.inf, arp_target=ARPValue(-math.inf, 3))],
+                "cells[1].arp_target.value must be finite, got -inf",
+            ),
+            (  # a number and a repeated target: the number
+                [lambda c: c, lambda c: c._replace(effect_ratio=math.inf)],
+                "cells[2].effect_ratio must be finite, got inf",
+            ),
+            (  # all three in the later of two cells: the earlier cell's tag
+                [lambda c: c._replace(system_tag="pivot")] * 2
+                + [lambda c: c._replace(system_tag="pivot", delta_ri=math.inf)],
+                "cells[1]: system and pivot share the tag 'pivot'",
+            ),
+        ],
+        ids=["tag-and-number", "two-numbers", "number-and-duplicate", "all-three"],
+    )
+    def test_within_one_cell_the_tag_then_a_number_then_a_repeat(self, cells, faulty, message):
+        with pytest.raises(DataError) as excinfo:
+            persistence_table([cells[0], *(edit(cells[1]) for edit in faulty), *cells[2:]])
+        assert str(excinfo.value) == message
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
