@@ -281,14 +281,13 @@ _KINDS = [{kind} if null is MISSING else {kind, type(None)} for _, kind, _, null
 _KINDS += [{str}, {str}, *[{float}, {int}] * 4, {str}]
 
 
-def cells_from_dicts(records: list, where: str = "cells") -> list[PersistenceCell]:
-    """The cells of JSON records (see cell_from_dict); ``where[i]`` names the
-    record at index i in error messages."""
+def cells_from_dicts(records: list) -> list[PersistenceCell]:
+    """The cells of JSON records (see cell_from_dict); errors name record i ``cells[i]``."""
     cells: list[PersistenceCell] = []
     for start in range(0, len(records), _CHUNK):
         chunk = records[start : start + _CHUNK]
         cells += _columnwise(chunk) or [
-            _cell_per_field(record, f"{where}[{i}]") for i, record in enumerate(chunk, start)
+            _cell_per_field(record, f"cells[{i}]") for i, record in enumerate(chunk, start)
         ]
     return cells
 

@@ -220,8 +220,9 @@ def _aligned(column: list[str], justify) -> list[str]:
 
 def _one_line(label: str) -> str:
     """``label`` with each non-printable character written as its Python escape."""
-    escaped = (c if c.isprintable() else repr(c)[1:-1] for c in label)
-    return label if label.isprintable() else "".join(escaped)
+    if label.isprintable():
+        return label
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in label)
 
 
 def render_table_text(table: PersistenceTable) -> str:
