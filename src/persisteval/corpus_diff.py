@@ -21,7 +21,7 @@ import os
 from collections import namedtuple
 from pathlib import Path
 
-from .errors import DataError, ParseError, Record
+from .errors import DataError, ParseError, Record, one_line
 from .run_io import read_input
 
 
@@ -146,12 +146,13 @@ def diff_collections(a: CorpusSnapshot, b: CorpusSnapshot) -> DiffSummary:
 
 
 def format_diff(summary: DiffSummary, a_label: str, b_label: str, *, verbose: bool = False) -> str:
-    """Human-readable summary; with ``verbose`` each non-empty class then
-    lists its URLs, one ``class<TAB>url`` line each."""
-    lines = [f"comparing {a_label} -> {b_label}"]
+    """Human-readable summary; with ``verbose`` each non-empty class then lists its URLs,
+    one ``class<TAB>url`` line each. Each label and URL is written ``one_line``."""
+    lines = [f"comparing {one_line(a_label)} -> {one_line(b_label)}"]
     lines.extend(f"{name:<9} {len(urls)}" for name, urls in summary.urls())
     if verbose:
-        lines.extend(f"{name}\t" + f"\n{name}\t".join(urls) for name, urls in summary.urls() if urls)
+        escaped = ((name, map(one_line, urls)) for name, urls in summary.urls() if urls)
+        lines.extend(f"{name}\t" + f"\n{name}\t".join(urls) for name, urls in escaped)
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,5 @@
-"""Exception and warning types, and the base of the value records, shared
-across the toolkit.
+"""Exception and warning types, the base of the value records, and the
+one-line form of a printed label, shared across the toolkit.
 
 The CLI maps the errors onto its exit codes: usage problems exit 1,
 ParseError exits 2, DataError exits 3. Non-fatal diagnostics are emitted as
@@ -10,6 +10,13 @@ from __future__ import annotations
 
 # Each byte of a path that is not UTF-8, as os.fsdecode escapes it, to \xNN.
 _NOT_UTF8 = {code: f"\\x{code - 0xDC00:02x}" for code in range(0xDC80, 0xDD00)}
+
+
+def one_line(label: str) -> str:
+    """``label`` with each non-printable character written as its Python escape."""
+    if label.isprintable():
+        return label
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in label)
 
 
 class EvaluationError(Exception):

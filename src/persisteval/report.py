@@ -29,7 +29,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 
-from .errors import DataError, Record, UsageError
+from .errors import DataError, Record, UsageError, one_line
 from .measures import TopicScoreVector
 from .persistence import (
     CELL_NUMBERS,
@@ -218,13 +218,6 @@ def _aligned(column: list[str], justify) -> list[str]:
     return list(map(justify, column, repeat(max(map(len, column)))))
 
 
-def _one_line(label: str) -> str:
-    """``label`` with each non-printable character written as its Python escape."""
-    if label.isprintable():
-        return label
-    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in label)
-
-
 def render_table_text(table: PersistenceTable) -> str:
     """Aligned plain-text table, one column group per measure and one line per row."""
     # Each column holds its title, then one string per row. A group of
@@ -233,8 +226,8 @@ def render_table_text(table: PersistenceTable) -> str:
     names = [m.name for m in table.measures]
     rows = table.rows
     groups = [[
-        _aligned(["system", *[_one_line(row.system_tag) for row in rows]], str.ljust),
-        _aligned(["EE", *[_one_line(row.ee_label) for row in rows]], str.ljust),
+        _aligned(["system", *[one_line(row.system_tag) for row in rows]], str.ljust),
+        _aligned(["EE", *[one_line(row.ee_label) for row in rows]], str.ljust),
     ]]
     for name in names:
         arp, rd, dri, er, p, significant = _columns([r.cells[name] for r in rows], 6)
@@ -248,7 +241,7 @@ def render_table_text(table: PersistenceTable) -> str:
         )
     lines = [list(map("  ".join, zip(*group))) for group in groups]
     titles = " | ".join(name.ljust(len(group[0])) for name, group in zip(names, lines[1:]))
-    head = [f"pivot: {_one_line(table.pivot_tag)}", f"{' ' * len(lines[0][0])} | {titles}".rstrip()]
+    head = [f"pivot: {one_line(table.pivot_tag)}", f"{' ' * len(lines[0][0])} | {titles}".rstrip()]
     return "\n".join(head + list(map(" | ".join, zip(*lines)))) + "\n"
 
 

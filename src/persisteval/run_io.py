@@ -9,13 +9,13 @@ Three file formats of LF-ended lines are handled, each parsed from a file's text
 - Topic list file: one topic id per line; blank lines and lines starting
   with ``#`` are ignored.
 
-Parsed values are immutable and safe to share across threads. A run holds
+Parsed records are immutable and safe to share across threads. A run holds
 each topic's ranked doc ids in canonical order (score descending, then doc
 id descending) until ``Run.judged``, the one place doc ids meet qrels, turns
 them into grades. Scores only set that order; the rank column is validated
 but otherwise ignored, so scores do not depend on input line order. Rankings
-deeper than MAX_DEPTH documents are truncated with a warning. Qrels hold one
-map, topic -> doc -> grade, each topic's a read-only TopicJudgments.
+deeper than MAX_DEPTH documents are truncated with a warning. Qrels map each
+topic to its TopicJudgments, whose ``grades`` is a read-only doc -> grade map.
 
 JSON inputs (the job manifest and cells.json) are read by the typed-JSON
 readers ``json_fields``, ``json_checked`` and ``json_object``, the one place
@@ -32,6 +32,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from math import isfinite, log2
 from operator import itemgetter, truediv
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import DataError, DiagnosticWarning, ParseError, Record, UsageError
 
@@ -83,29 +84,25 @@ class Run(Record, namedtuple("Run", "run_tag rankings depth", defaults=(None,)))
 
     def judged(self, qrels: Qrels, depth: int = MAX_DEPTH) -> "Run":
         """Each topic's first ``depth`` doc ids as their grades in ``qrels`` (None: unjudged)."""
-        judged = {t: tuple(map(qrels.for_topic(t).get, d[:depth])) for t, d in self.rankings.items()}
+        judged = {t: tuple(map(qrels.for_topic(t).grades.get, d[:depth])) for t, d in self.rankings.items()}
         return self._replace(rankings=judged, depth=min(depth, MAX_DEPTH))
 
 
-class TopicJudgments(dict):
-    """One topic's doc_id -> grade map. ``ideal`` holds the ideal ranking's DCG terms (grades
-    >= 1, descending, the i-th over log2(i + 1)); ``nonrelevant`` counts the grade-0 judgments."""
+class TopicJudgments(Record, namedtuple("TopicJudgments", "grades ideal nonrelevant")):
+    """One topic's judgments, built only from its doc_id -> grade map (or a TopicJudgments):
+    ``grades``, a read-only view of a private copy; ``ideal``, the ideal ranking's DCG terms
+    (grades >= 1, descending, the i-th over log2(i + 1)); ``nonrelevant``, the grade-0 count."""
 
-    __slots__ = ("ideal", "nonrelevant")
+    __slots__ = ()
 
-    def __init__(self, grades: Mapping[str, int]) -> None:
-        super().__init__(grades)
-        relevant = sorted((grade for grade in self.values() if grade >= 1), reverse=True)
-        self.ideal = tuple(map(truediv, relevant, map(log2, range(2, len(relevant) + 2))))
-        self.nonrelevant = [*self.values()].count(0)
+    def __new__(cls, grades: Mapping[str, int] | TopicJudgments):
+        grades = dict(grades.grades if type(grades) is cls else grades)
+        relevant = sorted((grade for grade in grades.values() if grade >= 1), reverse=True)
+        ideal = tuple(map(truediv, relevant, map(log2, range(2, len(relevant) + 2))))
+        return tuple.__new__(cls, (MappingProxyType(grades), ideal, [*grades.values()].count(0)))
 
-    def __setitem__(self, *args, **kwargs):  # a write would leave the summary stale
-        raise TypeError("a topic's judgments are read-only")
-
-    __delitem__ = clear = pop = popitem = setdefault = update = __ior__ = __setitem__
-
-    def __reduce__(self):  # copy and pickle would otherwise rebuild it by item assignment
-        return TopicJudgments, (dict(self),)
+    def __getnewargs__(self):  # copy and pickle rebuild it from its grades
+        return (dict(self.grades),)
 
 
 class Qrels(Record, namedtuple("Qrels", "judgments")):
@@ -122,7 +119,7 @@ class Qrels(Record, namedtuple("Qrels", "judgments")):
         return frozenset(self.judgments)
 
     def for_topic(self, topic_id: str) -> TopicJudgments:
-        """One topic's read-only doc_id -> grade map; empty for an unjudged topic."""
+        """One topic's judgments; with no grades for an unjudged topic."""
         return self.judgments.get(topic_id, self._UNJUDGED)
 
 

@@ -7,8 +7,9 @@ p-value. Two variants are supported:
 - ``welch``: separate variances with Welch-Satterthwaite degrees of freedom.
 
 The p-value comes from the t cumulative distribution, evaluated through
-the regularized incomplete beta function (continued-fraction expansion,
-accurate to well below 1e-10 absolute over the relevant domain). Two
+the regularized incomplete beta function (continued-fraction expansion).
+For df <= 4000 it is within 2e-12 absolute when |t| >= 0.1. Nearer 0, 1 - x
+cancels for x = df/(df + t^2): at df = 4000 the error is about 1e-13/|t|, up to 4e-7. Two
 constant samples (by their values: the rounded mean of three 0.1s is not
 0.1) give a defined result instead of NaN: equal values yield t = 0, p = 1;
 unequal values yield p = 0 with the ``degenerate`` flag set.

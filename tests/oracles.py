@@ -202,7 +202,7 @@ def _oracle_fmt3(value, undefined=False, star=False):
     return f"{value:.3f}" + ("*" if star else "")
 
 
-def _oracle_label(label):
+def oracle_label(label):
     """Each character that is not printable as its unicode_escape form."""
     return "".join(
         ch if ch.isprintable() else ch.encode("unicode_escape").decode("ascii") for ch in label
@@ -213,7 +213,7 @@ def oracle_render_table_text(table):
     names = [m.name for m in table.measures]
     lines = [[["system", "EE"]] + [["ARP", "RD", "DRI", "ER", "p"] for _ in names]]
     for row in table.rows:
-        line = [[_oracle_label(row.system_tag), _oracle_label(row.ee_label)]]
+        line = [[oracle_label(row.system_tag), oracle_label(row.ee_label)]]
         for name in names:
             cell = row.cells[name]
             line.append([
@@ -243,7 +243,7 @@ def oracle_render_table_text(table):
     for name, group_widths in zip(names, widths[1:]):
         titles.append(name.ljust(sum(group_widths) + 2 * (len(group_widths) - 1)))
     head = (fmt([["", ""]]) + " | " + " | ".join(titles)).rstrip()
-    out = [f"pivot: {_oracle_label(table.pivot_tag)}", head]
+    out = [f"pivot: {oracle_label(table.pivot_tag)}", head]
     for line in lines:
         out.append(fmt(line))
     return "\n".join(out) + "\n"

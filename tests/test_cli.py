@@ -214,7 +214,7 @@ class TestScoreCommand:
         per_topic = [line.split() for line in lines[:-1]]
         assert len(per_topic) == 3
         for topic, _, value in per_topic:
-            expected = oracle_p_at_k(list(run.rankings.get(topic, ())), qrels.for_topic(topic), 10)
+            expected = oracle_p_at_k(list(run.rankings.get(topic, ())), qrels.for_topic(topic).grades, 10)
             assert float(value) == pytest.approx(expected, abs=5e-7)
         mean_value = float(lines[-1].split()[2])
         assert mean_value == pytest.approx(
@@ -471,11 +471,11 @@ class TestPersistCommand:
     def test_summarizes_each_judged_topic_once(self, tmp_path, monkeypatch):
         made = []  # per summary: whether score_run was running when it was made
         scoring = []
-        init, score_run = run_io.TopicJudgments.__init__, measures.score_run
+        new, score_run = run_io.TopicJudgments.__new__, measures.score_run
 
-        def counting_init(self, grades):
+        def counting_new(cls, grades):
             made.append(bool(scoring))
-            init(self, grades)
+            return new(cls, grades)
 
         def flagged_score_run(*args, **kwargs):
             scoring.append(True)
@@ -484,7 +484,7 @@ class TestPersistCommand:
             finally:
                 scoring.pop()
 
-        monkeypatch.setattr(run_io.TopicJudgments, "__init__", counting_init)
+        monkeypatch.setattr(run_io.TopicJudgments, "__new__", counting_new)
         monkeypatch.setattr(measures, "score_run", flagged_score_run)
         code = run_cli(
             "persist", "--config", FIXTURE / "job.json", "--no-strict-topics",
@@ -979,6 +979,25 @@ class TestCorpusDiffCommand:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "added     1" in out and "changed   1" in out
+
+    def test_verbose_escapes_tabs_and_line_breaks_in_names(self, tmp_path, capsys):
+        """Each URL is one class<TAB>url line and the labels one line, as in
+        table.txt; corpus_diff.json keeps the names as they are."""
+        old, new = tmp_path / "old\nside", tmp_path / "new"
+        old.mkdir(), new.mkdir()
+        (old / "one\ntwo.txt").write_text("a", encoding="utf-8")
+        (new / "one\ntwo.txt").write_text("aa", encoding="utf-8")
+        (new / "tab\tname.txt").write_text("b", encoding="utf-8")
+        code = run_cli("corpus-diff", old, new, "--from-dirs", "--verbose", "--output", tmp_path)
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "comparing old\\nside -> new", "added     1", "removed   0", "changed   1",
+            "unchanged 0", "added\ttab\\tname.txt", "changed\tone\\ntwo.txt",
+            "wrote corpus_diff.json",
+        ]
+        payload = json.loads((tmp_path / "corpus_diff.json").read_text(encoding="utf-8"))
+        assert payload["a"] == "old\nside" and payload["added_urls"] == ["tab\tname.txt"]
+        assert payload["changed_urls"] == ["one\ntwo.txt"]
 
     # A name that is not UTF-8 would become a URL or label that a UTF-8
     # stdout, or corpus_diff.json, cannot hold.

@@ -20,7 +20,7 @@ from persisteval.corpus_diff import (
 )
 from persisteval.errors import DataError, ParseError
 
-from oracles import oracle_diff_counts, oracle_diff_urls
+from oracles import oracle_diff_counts, oracle_diff_urls, oracle_label
 
 lengths = st.integers(min_value=0, max_value=10_000)
 url_maps = st.dictionaries(
@@ -171,7 +171,8 @@ class TestOneScanDiff:
         assert [(name, list(urls)) for name, urls in summary.urls()] == list(expected.items())
         lines = ["comparing a -> b"]
         lines += [f"{name:<9} {len(urls)}" for name, urls in expected.items()]
-        lines += [f"{name}\t{url}" for name, urls in expected.items() for url in urls]
+        # Each URL is one line of two fields, its non-printable characters escaped.
+        lines += [f"{name}\t{oracle_label(url)}" for name, urls in expected.items() for url in urls]
         assert format_diff(summary, "a", "b", verbose=True) == "\n".join(lines) + "\n"
         assert format_diff(summary, "a", "b") == "\n".join(lines[:5]) + "\n"
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 import pickle
 import random
 
@@ -234,7 +235,7 @@ class TestScoreRun:
         topics = frozenset({"q1", "q2", "q3"})
         vector = score_run(run.judged(qrels), qrels, P_AT_10, topics)
         for topic in topics:
-            expected = oracle_p_at_k(list(run.rankings.get(topic, ())), qrels.for_topic(topic), 10)
+            expected = oracle_p_at_k(list(run.rankings.get(topic, ())), qrels.for_topic(topic).grades, 10)
             assert vector.scores[topic] == pytest.approx(expected, abs=1e-12)
 
     def test_missing_topic_scores_zero(self):
@@ -399,35 +400,51 @@ class TestJudgmentSummaries:
         for topic, topic_grades in grades.items():
             summary = qrels.for_topic(topic)
             relevant = sorted((g for g in topic_grades.values() if g >= 1), reverse=True)
-            assert type(summary) is TopicJudgments and summary == topic_grades
+            assert type(summary) is TopicJudgments and summary.grades == topic_grades
             assert summary.ideal == tuple(g / math.log2(i + 2) for i, g in enumerate(relevant))
             assert summary.nonrelevant == sum(g == 0 for g in topic_grades.values())
 
     def test_unjudged_topic_has_an_empty_summary(self):
         summary = Qrels({"q1": {"d1": 1}}).for_topic("q2")
-        assert summary == {} and summary.ideal == () and summary.nonrelevant == 0
+        assert summary.grades == {} and summary.ideal == () and summary.nonrelevant == 0
 
     @pytest.mark.parametrize(
         "write",
         [
             lambda m: m.__setitem__("d9", 2), lambda m: m.__delitem__("d1"), lambda m: m.clear(),
             lambda m: m.pop("d1"), lambda m: m.popitem(), lambda m: m.setdefault("d9", 2),
-            lambda m: m.update(d9=2), lambda m: m.__ior__({"d9": 2}),
+            lambda m: m.update(d9=2), lambda m: operator.ior(m, {"d9": 2}),
         ],
     )
     @pytest.mark.parametrize("topic", ["q1", "unjudged"])
     def test_summaries_refuse_writes(self, write, topic):
+        # The read-only grades refuse each write: TypeError for an item write
+        # and |=, AttributeError for a mutator name the proxy lacks.
         qrels = Qrels({"q1": {"d1": 1, "d2": 0}})
-        with pytest.raises(TypeError, match="read-only"):
-            write(qrels.for_topic(topic))
-        assert qrels.for_topic("q1") == {"d1": 1, "d2": 0} and qrels.for_topic("unjudged") == {}
-        assert Qrels({}).for_topic("q1") == {}
+        with pytest.raises((TypeError, AttributeError)):
+            write(qrels.for_topic(topic).grades)
+        # Each record equals one built afresh from the grades it should hold.
+        assert qrels.for_topic("q1").grades == {"d1": 1, "d2": 0}
+        assert qrels.for_topic("q1") == TopicJudgments({"d1": 1, "d2": 0})
+        assert qrels.for_topic("unjudged") == Qrels({}).for_topic("q1") == TopicJudgments({})
+
+    def test_a_later_write_to_the_source_map_changes_no_summary(self):
+        grades = {"d1": 1, "d2": 0}
+        qrels = Qrels({"q1": grades})
+        grades.update(d1=0, d3=2)
+        assert qrels.for_topic("q1") == TopicJudgments({"d1": 1, "d2": 0})
+        assert qrels.for_topic("q1").grades == {"d1": 1, "d2": 0}
 
     def test_copies_keep_their_summaries(self):
         qrels = Qrels({"q1": {"d1": 1, "d2": 2, "d3": 0}})
-        for copied in (copy.copy(qrels), copy.deepcopy(qrels), pickle.loads(pickle.dumps(qrels))):
+        copies = (
+            copy.copy(qrels), copy.deepcopy(qrels), pickle.loads(pickle.dumps(qrels)),
+            Qrels._make(qrels), qrels._replace(), qrels._replace(judgments=qrels.judgments),
+        )
+        for copied in copies:
             summary, original = copied.for_topic("q1"), qrels.for_topic("q1")
             assert type(summary) is TopicJudgments and summary == original
+            assert summary.grades == {"d1": 1, "d2": 2, "d3": 0}
             assert (summary.ideal, summary.nonrelevant) == (original.ideal, original.nonrelevant)
 
 

@@ -178,7 +178,7 @@ class TestPersistenceCell:
             from oracles import oracle_p_at_k
 
             return {
-                t: oracle_p_at_k(list(run.rankings.get(t, ())), qrels.for_topic(t), 10)
+                t: oracle_p_at_k(list(run.rankings.get(t, ())), qrels.for_topic(t).grades, 10)
                 for t in sorted(topics)
             }
 

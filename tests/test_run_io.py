@@ -15,6 +15,7 @@ from persisteval.errors import DataError, DiagnosticWarning, EvaluationError, Pa
 from persisteval.run_io import (
     MAX_DEPTH,
     MISSING,
+    Qrels,
     Run,
     core_topics,
     json_checked,
@@ -113,7 +114,7 @@ class TestParseRun:
 class TestParseQrels:
     def test_basic(self):
         qrels = parse_qrels("q1 0 d7 2")
-        assert qrels.judgments == {"q1": {"d7": 2}}
+        assert qrels == Qrels({"q1": {"d7": 2}})
 
     def test_grade_out_of_range(self):
         with pytest.raises(DataError):
@@ -135,7 +136,7 @@ class TestParseQrels:
     def test_equal_duplicate_accepted_with_warning(self):
         with pytest.warns(DiagnosticWarning):
             qrels = parse_qrels("q1 0 d7 1\nq1 0 d7 1")
-        assert qrels.judgments == {"q1": {"d7": 1}}
+        assert qrels == Qrels({"q1": {"d7": 1}})
 
     def test_wrong_field_count(self):
         with pytest.raises(ParseError):
@@ -143,8 +144,8 @@ class TestParseQrels:
 
     def test_for_topic(self):
         qrels = parse_qrels("q1 0 d7 1\nq1 0 d8 0\nq2 0 d9 2")
-        assert qrels.for_topic("q1") == {"d7": 1, "d8": 0}
-        assert qrels.for_topic("missing") == {}
+        assert qrels.for_topic("q1").grades == {"d7": 1, "d8": 0}
+        assert qrels.for_topic("missing").grades == {}
 
 
 class TestJudged:
@@ -360,7 +361,7 @@ class TestCanonicalOrderOracle:
         text = "\n".join(f"{topic} 0 {doc} {first[topic, doc]}" for topic, doc, _ in rows)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DiagnosticWarning)
-            assert parse_qrels(text).judgments == expected
+            assert parse_qrels(text) == Qrels(expected)
 
 
 class TestRoundTrip:

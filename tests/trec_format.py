@@ -21,7 +21,7 @@ def format_run(run: Run) -> str:
 def format_qrels(qrels: Qrels) -> str:
     lines = [
         f"{topic} 0 {doc} {grade}"
-        for topic, grades in sorted(qrels.judgments.items())
-        for doc, grade in sorted(grades.items())
+        for topic, judgments in sorted(qrels.judgments.items())
+        for doc, grade in sorted(judgments.grades.items())
     ]
     return "\n".join(lines) + "\n" if lines else ""
