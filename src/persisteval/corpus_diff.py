@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections import namedtuple
 from pathlib import Path
 
@@ -32,6 +33,7 @@ class CorpusSnapshot(Record, namedtuple("CorpusSnapshot", "label docs")):
 
 
 _CLASSES = ("added", "removed", "changed", "unchanged")
+_TWO_TABS = re.compile("\t[^\t\n]*\t")
 
 
 class DiffSummary(
@@ -59,8 +61,20 @@ class DiffSummary(
 
 def parse_manifest(text: str, label: str, *, path: str | None = None) -> CorpusSnapshot:
     """Parse a ``url<TAB>length`` manifest's text. Lengths must be non-negative
-    integers and URLs unique."""
-    docs: dict[str, int] = {}
+    integers and URLs unique. A manifest whose every line is one record is read
+    with one split of its text; any other text line by line, to name its first fault."""
+    fields = text.replace("\n", "\t").split("\t")
+    if text.endswith("\n"):
+        del fields[-1]  # the empty field after the final line feed
+    try:
+        docs = dict(zip(map(str.strip, fields[::2]), map(int, fields[1::2])))
+    except ValueError:
+        docs = {}  # which fails the field count: there is at least one field
+    # As many tabs as lines and no line with two: each line holds one tab.
+    if 2 * len(docs) == len(fields) == 2 * text.count("\t") and not _TWO_TABS.search(text):
+        if "" not in docs and min(docs.values()) >= 0:
+            return CorpusSnapshot(label=label, docs=docs)
+    docs = {}
     for number, line in enumerate(text.split("\n"), start=1):
         try:
             url, length_text = line.split("\t")
@@ -112,7 +126,7 @@ def snapshot_from_dir(path: str | Path) -> CorpusSnapshot:
     root = Path(path)
     if not root.is_dir():
         raise ParseError(f"not a directory: {path}", path=str(path))
-    label = _utf8(root.name, root)
+    label = _utf8(os.path.basename(os.path.abspath(root)), root)
 
     def unlistable(exc: OSError):
         raise ParseError(f"cannot list {exc.filename}: {exc}", path=exc.filename) from exc
@@ -151,7 +165,8 @@ def format_diff(summary: DiffSummary, a_label: str, b_label: str, *, verbose: bo
     lines = [f"comparing {one_line(a_label)} -> {one_line(b_label)}"]
     lines.extend(f"{name:<9} {len(urls)}" for name, urls in summary.urls())
     if verbose:
-        escaped = ((name, map(one_line, urls)) for name, urls in summary.urls() if urls)
+        escaped = ((name, urls if "".join(urls).isprintable() else map(one_line, urls))
+                   for name, urls in summary.urls() if urls)
         lines.extend(f"{name}\t" + f"\n{name}\t".join(urls) for name, urls in escaped)
     return "\n".join(lines) + "\n"
 

@@ -190,6 +190,43 @@ def oracle_run_error(text, expected_tag=None):
     return None
 
 
+def oracle_manifest(text):
+    """The (url, length) records of a corpus manifest in file order, or its
+    first fault as (error class name, line, message). A line ends at LF only.
+    A line that holds nothing but spaces and tabs is blank and skipped. Each
+    other line is checked in order for: two tab-separated fields, a URL that
+    is not empty once stripped, a length that is an integer once stripped, a
+    length of at least 0, and a URL not yet seen."""
+    records = []
+    seen_urls = []
+    line_number = 0
+    for raw_line in text.split("\n"):
+        line_number += 1
+        fields = raw_line.split("\t")
+        if len(fields) != 2:
+            if raw_line.strip() == "":
+                continue
+            message = "expected 'url<TAB>length', got " + str(len(fields)) + " tab-separated fields"
+            return ("ParseError", line_number, message)
+        url = fields[0].strip()
+        length_text = fields[1].strip()
+        if url == "" and length_text == "":
+            continue
+        if url == "":
+            return ("ParseError", line_number, "empty url")
+        try:
+            length = int(length_text)
+        except ValueError:
+            return ("ParseError", line_number, "non-integer length " + repr(length_text))
+        if length < 0:
+            return ("DataError", line_number, f"negative length {length} for url {url!r}")
+        if url in seen_urls:
+            return ("DataError", line_number, f"duplicate url {url!r}")
+        seen_urls.append(url)
+        records.append((url, length))
+    return records
+
+
 # The report renderers written one row and one value at a time, with
 # csv.writer quoting every row. They read the records by field name only.
 

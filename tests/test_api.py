@@ -125,7 +125,7 @@ def test_readme_library_functions_resolve():
 
 
 # ROADMAP's line ceiling for src/ (a stated budget raises it with the ROADMAP).
-LINE_CEILING = 2321
+LINE_CEILING = 2336
 
 
 def test_runtime_imports_only_the_standard_library():

@@ -1064,6 +1064,17 @@ class TestCorpusDiffCommand:
         assert code == EXIT_PARSE and captured.out == ""
         assert captured.err.startswith(f"error: {hidden}: cannot list {hidden}: ")
 
+    def test_dot_and_dotdot_are_labelled_with_their_directory_name(self, tmp_path, monkeypatch, capsys):
+        docs = tmp_path / "docs"
+        (docs / "sub").mkdir(parents=True)
+        (docs / "d.txt").write_text("d", encoding="utf-8")
+        monkeypatch.chdir(docs)
+        code = run_cli("corpus-diff", ".", "sub/..", "--from-dirs", "--output", tmp_path / "out")
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith("comparing docs -> docs\n")
+        payload = json.loads((tmp_path / "out" / "corpus_diff.json").read_text(encoding="utf-8"))
+        assert (payload["a"], payload["b"], payload["unchanged"]) == ("docs", "docs", 1)
+
 
 def assert_overflow_exits_3(tmp_path, capsys, index, field, number):
     """``report`` refuses ``number``, too large for a float, in cells[index].field."""

@@ -6,7 +6,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from persisteval.corpus_diff import (
@@ -18,9 +18,9 @@ from persisteval.corpus_diff import (
     parse_manifest,
     snapshot_from_dir,
 )
-from persisteval.errors import DataError, ParseError
+from persisteval.errors import DataError, EvaluationError, ParseError
 
-from oracles import oracle_diff_counts, oracle_diff_urls, oracle_label
+from oracles import oracle_diff_counts, oracle_diff_urls, oracle_label, oracle_manifest
 
 lengths = st.integers(min_value=0, max_value=10_000)
 url_maps = st.dictionaries(
@@ -38,6 +38,20 @@ odd_url_maps = st.dictionaries(
 # Every character str.strip removes, except the tab and line feed that
 # delimit a manifest's fields and lines. int() alone refuses \x1c-\x1f.
 STRIPPED = [c for c in map(chr, range(sys.maxunicode + 1)) if not c.strip() and c not in "\t\n"]
+# Manifest texts: free text, and records whose fields mostly look like a URL
+# and a length but may hold a separator, padding or a sign, so that the
+# one-split read, the line-by-line read after it and every fault all occur.
+MANIFEST_ALPHABET = "\t\n \r\x1c-_+0123456789abu"
+manifest_fields = st.text(alphabet=MANIFEST_ALPHABET, max_size=3)
+manifest_records = st.tuples(
+    st.text(alphabet="abu", min_size=1, max_size=2) | manifest_fields,
+    st.integers(min_value=-2, max_value=20).map(str) | manifest_fields,
+)
+manifest_texts = st.text(alphabet=MANIFEST_ALPHABET, max_size=16) | st.builds(
+    lambda records, end: "\n".join(f"{url}\t{length}" for url, length in records) + end,
+    st.lists(manifest_records, max_size=6),
+    st.sampled_from(["", "\n"]),
+)
 
 
 def snap(label, docs):
@@ -78,6 +92,35 @@ class TestParseManifest:
 
     def test_stripped_characters_cover_the_separators_and_unicode_spaces(self):
         assert set("\x1c\x1d\x1e\x1f\x85\xa0\u3000") <= set(STRIPPED)
+
+    @settings(max_examples=300)
+    @given(manifest_texts)
+    @example("u\t1\nv\t2\n")
+    @example("u\t1\nv\t2")
+    @example("")
+    @example("\n")
+    @example("u\t1\n\nv\t2\n")
+    @example("u\t1\n\t\nv\t2\n")
+    @example("u\t1\r\nv\t2\r\n")
+    @example("u\t\x1c7\n")
+    @example("u\t1\n u\t1\n")
+    @example("u\t-1")
+    @example("u\t-0")
+    @example("u\t1\t2")
+    @example("\t5")
+    @example("u\n1\n")  # no line with two tabs, but one with none
+    @example("u\t1\t2\n3\n")  # as many tabs as lines, but two on line 1
+    def test_matches_the_line_by_line_oracle(self, text):
+        expected = oracle_manifest(text)
+        if isinstance(expected, list):
+            # In file order: CorpusSnapshot equality ignores the order of docs.
+            assert list(parse_manifest(text, "s1").docs.items()) == expected
+            return
+        kind, line, message = expected
+        with pytest.raises(EvaluationError) as excinfo:
+            parse_manifest(text, "s1")
+        assert (type(excinfo.value).__name__, excinfo.value.line) == (kind, line)
+        assert str(excinfo.value) == f"{line}: {message}"
 
     @pytest.mark.parametrize("pad", STRIPPED, ids=lambda c: f"U+{ord(c):04X}")
     def test_a_length_padded_with_what_strip_removes_parses(self, pad):
@@ -165,6 +208,7 @@ class TestOneScanDiff:
     @example({"é\t東": 0}, {})
     @example({"u": 0, "v": 1}, {"u": 0, "v": 1})
     @example({"u": 0, "v": 1}, {"u": 1, "v": 0})
+    @example({"a\tb": 0, "w": 0, "u": 0, "v": 1}, {"u": 0, "v": 2, "x": 0})  # only removed escapes
     def test_url_lists_and_verbose_text_match_the_oracle(self, a_docs, b_docs):
         summary = diff_collections(snap("a", a_docs), snap("b", b_docs))
         expected = oracle_diff_urls(a_docs, b_docs)
