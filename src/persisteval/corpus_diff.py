@@ -63,17 +63,17 @@ def parse_manifest(text: str, label: str, *, path: str | None = None) -> CorpusS
     """Parse a ``url<TAB>length`` manifest's text. Lengths must be non-negative
     integers and URLs unique. A manifest whose every line is one record is read
     with one split of its text; any other text line by line, to name its first fault."""
-    fields = text.replace("\n", "\t").split("\t")
-    if text.endswith("\n"):
-        del fields[-1]  # the empty field after the final line feed
-    try:
-        docs = dict(zip(map(str.strip, fields[::2]), map(int, fields[1::2])))
-    except ValueError:
-        docs = {}  # which fails the field count: there is at least one field
-    # As many tabs as lines and no line with two: each line holds one tab.
-    if 2 * len(docs) == len(fields) == 2 * text.count("\t") and not _TWO_TABS.search(text):
-        if "" not in docs and min(docs.values()) >= 0:
+    lines = text.count("\n") + (not text.endswith("\n"))  # at least 1
+    # As many tabs as lines and no line with two: each line holds one tab, or no split is made.
+    if text.count("\t") == lines and not _TWO_TABS.search(text):
+        fields = text.replace("\n", "\t").split("\t")
+        try:  # zip drops the empty field after a final line feed
+            docs = dict(zip(map(str.strip, fields[::2]), map(int, fields[1::2])))
+        except ValueError:
+            docs = {}
+        if len(docs) == lines and "" not in docs and min(docs.values()) >= 0:
             return CorpusSnapshot(label=label, docs=docs)
+        del fields  # freed before the lines are split, so both never live at once
     docs = {}
     for number, line in enumerate(text.split("\n"), start=1):
         try:
