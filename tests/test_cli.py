@@ -24,6 +24,7 @@ from oracles import oracle_diff_urls
 FIXTURE = Path(__file__).parent / "fixtures" / "two_ee"
 GOLDEN_CELLS = Path(__file__).parent / "golden" / "two_ee" / "cells.json"
 GOLDEN_NO_STRICT_PIVOT_DELTA = Path(__file__).parent / "golden" / "two_ee_no_strict_pivot_delta"
+GOLDEN_SCORE = Path(__file__).parent / "golden" / "score_alpha_t1"
 
 
 def run_cli(*argv):
@@ -125,6 +126,17 @@ class TestScoreCommand:
         assert set(payload["measures"]) == {"P@10", "nDCG"}
         out = capsys.readouterr().out
         assert "alpha P@10 arp" in out
+
+    def test_files_and_stdout_match_golden(self, tmp_path, capsys):
+        """Five measures of alpha on t1: the 11 files under ``out`` and the
+        command's stdout, byte for byte."""
+        code = run_cli(
+            "score", FIXTURE / "runs" / "alpha.t1.run", FIXTURE / "qrels.t1.txt",
+            "--measures", "p@10,ndcg,ndcg@5,bpref,p@5000", "--output", tmp_path / "out",
+        )
+        assert code == EXIT_OK
+        (tmp_path / "stdout.txt").write_text(capsys.readouterr().out, encoding="utf-8")
+        assert tree(tmp_path) == tree(GOLDEN_SCORE)
 
     def test_topic_restriction(self, tmp_path):
         topics = tmp_path / "topics.txt"
