@@ -34,7 +34,7 @@ _EXPORTS = {
     "run_io": (
         "Qrels", "Run", "TopicSet", "core_topics", "parse_qrels", "parse_run", "parse_topics",
     ),
-    "stats": ("TTestResult", "t_cdf", "t_test_unpaired"),
+    "stats": ("TTestResult", "t_test_unpaired"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -306,28 +306,28 @@ def _artifacts(table: PersistenceTable, er_exclude: float) -> list[tuple[str, st
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    from .measures import arp, format_scores, score_run, scores_to_json
+    from .measures import arp, score_run
     from .run_io import load_qrels, load_run, snapshot_topics
 
     measures = _flag("--measures", _read_measures, _comma_list(args.measures))
     run, qrels = load_run(Path(args.run)), load_qrels(Path(args.qrels))
     topics = snapshot_topics(qrels, [run], args.topics or None)
     run = run.judged(qrels, max(measure.depth for measure in measures))
-    out_dir = _default_output(args.output)
     files: list[tuple[str, str]] = []
     arp_payload: dict[str, dict] = {}
     for measure in measures:
-        vector = score_run(run, qrels, measure, topics)
+        vector = score_run(run, qrels, measure, topics)  # its topics in sorted order
+        mean = arp_payload[measure.name] = arp(vector)._asdict()
+        rows = [*vector.scores.items(), ("all", mean["value"])]
+        text = "".join(f"{topic} {measure.name} {score:.6f}\n" for topic, score in rows)
+        record = {**vector._asdict(), "measure": measure.name, "arp": mean}
         stem = f"{_safe_name(run.run_tag)}.{measure.key}"
-        files.append((f"{stem}.scores.txt", format_scores(vector)))
-        files.append((f"{stem}.scores.json", scores_to_json(vector)))
-        mean = arp(vector)
-        arp_payload[measure.name] = {"value": mean.value, "n_topics": mean.n_topics}
-        print(f"{run.run_tag} {measure.name} arp {mean.value:.6f} n={mean.n_topics}")
-    payload = {"run_tag": run.run_tag, "measures": arp_payload}
-    blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    files.append((f"{_safe_name(run.run_tag)}.arp.json", blob))
-    _write(out_dir, files)
+        files.append((f"{stem}.scores.txt", text))
+        files.append((f"{stem}.scores.json", json.dumps(record, indent=2, sort_keys=True) + "\n"))
+        print(f"{run.run_tag} {measure.name} arp {mean['value']:.6f} n={mean['n_topics']}")
+    blob = json.dumps({"run_tag": run.run_tag, "measures": arp_payload}, indent=2, sort_keys=True)
+    files.append((f"{_safe_name(run.run_tag)}.arp.json", blob + "\n"))
+    _write(_default_output(args.output), files)
     return EXIT_OK
 
 

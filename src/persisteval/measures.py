@@ -23,7 +23,6 @@ per-topic score vector (the average retrieval performance).
 from __future__ import annotations
 
 import functools
-import json
 import math
 from collections import namedtuple
 from collections.abc import Sequence
@@ -178,23 +177,3 @@ def arp(vector: TopicScoreVector) -> ARPValue:
     ordering."""
     return ARPValue(value=mean(vector.scores.values()), n_topics=len(vector.scores))
 
-
-def format_scores(vector: TopicScoreVector) -> str:
-    """3-column text form (topic, measure, score to 6 decimals), topic-sorted,
-    with a final ``all`` row carrying the mean."""
-    lines = [f"{t} {vector.measure.name} {vector.scores[t]:.6f}" for t in sorted(vector.scores)]
-    lines.append(f"all {vector.measure.name} {arp(vector).value:.6f}")
-    return "\n".join(lines) + "\n"
-
-
-def scores_to_json(vector: TopicScoreVector) -> str:
-    """Structured JSON form with full-precision scores and the mean."""
-    mean = arp(vector)
-    payload = {
-        "run_tag": vector.run_tag,
-        "ee_label": vector.ee_label,
-        "measure": vector.measure.name,
-        "scores": {topic: vector.scores[topic] for topic in sorted(vector.scores)},
-        "arp": {"value": mean.value, "n_topics": mean.n_topics},
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

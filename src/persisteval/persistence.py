@@ -273,7 +273,7 @@ def cell_to_dict(cell: PersistenceCell) -> dict:
 # fields, its pair and ARPs objects of their two keys, and each value of exactly
 # its JSON type or a null that its field reads; then each distinct measure name
 # and pair is checked once. Any other chunk (so a refused record costs only its
-# chunk) is read by _cell_per_field, the home of every lenient form and message.
+# chunk) is read by cell_from_dict, the home of every lenient form and message.
 _CHUNK = 256
 _ARP = [itemgetter("value"), itemgetter("n_topics")]
 # The types that each field, each pair label, each ARP value and count and each flag may hold.
@@ -287,7 +287,7 @@ def cells_from_dicts(records: list) -> list[PersistenceCell]:
     for start in range(0, len(records), _CHUNK):
         chunk = records[start : start + _CHUNK]
         cells += _columnwise(chunk) or [
-            _cell_per_field(record, f"cells[{i}]") for i, record in enumerate(chunk, start)
+            cell_from_dict(record, f"cells[{i}]") for i, record in enumerate(chunk, start)
         ]
     return cells
 
@@ -321,15 +321,9 @@ def _columnwise(records: list) -> list[PersistenceCell] | None:
 
 
 def cell_from_dict(data: dict, where: str = "") -> PersistenceCell:
-    """Rebuild a cell from its JSON form (inverse of cell_to_dict). Each
-    field must have its JSON type; ``where`` is the record's path in error
-    messages, e.g. ``cells[3]``."""
-    return (_columnwise([data]) or [_cell_per_field(data, where)])[0]
-
-
-def _cell_per_field(data, where: str) -> PersistenceCell:
-    """cell_from_dict one field at a time: each value is checked against its
-    JSON type, and the first that fails raises a DataError naming its path."""
+    """Rebuild a cell from its JSON form (inverse of cell_to_dict), one field at a time:
+    the first value that fails its JSON type raises a DataError that names its path
+    below ``where``, the record's own path (e.g. ``cells[3]``)."""
     try:
         json_typed(data, dict, where or "the record")
         return PersistenceCell(*json_fields(data, _FIELDS, where))

@@ -26,11 +26,12 @@ import json
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
+from contextlib import suppress
 from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 
 from .errors import DataError, Record, UsageError, one_line
-from .measures import TopicScoreVector
+from .measures import TopicScoreVector, parse_measure
 from .persistence import (
     CELL_NUMBERS,
     EEPair,
@@ -314,8 +315,10 @@ def table_from_json(text: str, *, path: str | None = None) -> PersistenceTable:
         table = persistence_table(cells_from_dicts(records), order)
         if "pivot_tag" in data and pivot != table.pivot_tag:
             raise ValueError(f"pivot_tag {pivot!r} is not the cells' pivot {table.pivot_tag!r}")
-        measures = [m.name for m in table.measures]
-        if "measures" in data and set(names) != set(measures):
+        measures, listed = [m.name for m in table.measures], set(names)
+        with suppress(ValueError):  # each name as parse_measure reads it, if all are measures
+            listed = set(map(parse_measure, names))
+        if "measures" in data and listed != set(table.measures):
             raise ValueError(f"measures {list(names)} are not the cells' measures {measures}")
         return table
     except (KeyError, TypeError, ValueError, DataError) as exc:

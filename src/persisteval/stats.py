@@ -110,21 +110,9 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
-def t_cdf(t: float, df: float) -> float:
-    """Cumulative distribution of Student's t with ``df`` degrees of freedom.
-
-    Built so that t_cdf(0, df) == 0.5 exactly and
-    t_cdf(-t, df) + t_cdf(t, df) == 1 exactly.
-    """
-    tail = 0.5 * two_sided_p(t, df)
-    return tail if t < 0 else 1.0 - tail
-
-
 def two_sided_p(t: float, df: float) -> float:
-    """Two-sided tail probability 2 * (1 - CDF(|t|)), computed directly on
-    the beta scale to avoid cancellation."""
-    if df <= 0:
-        raise DataError(f"degrees of freedom must be positive, got {df}")
+    """Two-sided tail probability 2 * (1 - CDF(|t|)) of Student's t with df > 0,
+    computed directly on the beta scale to avoid cancellation."""
     return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
 
 

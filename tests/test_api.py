@@ -124,8 +124,38 @@ def test_readme_library_functions_resolve():
     assert sorted(name for name in functions if not hasattr(persisteval, name)) == []
 
 
+def test_every_export_is_named_in_the_readme_library():
+    """The converse: each name in ``persisteval.__all__`` appears in the
+    README's Library section, so no export goes undocumented."""
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    words = set(re.findall(r"[A-Za-z_]\w*", library.split("\n## ", 1)[0]))
+    assert sorted(set(persisteval.__all__) - words) == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name an import binds in a package module is read somewhere in
+    that module; ``from __future__ import annotations`` binds nothing."""
+    unused = []
+    for path in sorted((SRC / "persisteval").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        nodes = list(ast.walk(tree))
+        bound = {}  # name -> line of its import
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            bound.update(dict.fromkeys(names, node.lineno))
+        loads = [node for node in nodes if isinstance(node, ast.Name)]
+        read = {node.id for node in loads if isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}:{line}: {n}" for n, line in bound.items() if n not in read]
+    assert sorted(unused) == []
+
+
 # ROADMAP's line ceiling for src/ (a stated budget raises it with the ROADMAP).
-LINE_CEILING = 2336
+LINE_CEILING = 2300
 
 
 def test_runtime_imports_only_the_standard_library():

@@ -1258,8 +1258,12 @@ class TestReportCommand:
             lambda p: p.pop("pivot_tag"),
             lambda p: p.pop("measures"),
             lambda p: p["measures"].reverse(),
+            lambda p: p.update(
+                measures=[name.lower() for name in p["measures"]],
+                cells=[{**cell, "measure": cell["measure"].lower()} for cell in p["cells"]],
+            ),
         ],
-        ids=["no-pivot-tag", "no-measures", "measures-unsorted"],
+        ids=["no-pivot-tag", "no-measures", "measures-unsorted", "measures-lowercase"],
     )
     def test_absent_or_reordered_metadata_renders(self, tmp_path, edit):
         payload = json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))

@@ -18,7 +18,6 @@ from persisteval.measures import (
     MeasureId,
     arp,
     bpref,
-    format_scores,
     ndcg,
     p_at_k,
     parse_measure,
@@ -490,26 +489,3 @@ class TestArp:
         with pytest.raises(DataError):
             arp(TopicScoreVector(P_AT_10, "A", "E", {}))
 
-
-class TestScoreSerialization:
-    def test_three_column_format_with_mean_row(self):
-        from persisteval.measures import TopicScoreVector
-
-        vector = TopicScoreVector(P_AT_10, "A", "E", {"q2": 0.2, "q1": 0.4})
-        text = format_scores(vector)
-        assert text.splitlines() == [
-            "q1 P@10 0.400000",
-            "q2 P@10 0.200000",
-            "all P@10 0.300000",
-        ]
-
-    def test_json_form_carries_full_precision(self):
-        import json
-
-        from persisteval.measures import TopicScoreVector, scores_to_json
-
-        vector = TopicScoreVector(NDCG, "A", "E1", {"q1": 1 / 3})
-        payload = json.loads(scores_to_json(vector))
-        assert payload["scores"]["q1"] == 1 / 3
-        assert payload["arp"]["n_topics"] == 1
-        assert payload["measure"] == "nDCG"

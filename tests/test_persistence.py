@@ -517,34 +517,34 @@ RECORD_EDITS = {
 }
 
 def one_check(record: dict) -> PersistenceCell:
-    """cell_from_dict on the column path; fails if it takes the per-field path."""
-    failing = mock.Mock(side_effect=AssertionError("took the per-field path"))
-    with mock.patch.object(persistence, "_cell_per_field", failing):
-        return cell_from_dict(record, "cells[3]")
+    """The record read on the column path; fails if the column checks refuse it."""
+    cells = persistence._columnwise([record])
+    assert cells is not None, "took the per-field path"
+    return cells[0]
 
 
 class TestDecoderPaths:
     """cells_from_dicts checks records a chunk at a time, a column at a time,
     and builds a chunk's cells together when every record in it is an object of
     exactly its fields, each value of its exact JSON type or a null its field
-    reads; cell_from_dict is the one-record case. Any other chunk, or record,
-    takes the per-field path, the home of every lenient form and message."""
+    reads. Any other chunk is read record by record by cell_from_dict, the
+    per-field path, the home of every lenient form and message."""
 
     @given(exact_cells)
     def test_one_check_path_builds_what_the_per_field_path_builds(self, cell):
         record = cell_to_dict(cell)
         built = one_check(record)
-        assert built == persistence._cell_per_field(record, "cells[3]")
+        assert built == cell_from_dict(record, "cells[3]")
         assert [type(value) for value in built] == [type(value) for value in cell]
 
     @given(generated_cells)
     def test_both_paths_agree_on_any_record(self, cell):
         record = cell_to_dict(cell)
-        assert cell_from_dict(record) == persistence._cell_per_field(record, "")
+        assert cells_from_dicts([record]) == [cell_from_dict(record, "cells[0]")]
 
     def test_golden_cells_take_the_one_check_path(self):
         for record in json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))["cells"]:
-            assert one_check(record) == persistence._cell_per_field(record, "")
+            assert one_check(record) == cell_from_dict(record, "")
 
     @pytest.mark.parametrize(
         "edit, check",
@@ -562,10 +562,10 @@ class TestDecoderPaths:
     def test_records_the_check_refuses_are_read_field_by_field(self, edit, check):
         record = json.loads(json.dumps(GOLDEN_CELL))
         edit(record)
-        per_field = mock.Mock(wraps=persistence._cell_per_field)
-        with mock.patch.object(persistence, "_cell_per_field", per_field):
-            cell = cell_from_dict(record, "cells[3]")
-        per_field.assert_called_once_with(record, "cells[3]")
+        per_field = mock.Mock(wraps=cell_from_dict)
+        with mock.patch.object(persistence, "cell_from_dict", per_field):
+            [cell] = cells_from_dicts([record])
+        per_field.assert_called_once_with(record, "cells[0]")
         assert check(cell)
 
     @pytest.mark.parametrize(
@@ -580,7 +580,7 @@ class TestDecoderPaths:
         record = json.loads(json.dumps(GOLDEN_CELL))
         edit(record)
         cell = one_check(record)
-        assert cell == persistence._cell_per_field(record, "cells[3]")
+        assert cell == cell_from_dict(record, "cells[3]")
         assert check(cell)
 
     @given(
@@ -602,19 +602,19 @@ class TestDecoderPaths:
             return cells, repr(cells)  # repr tells 0 from 0.0, also in an ARP
 
         expected = read(lambda: [
-            persistence._cell_per_field(record, f"cells[{i}]") for i, record in enumerate(records)
+            cell_from_dict(record, f"cells[{i}]") for i, record in enumerate(records)
         ])
         with mock.patch.object(persistence, "_CHUNK", chunk):
             if {kind for _, kind in drawn} <= {"canonical", "nulls"}:
-                with mock.patch.object(persistence, "_cell_per_field", side_effect=AssertionError):
+                with mock.patch.object(persistence, "cell_from_dict", side_effect=AssertionError):
                     assert read(lambda: cells_from_dicts(records)) == expected
             assert read(lambda: cells_from_dicts(records)) == expected
 
     def test_only_a_chunk_holding_a_refused_record_is_read_field_by_field(self):
         records = [json.loads(json.dumps(GOLDEN_CELL)) for _ in range(3 * persistence._CHUNK)]
         records[persistence._CHUNK + 7]["p_value"] = 1
-        per_field = mock.Mock(wraps=persistence._cell_per_field)
-        with mock.patch.object(persistence, "_cell_per_field", per_field):
+        per_field = mock.Mock(wraps=cell_from_dict)
+        with mock.patch.object(persistence, "cell_from_dict", per_field):
             cells = cells_from_dicts(records)
         second = range(persistence._CHUNK, 2 * persistence._CHUNK)
         assert per_field.call_args_list == [mock.call(records[i], f"cells[{i}]") for i in second]
@@ -643,11 +643,10 @@ class TestDecoderPaths:
         ],
     )
     def test_a_wrong_value_is_named_by_the_per_field_path(self, key, value, message):
-        per_field = mock.Mock(wraps=persistence._cell_per_field)
-        with mock.patch.object(persistence, "_cell_per_field", per_field):
-            with pytest.raises(DataError) as excinfo:
-                cell_from_dict({**GOLDEN_CELL, key: value}, "cells[3]")
-        per_field.assert_called_once()
+        record = {**GOLDEN_CELL, key: value}
+        assert persistence._columnwise([record]) is None
+        with pytest.raises(DataError) as excinfo:
+            cell_from_dict(record, "cells[3]")
         assert str(excinfo.value) == f"malformed persistence cell record: {message}"
 
 

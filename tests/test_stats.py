@@ -11,13 +11,12 @@ from persisteval.errors import DataError, UsageError
 from persisteval.stats import (
     mean,
     regularized_incomplete_beta,
-    t_cdf,
     t_test_unpaired,
     two_sided_p,
     variance,
 )
 
-from oracles import oracle_pooled_t, oracle_t_cdf, oracle_two_sided_p
+from oracles import oracle_pooled_t, oracle_two_sided_p
 
 samples = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False),
@@ -71,34 +70,42 @@ class TestIncompleteBeta:
 
 
 class TestTCdf:
+    """The t distribution through its two-sided tail, two_sided_p = 2 (1 - CDF(|t|))."""
+
     def test_value_at_zero_is_exact(self):
         for df in (1, 2, 5, 30.5, 246):
-            assert t_cdf(0.0, df) == 0.5
+            assert two_sided_p(0.0, df) == 1.0
 
     def test_symmetry_exact(self):
         for i in range(1, 101):
             x = 0.37 * i
-            assert t_cdf(-x, 9) + t_cdf(x, 9) == 1.0
+            assert two_sided_p(-x, 9) == two_sided_p(x, 9)
 
     def test_against_quadrature(self):
         for t in (-6.0, -1.5, -0.2, 0.4, 2.0, 8.0):
             for df in (1, 4, 11, 60, 246):
-                assert t_cdf(t, df) == pytest.approx(oracle_t_cdf(t, df), abs=1e-8)
+                assert two_sided_p(t, df) == pytest.approx(oracle_two_sided_p(t, df), abs=2e-8)
 
     def test_cauchy_closed_form(self):
-        # df=1 is the Cauchy distribution: CDF(t) = 1/2 + atan(t)/pi
-        for t in (-3.0, -0.5, 0.8, 4.0):
-            assert t_cdf(t, 1) == pytest.approx(0.5 + math.atan(t) / math.pi, abs=1e-12)
+        # df=1 is the Cauchy distribution: P(|T| > t) = 1 - 2 atan(|t|)/pi
+        for t in (-50.0, -3.0, -0.5, 0.8, 4.0, 50.0):
+            expected = 1.0 - 2.0 * math.atan(abs(t)) / math.pi
+            assert two_sided_p(t, 1) == pytest.approx(expected, abs=1e-12)
 
     def test_monotone(self):
-        values = [t_cdf(t / 4.0, 7) for t in range(-40, 41)]
-        assert values == sorted(values)
+        # The tail falls as |t| grows.
+        values = [two_sided_p(t / 4.0, 7) for t in range(41)]
+        assert values == sorted(values, reverse=True)
 
     def test_infinite_t(self):
         # df / (df + t * t) is 0.0, where the incomplete beta is 0.0.
         for df in (1, 2, 5, 30.5, 246):
             assert two_sided_p(math.inf, df) == two_sided_p(-math.inf, df) == 0.0
-            assert t_cdf(-math.inf, df) == 0.0 and t_cdf(math.inf, df) == 1.0
+
+    def test_non_positive_df_is_a_data_error(self):
+        for df in (0, -1.5):
+            with pytest.raises(DataError, match="shape parameters must be positive"):
+                two_sided_p(1.0, df)
 
 
 class TestTTest:
