@@ -489,3 +489,37 @@ class TestArp:
         with pytest.raises(DataError):
             arp(TopicScoreVector(P_AT_10, "A", "E", {}))
 
+
+class TestScoreSerialization:
+    """The text and JSON forms of a score vector, as ``score`` writes them."""
+
+    @staticmethod
+    def score(tmp_path, run_lines, qrels_lines, measure):
+        from persisteval.cli import EXIT_OK, main
+
+        (tmp_path / "A.run").write_text("".join(f"{line}\n" for line in run_lines), encoding="utf-8")
+        (tmp_path / "qrels.txt").write_text("".join(f"{line}\n" for line in qrels_lines), encoding="utf-8")
+        argv = ["score", tmp_path / "A.run", tmp_path / "qrels.txt", "--measures", measure, "--output", tmp_path / "out"]
+        assert main([str(arg) for arg in argv]) == EXIT_OK
+        return tmp_path / "out"
+
+    def test_three_column_format_with_mean_row(self, tmp_path):
+        run = [f"{t} Q0 d{r} {r} {10 - r} A" for t in ("q2", "q1") for r in range(1, 11)]
+        qrels = [f"q1 0 d{r} 1" for r in range(1, 5)] + [f"q2 0 d{r} 1" for r in range(1, 3)]
+        text = (self.score(tmp_path, run, qrels, "p@10") / "A.p_at_10.scores.txt").read_text()
+        assert text.splitlines() == [
+            "q1 P@10 0.400000",
+            "q2 P@10 0.200000",
+            "all P@10 0.300000",
+        ]
+
+    def test_json_form_carries_full_precision(self, tmp_path):
+        import json
+
+        run = [f"q1 Q0 d{r} {r} {10 - r} A" for r in range(1, 8)]
+        qrels = ["q1 0 d7 1"]  # one relevant doc at rank 7: nDCG = 1 / log2(8)
+        out = self.score(tmp_path, run, qrels, "ndcg")
+        payload = json.loads((out / "A.ndcg.scores.json").read_text())
+        assert payload["scores"]["q1"] == 1 / 3
+        assert payload["arp"]["n_topics"] == 1
+        assert payload["measure"] == "nDCG"
