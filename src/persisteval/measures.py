@@ -32,35 +32,35 @@ from .errors import DataError, Record
 from .run_io import MAX_DEPTH, Qrels, Run, TopicJudgments, TopicSet
 from .stats import mean
 
-KINDS = ("precision_at_k", "ndcg", "bpref")
+_LABELS = {"precision_at_k": "P", "ndcg": "nDCG", "bpref": "bpref"}  # kind -> name before any @
+KINDS = tuple(_LABELS)
 Grades = Sequence[int | None]  # one ranking's grades in rank order; None: unjudged
 
 
-class MeasureId(Record, namedtuple("MeasureId", "kind k cutoff")):
-    """Identifies one measure variant. ``k`` applies to precision only,
-    ``cutoff`` to nDCG only (None = full retrieved depth)."""
+class MeasureId(Record, namedtuple("MeasureId", "kind cut")):
+    """Identifies one measure variant. ``cut`` is k for P@k (required), the
+    cutoff for nDCG@c (None: the whole ranking) and None for bpref."""
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, k: int = 10, cutoff: int | None = None):
+    def __new__(cls, kind: str, cut: int | None = None):
         if kind not in KINDS:
             raise ValueError(f"unknown measure kind {kind!r}; expected one of {KINDS}")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if cutoff is not None and cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-        return tuple.__new__(cls, (kind, k, cutoff))
+        if cut is None and kind == "precision_at_k":
+            raise ValueError("precision_at_k needs a cut k")
+        if cut is not None and kind == "bpref":
+            raise ValueError(f"bpref takes no cut, got {cut}")
+        if cut is not None and cut < 1:
+            raise ValueError(f"cut must be >= 1, got {cut}")
+        return tuple.__new__(cls, (kind, cut))
 
     @property
     @functools.cache
     def name(self) -> str:
         """Display name: P@10, nDCG, nDCG@20, bpref. Computed once per
         measure; it is not a field, so ``==``, ``hash`` and ``repr`` ignore it."""
-        if self.kind == "precision_at_k":
-            return f"P@{self.k}"
-        if self.kind == "ndcg":
-            return "nDCG" if self.cutoff is None else f"nDCG@{self.cutoff}"
-        return "bpref"
+        label = _LABELS[self.kind]
+        return label if self.cut is None else f"{label}@{self.cut}"
 
     @property
     def key(self) -> str:
@@ -70,31 +70,27 @@ class MeasureId(Record, namedtuple("MeasureId", "kind k cutoff")):
     @property
     def depth(self) -> int:
         """The ranks it reads: k for P@k, the cutoff for nDCG@c, else all of them."""
-        return {"precision_at_k": self.k, "ndcg": self.cutoff}.get(self.kind) or MAX_DEPTH
+        return self.cut or MAX_DEPTH
 
 
-P_AT_10 = MeasureId("precision_at_k", k=10)
+P_AT_10 = MeasureId("precision_at_k", 10)
 NDCG = MeasureId("ndcg")
 BPREF = MeasureId("bpref")
+_KIND_OF = {label.lower(): kind for kind, label in _LABELS.items()}
 
 
 @functools.lru_cache(maxsize=256)
 def parse_measure(text: str) -> MeasureId:
-    """Parse a measure name: ``p@K``, ``ndcg``, ``ndcg@K``, or ``bpref``
-    (case-insensitive). Raises ValueError for anything else. Each distinct
-    name is resolved once; repeats return the same MeasureId."""
-    lowered = text.strip().lower()
-    if lowered == "bpref":
-        return BPREF
-    if lowered == "ndcg":
-        return NDCG
-    try:
-        if lowered.startswith("ndcg@"):
-            return MeasureId("ndcg", cutoff=int(lowered[5:]))
-        if lowered.startswith("p@"):
-            return MeasureId("precision_at_k", k=int(lowered[2:]))
-    except ValueError:
-        pass
+    """Parse a measure name: ``p@N``, ``ndcg``, ``ndcg@N`` or ``bpref``, N a
+    positive integer in ASCII digits (case-insensitive, surrounding whitespace
+    stripped). Raises ValueError for anything else. Each distinct name is
+    resolved once; repeats return the same MeasureId."""
+    label, at, cut = text.strip().lower().partition("@")
+    if label in _KIND_OF and (not at or cut.isascii() and cut.isdigit()):
+        try:  # int() refuses a cut past its digit limit, MeasureId a cut its kind does not take
+            return MeasureId(_KIND_OF[label], int(cut) if at else None)
+        except ValueError:
+            pass
     raise ValueError(f"invalid measure name {text!r}")
 
 
@@ -149,9 +145,9 @@ def bpref(grades: Grades, judgments: TopicJudgments) -> float:
 
 def score_topic(grades: Grades, judgments: TopicJudgments, measure: MeasureId) -> float:
     if measure.kind == "precision_at_k":
-        return p_at_k(grades, measure.k)
+        return p_at_k(grades, measure.cut)
     if measure.kind == "ndcg":
-        return ndcg(grades, judgments, measure.cutoff)
+        return ndcg(grades, judgments, measure.cut)
     return bpref(grades, judgments)
 
 

@@ -154,8 +154,9 @@ def test_no_module_imports_a_name_it_never_uses():
     assert sorted(unused) == []
 
 
-# ROADMAP's line ceiling for src/ (a stated budget raises it with the ROADMAP).
-LINE_CEILING = 2300
+# ROADMAP's line ceiling for src/: its line count, so a change that shrinks src/
+# lowers it to match (a stated budget raises it with the ROADMAP).
+LINE_CEILING = 2296
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -177,4 +178,4 @@ def test_runtime_imports_only_the_standard_library():
 
 def test_package_stays_under_the_line_ceiling():
     lines = sum(path.read_bytes().count(b"\n") for path in (SRC / "persisteval").glob("*.py"))
-    assert lines <= LINE_CEILING
+    assert lines == LINE_CEILING, f"src/ has {lines} lines; LINE_CEILING is {LINE_CEILING}"

@@ -164,6 +164,15 @@ class TestScoreCommand:
         )
         assert code == EXIT_USAGE
 
+    def test_measure_outside_the_name_grammar_exits_1(self, tmp_path, no_scoring, capsys):
+        code = run_cli(
+            "score", FIXTURE / "runs" / "alpha.t1.run", FIXTURE / "qrels.t1.txt",
+            "--measures", "p@1_0", "--output", tmp_path,
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --measures[0]: invalid measure name 'p@1_0'\n"
+        assert not any(tmp_path.iterdir())
+
     def test_repeated_measure_exits_1_before_scoring(self, tmp_path, no_scoring, capsys):
         code = run_cli(
             "score", FIXTURE / "runs" / "alpha.t1.run", FIXTURE / "qrels.t1.txt",
@@ -391,6 +400,7 @@ class TestPersistCommand:
             ("t_test", "bogus", "unknown t-test variant 'bogus'; expected one of"),
             ("series", "sideways", "unknown series mode 'sideways'; expected one of"),
             ("measures", "p@0", "invalid measure name 'p@0'"),
+            ("measures", "p@1_0", "invalid measure name 'p@1_0'"),
             ("pairs", "t1", 'a pair must be a [base, target] list of two strings, got ["t1"]'),
         ],
     )
@@ -1186,6 +1196,18 @@ class TestReportCommand:
             f'error: {bad}: malformed table JSON: malformed persistence cell record: '
             'cells[2].degenerate_t must be true or false, got "false"'
         ) in capsys.readouterr().err
+
+    def test_measure_name_outside_the_grammar_exits_3_naming_it(self, tmp_path, capsys):
+        payload = json.loads(GOLDEN_CELLS.read_text(encoding="utf-8"))
+        payload["cells"][0]["measure"] = "p@+5"
+        bad = tmp_path / "cells.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli("report", bad, "--output", tmp_path / "out") == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {bad}: malformed table JSON: malformed persistence cell record: "
+            "cells[0].measure: invalid measure name 'p@+5'\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -40,28 +40,36 @@ def random_topic(rng: random.Random, max_ranked=50, max_judged=20):
 
 class TestMeasureId:
     def test_parse_names(self):
-        assert parse_measure("p@10") == P_AT_10
-        assert parse_measure("P@5") == MeasureId("precision_at_k", k=5)
-        assert parse_measure("nDCG") == NDCG
-        assert parse_measure("ndcg@20") == MeasureId("ndcg", cutoff=20)
+        assert parse_measure("p@10") == P_AT_10 == parse_measure("P@10") == parse_measure("p@010")
+        assert parse_measure("P@5") == MeasureId("precision_at_k", 5) == parse_measure(" p@5 ")
+        assert parse_measure("nDCG") == NDCG == parse_measure("ndcg")
+        assert parse_measure("ndcg@20") == MeasureId("ndcg", 20) == parse_measure("NDCG@20")
         assert parse_measure("bpref") == BPREF
 
     def test_names_and_keys(self):
         assert P_AT_10.name == "P@10" and P_AT_10.key == "p_at_10"
         assert NDCG.name == "nDCG" and NDCG.key == "ndcg"
-        assert MeasureId("ndcg", cutoff=20).key == "ndcg_at_20"
-        assert BPREF.key == "bpref" and MeasureId("precision_at_k", k=5).key == "p_at_5"
+        assert MeasureId("ndcg", 20).key == "ndcg_at_20"
+        assert BPREF.key == "bpref" and MeasureId("precision_at_k", 5).key == "p_at_5"
 
-    @pytest.mark.parametrize("bad", ["map", "p@", "ndcg@x", "p@0", ""])
+    # One grammar, p@N, ndcg, ndcg@N or bpref with N in ASCII digits, coerces nothing;
+    # the last name's N is past int()'s digit limit.
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "map", "p@", "ndcg@x", "p@0", "", "p@1_0", "p@+5", "p@ 5", "p@١٠", "ndcg@٥", "bpref@5",
+            "p", pytest.param("ndcg@" + "9" * 5000, id="ndcg@9...9"),
+        ],
+    )
     def test_invalid_names(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^invalid measure name '"):
             parse_measure(bad)
 
     def test_cached_name_leaves_equality_hash_and_repr_alone(self):
-        named, fresh = MeasureId("ndcg", cutoff=20), MeasureId("ndcg", cutoff=20)
+        named, fresh = MeasureId("ndcg", 20), MeasureId("ndcg", 20)
         assert named.name == "nDCG@20" and named.name is named.name
         assert named == fresh and hash(named) == hash(fresh)
-        assert repr(named) == repr(fresh) == "MeasureId(kind='ndcg', k=10, cutoff=20)"
+        assert repr(named) == repr(fresh) == "MeasureId(kind='ndcg', cut=20)"
 
     def test_repeated_name_parses_to_one_measure(self):
         assert parse_measure("ndcg@7") is parse_measure("ndcg@7")
@@ -262,7 +270,7 @@ class TestScoreRun:
     # Also where nothing is judged, so that no measure can return 0 unread.
     @pytest.mark.parametrize("judged", [True, False], ids=["judged", "unjudged"])
     @pytest.mark.parametrize(
-        "measure", [P_AT_10, NDCG, MeasureId("ndcg", cutoff=2), BPREF], ids=lambda m: m.name
+        "measure", [P_AT_10, NDCG, MeasureId("ndcg", 2), BPREF], ids=lambda m: m.name
     )
     def test_a_run_of_doc_ids_is_a_type_error(self, measure, judged):
         run, qrels = self._fixture()
@@ -353,9 +361,9 @@ class TestJudgedRunsMatchTheOracles:
         qrels = Qrels(grades)
         topics = frozenset({"q1", "q2", "q3", "q4", "q5"})
         oracles = {
-            MeasureId("precision_at_k", k=k): lambda docs, judged: oracle_p_at_k(docs, judged, k),
+            MeasureId("precision_at_k", k): lambda docs, judged: oracle_p_at_k(docs, judged, k),
             NDCG: oracle_ndcg,
-            MeasureId("ndcg", cutoff=cutoff): lambda docs, judged: oracle_ndcg(docs, judged, cutoff),
+            MeasureId("ndcg", cutoff): lambda docs, judged: oracle_ndcg(docs, judged, cutoff),
             BPREF: oracle_bpref,
         }
         for measure, oracle in oracles.items():
@@ -378,7 +386,7 @@ class TestJudgmentSummaries:
         topics = frozenset(grades) | frozenset(run.rankings)
         rebuilt = (qrels, qrels._replace(), Qrels._make(qrels))
         measures = (
-            MeasureId("precision_at_k", k=depth), NDCG, MeasureId("ndcg", cutoff=depth), BPREF,
+            MeasureId("precision_at_k", depth), NDCG, MeasureId("ndcg", depth), BPREF,
         )
         for measure in measures:
             vectors = [score_run(run.judged(q, measure.depth), q, measure, topics) for q in rebuilt]
@@ -389,8 +397,8 @@ class TestJudgmentSummaries:
                     direct = p_at_k(judged, depth)
                     oracle = oracle_p_at_k(list(ranking), plain, depth)
                 elif measure.kind == "ndcg":
-                    direct = ndcg(judged, summary, measure.cutoff)
-                    oracle = oracle_ndcg(list(ranking), plain, measure.cutoff)
+                    direct = ndcg(judged, summary, measure.cut)
+                    oracle = oracle_ndcg(list(ranking), plain, measure.cut)
                 else:
                     direct = bpref(judged, summary)
                     oracle = oracle_bpref(list(ranking), plain)

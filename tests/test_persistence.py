@@ -13,12 +13,14 @@ from persisteval import persistence
 from persisteval.errors import DataError
 from persisteval.measures import (
     BPREF,
+    KINDS,
     NDCG,
     P_AT_10,
     ARPValue,
     MeasureId,
     TopicScoreVector,
     arp,
+    parse_measure,
     score_run,
 )
 from persisteval.persistence import (
@@ -340,6 +342,7 @@ NONFINITE_T_FLAG = "t_statistic: non-finite (degenerate variance)"
 # The cell fields that are None when undefined, each with its reason in undefined_flags.
 UNDEFINABLE = ("result_delta", "ri_base", "ri_target", "delta_ri", "effect_ratio", "t_statistic")
 
+FOUR_VECTORS = four_vectors()
 any_float = st.floats(allow_nan=True, allow_infinity=True)
 labels = st.text(min_size=1, max_size=4)
 arp_values = st.builds(ARPValue, any_float, st.integers(0, 50))
@@ -347,7 +350,7 @@ generated_cells = st.builds(
     PersistenceCell,
     system_tag=st.text(max_size=4),
     pivot_tag=st.text(max_size=4),
-    measure=st.sampled_from([P_AT_10, NDCG, BPREF, MeasureId("ndcg", cutoff=5)]),
+    measure=st.sampled_from([P_AT_10, NDCG, BPREF, MeasureId("ndcg", 5)]),
     pair=st.builds(EEPair, labels, labels),
     arp_base=arp_values,
     arp_target=arp_values,
@@ -371,6 +374,21 @@ class TestCellCodec:
     @given(generated_cells)
     def test_round_trip_with_none_nan_and_inf(self, cell):
         assert cell_from_dict(cell_to_dict(cell)) == cell
+
+    @given(st.sampled_from(KINDS), st.none() | st.integers(1, 1100))
+    def test_every_admitted_measure_round_trips(self, kind, cut):
+        """P@k needs its k and bpref takes no cut; any other measure is one
+        with its name, in either case, and with the cells built on it."""
+        admitted = cut is not None if kind == "precision_at_k" else cut is None or kind == "ndcg"
+        try:
+            measure = MeasureId(kind, cut)
+        except ValueError:
+            assert not admitted
+            return
+        assert admitted and measure.cut == cut
+        assert parse_measure(measure.name) == measure == parse_measure(measure.name.upper())
+        cell = persistence_cell(*(vector._replace(measure=measure) for vector in FOUR_VECTORS))
+        assert cell.measure == measure and cell_from_dict(cell_to_dict(cell)) == cell
 
     def test_golden_record_round_trips_to_the_same_json(self):
         assert cell_to_dict(cell_from_dict(GOLDEN_CELL)) == GOLDEN_CELL

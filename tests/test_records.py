@@ -10,7 +10,7 @@ import pytest
 
 import persisteval as pe
 from persisteval.errors import DataError, Record
-from persisteval.measures import NDCG, P_AT_10
+from persisteval.measures import BPREF, NDCG, P_AT_10
 from persisteval.report import TableCell, TableRow
 
 PAIR = pe.EEPair("t1", "t2")
@@ -27,7 +27,7 @@ RECORDS = {
     "TTestResult": lambda: pe.TTestResult(1.5, 18.0, 0.15, "welch"),
     "Run": lambda: pe.Run("sys", {"q1": ("d1", "d2")}),
     "Qrels": lambda: pe.Qrels({"q1": {"d1": 2}}),
-    "MeasureId": lambda: pe.MeasureId("ndcg", cutoff=20),
+    "MeasureId": lambda: pe.MeasureId("ndcg", 20),
     "TopicScoreVector": lambda: pe.TopicScoreVector(P_AT_10, "sys", "t1", {"q1": 0.5}),
     "ARPValue": lambda: pe.ARPValue(0.25, 10),
     "EEPair": lambda: pe.EEPair("t1", "t2"),
@@ -90,9 +90,9 @@ class TestRecord:
 
 
 def test_measure_name_is_not_a_field():
-    measure = pe.MeasureId("ndcg", cutoff=20)
+    measure = pe.MeasureId("ndcg", 20)
     assert measure.name == "nDCG@20" and "name" not in measure._fields
-    assert repr(measure) == "MeasureId(kind='ndcg', k=10, cutoff=20)"
+    assert repr(measure) == "MeasureId(kind='ndcg', cut=20)"
     assert measure == pe.parse_measure("ndcg@20")
     assert hash(measure) == hash(pe.parse_measure("nDCG@20"))
 
@@ -103,10 +103,15 @@ def test_measure_name_is_not_a_field():
         (pe.EEPair("t1", "t2"), {"base_label": ""}, DataError),
         (pe.EEPair("t1", "t2"), {"target_label": ""}, DataError),
         (NDCG, {"kind": "map"}, ValueError),
-        (P_AT_10, {"k": 0}, ValueError),
-        (NDCG, {"cutoff": 0}, ValueError),
+        (P_AT_10, {"cut": 0}, ValueError),
+        (NDCG, {"cut": 0}, ValueError),
+        (P_AT_10, {"cut": None}, ValueError),
+        (BPREF, {"cut": 5}, ValueError),
     ],
-    ids=["eepair-base", "eepair-target", "measure-kind", "measure-k", "measure-cutoff"],
+    ids=[
+        "eepair-base", "eepair-target", "measure-kind", "measure-k", "measure-cutoff",
+        "measure-k-missing", "measure-bpref-cut",
+    ],
 )
 def test_replace_and_make_run_the_checks(record, changes, error):
     with pytest.raises(error):

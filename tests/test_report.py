@@ -335,7 +335,7 @@ csv_labels = st.text(
 )
 edge_numbers = st.sampled_from([0.0, -0.0, -0.0004, 0.0004, -0.0005, 1.0, -1e-300, 0.1 + 0.2])
 numbers = st.none() | edge_numbers | st.floats(allow_nan=False, allow_infinity=False)
-render_measures = st.sampled_from([P_AT_10, NDCG, BPREF, MeasureId("ndcg", cutoff=20)])
+render_measures = st.sampled_from([P_AT_10, NDCG, BPREF, MeasureId("ndcg", 20)])
 table_cells = st.builds(
     TableCell,
     arp=numbers,
