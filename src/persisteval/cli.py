@@ -316,7 +316,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     files: list[tuple[str, str]] = []
     arp_payload: dict[str, dict] = {}
     for measure in measures:
-        vector = score_run(run, qrels, measure, topics)  # its topics in sorted order
+        vector = score_run(run, measure, topics)  # its topics in sorted order
         mean = arp_payload[measure.name] = arp(vector)._asdict()
         rows = [*vector.scores.items(), ("all", mean["value"])]
         text = "".join(f"{topic} {measure.name} {score:.6f}\n" for topic, score in rows)
@@ -375,7 +375,7 @@ def cmd_persist(args: argparse.Namespace) -> int:
     for measure in config.measures:
         # Each (tag, environment) is scored once per measure.
         scored = {
-            (tag, label): score_run(runs[tag, label], qrels[label], measure, topics[label], label)
+            (tag, label): score_run(runs[tag, label], measure, topics[label], label)
             for tag in (config.pivot, *system_tags)
             for label in labels
         }

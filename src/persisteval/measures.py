@@ -14,10 +14,10 @@ Three measures read a ranking's grades (``Run.judged``) and its topic's
   ranked above judged-relevant ones; unaffected by unjudged documents,
   which makes it the robust choice when the document collection drifts.
 
-``score_run`` evaluates one run over an explicit topic set: topics absent
-from the run score 0 under every measure so that averages for different
-systems share the same denominator. ``arp`` is the arithmetic mean of a
-per-topic score vector (the average retrieval performance).
+``score_run`` evaluates one judged run, against the qrels that judged it, over
+an explicit topic set: topics absent from the run score 0 under every measure,
+so averages for different systems share one denominator. ``arp`` is the
+arithmetic mean of a per-topic score vector (the average retrieval performance).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from operator import truediv
 
 from .errors import DataError, Record
-from .run_io import MAX_DEPTH, Qrels, Run, TopicJudgments, TopicSet
+from .run_io import MAX_DEPTH, Run, TopicJudgments, TopicSet
 from .stats import mean
 
 _LABELS = {"precision_at_k": "P", "ndcg": "nDCG", "bpref": "bpref"}  # kind -> name before any @
@@ -151,17 +151,15 @@ def score_topic(grades: Grades, judgments: TopicJudgments, measure: MeasureId) -
     return bpref(grades, judgments)
 
 
-def score_run(
-    run: Run, qrels: Qrels, measure: MeasureId, topics: TopicSet, ee_label: str = ""
-) -> TopicScoreVector:
-    """Score one run, judged to at least ``measure.depth`` (a run of doc ids, or one
-    judged shallower, is a TypeError), over an explicit topic set. Topics missing from
-    the run (or entirely unjudged) score 0; results are independent of input ordering."""
+def score_run(run: Run, measure: MeasureId, topics: TopicSet, ee_label: str = "") -> TopicScoreVector:
+    """Score one run over an explicit topic set against the qrels that judged it
+    (``Run.judged``, to at least ``measure.depth``; any other run is a TypeError). Topics
+    missing from the run (or entirely unjudged) score 0; results do not depend on input order."""
     if not topics:
         raise DataError("cannot score over an empty topic set")
-    if run.depth is None or run.depth < min(measure.depth, MAX_DEPTH):
+    if run.qrels is None or run.depth < min(measure.depth, MAX_DEPTH):
         raise TypeError(f"run {run.run_tag!r} is not judged as deep as {measure.name} reads")
-    grades, judgments = run.rankings.get, qrels.for_topic
+    grades, judgments = run.rankings.get, run.qrels.for_topic
     scores = {t: score_topic(grades(t, ()), judgments(t), measure) for t in sorted(topics)}
     return TopicScoreVector(measure=measure, run_tag=run.run_tag, ee_label=ee_label, scores=scores)
 

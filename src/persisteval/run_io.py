@@ -12,10 +12,10 @@ Three file formats of LF-ended lines are handled, each parsed from a file's text
 Parsed records are immutable and safe to share across threads. A run holds
 each topic's ranked doc ids in canonical order (score descending, then doc
 id descending) until ``Run.judged``, the one place doc ids meet qrels, turns
-them into grades. Scores only set that order; the rank column is validated
-but otherwise ignored, so scores do not depend on input line order. Rankings
-deeper than MAX_DEPTH documents are truncated with a warning. Qrels map each
-topic to its TopicJudgments, whose ``grades`` is a read-only doc -> grade map.
+them into grades and records the qrels, which the measures then read. Scores
+only set that order; ranks are validated, then ignored, so scores do not
+depend on line order. Rankings deeper than MAX_DEPTH documents are truncated
+with a warning. Qrels map topics to TopicJudgments (read-only grade maps).
 
 JSON inputs (the job manifest and cells.json) are read by the typed-JSON
 readers ``json_fields``, ``json_checked`` and ``json_object``, the one place
@@ -47,9 +47,9 @@ TopicSet = frozenset[str]
 MISSING = object()
 
 
-class Run(Record, namedtuple("Run", "run_tag rankings depth", defaults=(None,))):
-    """A system's ranked output: per-topic doc ids in canonical order (or,
-    once judged to ``depth``, their grades), keyed by topic and identified by a run tag."""
+class Run(Record, namedtuple("Run", "run_tag rankings depth qrels", defaults=(None, None))):
+    """A system's ranked output: per-topic doc ids in canonical order (or, once judged
+    to ``depth`` by ``qrels``, their grades), keyed by topic and identified by a run tag."""
 
     __slots__ = ()
 
@@ -84,8 +84,10 @@ class Run(Record, namedtuple("Run", "run_tag rankings depth", defaults=(None,)))
 
     def judged(self, qrels: Qrels, depth: int = MAX_DEPTH) -> "Run":
         """Each topic's first ``depth`` doc ids as their grades in ``qrels`` (None: unjudged)."""
+        if self.qrels is not None:
+            raise TypeError(f"run {self.run_tag!r} is already judged")
         judged = {t: tuple(map(qrels.for_topic(t).grades.get, d[:depth])) for t, d in self.rankings.items()}
-        return self._replace(rankings=judged, depth=min(depth, MAX_DEPTH))
+        return self._replace(rankings=judged, depth=min(depth, MAX_DEPTH), qrels=qrels)
 
 
 class TopicJudgments(Record, namedtuple("TopicJudgments", "grades ideal nonrelevant")):

@@ -34,7 +34,7 @@ def synthetic_environment(seed, tags=("pivot", "sys"), n_topics=8):
 
 def score_tags(runs, qrels, measure, topics, label, tags=("sys", "pivot")):
     """One score vector per tag, in the order of ``tags``."""
-    return tuple(score_run(runs[tag].judged(qrels), qrels, measure, topics, label) for tag in tags)
+    return tuple(score_run(runs[tag].judged(qrels), measure, topics, label) for tag in tags)
 
 
 def judge(ranking, grades):

@@ -54,21 +54,19 @@ def criterion(number: int, name: str):
 
 
 def load_fixture_environment(label: str):
-    """One snapshot's qrels and its runs, each judged by those qrels."""
+    """One snapshot's runs, each judged by (and so carrying) its qrels."""
     qrels = load_qrels(FIXTURE / f"qrels.{label}.txt")
     runs = {
         tag: load_run(FIXTURE / "runs" / f"{tag}.{label}.run", expected_tag=tag).judged(qrels)
         for tag in ("baseline", "alpha", "beta")
     }
-    return qrels, runs
+    return runs
 
 
 def fixture_core_topics():
     t1 = load_topics(FIXTURE / "topics.t1.txt")
-    qrels2, runs2 = load_fixture_environment("t2")
-    t2 = qrels2.topics
-    for run in runs2.values():
-        t2 |= run.topics
+    runs2 = load_fixture_environment("t2")
+    t2 = runs2["baseline"].qrels.topics.union(*(run.topics for run in runs2.values()))
     return core_topics({"t1": t1, "t2": t2})
 
 
@@ -191,12 +189,12 @@ def test_3_reference_delta_ri_reproduction():
 
 def test_4_self_replication_identity():
     with criterion(4, "self-replication yields the ideal values exactly"):
-        qrels, runs = load_fixture_environment("t1")
+        runs = load_fixture_environment("t1")
         topics = fixture_core_topics()
         for measure_name in ("p@10", "ndcg", "bpref"):
             measure = parse_measure(measure_name)
-            system = score_run(runs["alpha"], qrels, measure, topics, "t1")
-            pivot = score_run(runs["baseline"], qrels, measure, topics, "t1")
+            system = score_run(runs["alpha"], measure, topics, "t1")
+            pivot = score_run(runs["baseline"], measure, topics, "t1")
             cell = persistence_cell(system, system, pivot, pivot)
             assert cell.result_delta == 0.0
             assert cell.delta_ri == 0.0
@@ -206,11 +204,11 @@ def test_4_self_replication_identity():
 
 def test_5_effect_ratio_laws():
     with criterion(5, "effect-ratio replication and scaling laws"):
-        qrels1, runs1 = load_fixture_environment("t1")
+        runs1 = load_fixture_environment("t1")
         topics = fixture_core_topics()
         measure = parse_measure("ndcg")
-        sys_vec = score_run(runs1["alpha"], qrels1, measure, topics, "t1")
-        piv_vec = score_run(runs1["baseline"], qrels1, measure, topics, "t1")
+        sys_vec = score_run(runs1["alpha"], measure, topics, "t1")
+        piv_vec = score_run(runs1["baseline"], measure, topics, "t1")
         base = topic_deltas(sys_vec, piv_vec)
         mirrored = dict(base)
         assert effect_ratio(mirrored, base) == 1.0
@@ -284,14 +282,14 @@ def test_9_sorted_series_property():
 
         from persisteval.measures import arp
 
-        qrels1, runs1 = load_fixture_environment("t1")
-        qrels2, runs2 = load_fixture_environment("t2")
+        runs1 = load_fixture_environment("t1")
+        runs2 = load_fixture_environment("t2")
         topics = fixture_core_topics()
         for measure_name in ("p@10", "ndcg", "bpref"):
             measure = parse_measure(measure_name)
             for tag in ("alpha", "beta"):
-                base = score_run(runs1[tag], qrels1, measure, topics, "t1")
-                target = score_run(runs2[tag], qrels2, measure, topics, "t2")
+                base = score_run(runs1[tag], measure, topics, "t1")
+                target = score_run(runs2[tag], measure, topics, "t2")
                 series = topic_delta_series(base, target)
                 deltas = [delta for _, delta in series.entries]
                 assert all(

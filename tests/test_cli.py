@@ -476,9 +476,9 @@ class TestPersistCommand:
         calls = []
         score_run = measures.score_run
 
-        def recording_score_run(run, qrels, measure, topics, ee_label=""):
-            calls.append((id(run), id(qrels), measure))
-            return score_run(run, qrels, measure, topics, ee_label)
+        def recording_score_run(run, measure, topics, ee_label=""):
+            calls.append((id(run), id(run.qrels), measure))
+            return score_run(run, measure, topics, ee_label)
 
         monkeypatch.setattr(measures, "score_run", recording_score_run)
         code = run_cli(
@@ -884,9 +884,9 @@ class TestJudgedOnLoad:
             calls.append(("judge", (run.run_tag, id(qrels)), depth, result))
             return result
 
-        def recording_score_run(run, qrels, measure, topics, ee_label=""):
+        def recording_score_run(run, measure, topics, ee_label=""):
             calls.append(("score", run))
-            return score_run(run, qrels, measure, topics, ee_label)
+            return score_run(run, measure, topics, ee_label)
 
         monkeypatch.setattr(run_io, "load_run", recording_load_run)
         monkeypatch.setattr(run_io.Run, "judged", recording_judged)

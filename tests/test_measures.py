@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import inspect
 import math
 import operator
 import pickle
@@ -240,43 +241,63 @@ class TestScoreRun:
     def test_vector_matches_per_topic_oracle(self):
         run, qrels = self._fixture()
         topics = frozenset({"q1", "q2", "q3"})
-        vector = score_run(run.judged(qrels), qrels, P_AT_10, topics)
+        vector = score_run(run.judged(qrels), P_AT_10, topics)
         for topic in topics:
             expected = oracle_p_at_k(list(run.rankings.get(topic, ())), qrels.for_topic(topic).grades, 10)
             assert vector.scores[topic] == pytest.approx(expected, abs=1e-12)
 
     def test_missing_topic_scores_zero(self):
         run, qrels = self._fixture()
-        vector = score_run(run.judged(qrels), qrels, NDCG, frozenset({"q1", "q2"}))
+        vector = score_run(run.judged(qrels), NDCG, frozenset({"q1", "q2"}))
         assert vector.scores["q2"] == 0.0
 
     def test_determinism(self):
         run, qrels = self._fixture()
         topics = frozenset({"q1", "q2", "q3"})
         judged = run.judged(qrels)
-        assert score_run(judged, qrels, BPREF, topics) == score_run(judged, qrels, BPREF, topics)
+        assert score_run(judged, BPREF, topics) == score_run(judged, BPREF, topics)
 
     def test_empty_topics_rejected(self):
         run, qrels = self._fixture()
         with pytest.raises(DataError):
-            score_run(run.judged(qrels), qrels, P_AT_10, frozenset())
+            score_run(run.judged(qrels), P_AT_10, frozenset())
 
     def test_missing_topic_zero_for_all_measures(self):
         run, qrels = self._fixture()
         for measure in (P_AT_10, NDCG, BPREF):
-            vector = score_run(run.judged(qrels), qrels, measure, frozenset({"q2"}) | run.topics)
+            vector = score_run(run.judged(qrels), measure, frozenset({"q2"}) | run.topics)
             assert vector.scores["q2"] == 0.0
 
-    # Also where nothing is judged, so that no measure can return 0 unread.
+    # Also over a topic that nothing ranks or judges, so that no measure can return 0 unread.
     @pytest.mark.parametrize("judged", [True, False], ids=["judged", "unjudged"])
     @pytest.mark.parametrize(
         "measure", [P_AT_10, NDCG, MeasureId("ndcg", 2), BPREF], ids=lambda m: m.name
     )
     def test_a_run_of_doc_ids_is_a_type_error(self, measure, judged):
-        run, qrels = self._fixture()
-        qrels = qrels if judged else Qrels({})
-        with pytest.raises(TypeError):
-            score_run(run, qrels, measure, run.topics)
+        run, _ = self._fixture()
+        topics = run.topics if judged else frozenset({"unjudged"})
+        with pytest.raises(TypeError, match=f"^run 'A' is not judged as deep as {measure.name} reads$"):
+            score_run(run, measure, topics)
+
+    @pytest.mark.parametrize("measure", [P_AT_10, NDCG, BPREF], ids=lambda m: m.name)
+    def test_grades_not_judged_by_a_qrels_are_a_type_error(self, measure):
+        """Grades and a depth, but no qrels to read the topic's summaries from."""
+        run = Run("S", {"q1": (2,)}, MAX_DEPTH)
+        with pytest.raises(TypeError, match=f"^run 'S' is not judged as deep as {measure.name} reads$"):
+            score_run(run, measure, run.topics)
+
+    def test_a_judged_run_scores_against_its_own_judgments(self):
+        run = parse_run("q1 Q0 d1 1 2.0 S\nq1 Q0 d2 2 1.0 S\n")
+        qrels_a = parse_qrels("q1 0 d1 2\nq1 0 d2 2\n")
+        qrels_b = parse_qrels("q1 0 d9 1\n")  # judges neither document
+        for qrels, expected in ((qrels_a, 1.0), (qrels_b, 0.0)):
+            judged = run.judged(qrels)
+            for measure in (NDCG, BPREF):
+                assert score_run(judged, measure, {"q1"}).scores == {"q1": expected}
+
+    def test_takes_no_qrels(self):
+        assert tuple(inspect.signature(score_run).parameters) == ("run", "measure", "topics", "ee_label")
+        assert Run._fields == ("run_tag", "rankings", "depth", "qrels")
 
 
 
@@ -293,24 +314,24 @@ class TestJudgedDepth:
         shallow = run.judged(qrels, 10)
         for measure in (BPREF, NDCG):
             with pytest.raises(TypeError, match=f"not judged as deep as {measure.name} reads"):
-                score_run(shallow, qrels, measure, run.topics)
+                score_run(shallow, measure, run.topics)
         whole = run.judged(qrels)
-        assert score_run(whole, qrels, BPREF, run.topics).scores == {"q1": 1.0}
-        ndcg_score = score_run(whole, qrels, NDCG, run.topics).scores["q1"]
+        assert score_run(whole, BPREF, run.topics).scores == {"q1": 1.0}
+        ndcg_score = score_run(whole, NDCG, run.topics).scores["q1"]
         assert ndcg_score == pytest.approx(1 / math.log2(13))
 
     def test_a_measure_within_the_judged_depth_scores(self):
         run, qrels = parse_run(self.RUN), parse_qrels(self.QRELS)
-        vector = score_run(run.judged(qrels, 10), qrels, P_AT_10, run.topics)
+        vector = score_run(run.judged(qrels, 10), P_AT_10, run.topics)
         assert vector.scores == {"q1": 0.0}
         with pytest.raises(TypeError):
-            score_run(run.judged(qrels, 9), qrels, P_AT_10, run.topics)
+            score_run(run.judged(qrels, 9), P_AT_10, run.topics)
 
     def test_depth_is_capped_at_max_depth(self):
         run, qrels = parse_run(self.RUN), parse_qrels(self.QRELS)
         judged = run.judged(qrels, 5000)
         assert judged.depth == MAX_DEPTH
-        vector = score_run(judged, qrels, parse_measure("p@5000"), run.topics)
+        vector = score_run(judged, parse_measure("p@5000"), run.topics)
         assert vector.scores == {"q1": 1 / 5000}
 
 
@@ -367,7 +388,7 @@ class TestJudgedRunsMatchTheOracles:
             BPREF: oracle_bpref,
         }
         for measure, oracle in oracles.items():
-            vector = score_run(run.judged(qrels, measure.depth), qrels, measure, topics)
+            vector = score_run(run.judged(qrels, measure.depth), measure, topics)
             for topic in sorted(topics):
                 expected = oracle(list(run.rankings.get(topic, ())), grades.get(topic, {}))
                 assert abs(vector.scores[topic] - expected) <= 1e-12
@@ -389,7 +410,7 @@ class TestJudgmentSummaries:
             MeasureId("precision_at_k", depth), NDCG, MeasureId("ndcg", depth), BPREF,
         )
         for measure in measures:
-            vectors = [score_run(run.judged(q, measure.depth), q, measure, topics) for q in rebuilt]
+            vectors = [score_run(run.judged(q, measure.depth), measure, topics) for q in rebuilt]
             for topic in sorted(topics):
                 ranking, plain = run.rankings.get(topic, ()), dict(grades.get(topic, {}))
                 judged, summary = judge(ranking, plain)
@@ -459,7 +480,7 @@ class TestArp:
     def test_mean(self):
         run = Run.from_rankings("A", {"q1": {"d1": 1.0}, "q2": {"d2": 1.0}})
         qrels = parse_qrels("q1 0 d1 1\nq2 0 d9 1")
-        vector = score_run(run.judged(qrels), qrels, P_AT_10, run.topics)
+        vector = score_run(run.judged(qrels), P_AT_10, run.topics)
         assert vector.scores == {"q1": 0.1, "q2": 0.0}
         value = arp(vector)
         assert value.value == pytest.approx(0.05)

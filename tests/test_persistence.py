@@ -671,6 +671,6 @@ class TestDecoderPaths:
 class TestArpOnScoredRuns:
     def test_arp_uses_common_topic_base(self):
         qrels, runs, topics = synthetic_environment(81)
-        vector = score_run(runs["sys"].judged(qrels), qrels, P_AT_10, topics | {"missing"})
+        vector = score_run(runs["sys"].judged(qrels), P_AT_10, topics | {"missing"})
         assert vector.scores["missing"] == 0.0
         assert arp(vector).n_topics == len(topics) + 1

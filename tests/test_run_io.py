@@ -156,9 +156,17 @@ class TestJudged:
         run, qrels = parse_run(self.RUN), parse_qrels(self.QRELS)
         judged = run.judged(qrels)
         # Unjudged is None, distinct from grade 0; q2 has no judgments at all.
-        assert judged == Run("A", {"q1": (2, None, 0), "q2": (None,)}, MAX_DEPTH)
+        assert judged == Run("A", {"q1": (2, None, 0), "q2": (None,)}, MAX_DEPTH, qrels)
+        assert judged.qrels is qrels and run.qrels is None
         assert judged.topics == run.topics
         assert run.rankings == {"q1": ("da", "db", "dc"), "q2": ("dd",)}
+
+    def test_judging_a_judged_run_is_a_type_error(self):
+        """Its grades would be looked up as doc ids, so each would read as unjudged."""
+        qrels = parse_qrels("q1 0 d1 1\n")
+        judged = parse_run("q1 Q0 d1 1 2.0 S\n").judged(qrels)
+        with pytest.raises(TypeError, match="^run 'S' is already judged$"):
+            judged.judged(qrels)
 
     def test_depth_keeps_the_first_ranks(self):
         run, qrels = parse_run(self.RUN), parse_qrels(self.QRELS)
