@@ -310,9 +310,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     from .run_io import load_qrels, load_run, snapshot_topics
 
     measures = _flag("--measures", _read_measures, _comma_list(args.measures))
-    run, qrels = load_run(Path(args.run)), load_qrels(Path(args.qrels))
+    depth = max(measure.depth for measure in measures)  # read and judged no deeper
+    run, qrels = load_run(Path(args.run), None, depth), load_qrels(Path(args.qrels))
     topics = snapshot_topics(qrels, [run], args.topics or None)
-    run = run.judged(qrels, max(measure.depth for measure in measures))
+    run = run.judged(qrels, depth)
     files: list[tuple[str, str]] = []
     arp_payload: dict[str, dict] = {}
     for measure in measures:
@@ -343,8 +344,8 @@ def cmd_persist(args: argparse.Namespace) -> int:
     qrels = {spec.label: load_qrels(spec.qrels_path) for spec in config.environments}
     depth = max(measure.depth for measure in config.measures)
     runs = {}
-    for run in config.runs:  # judged as it loads, so no doc id outlives loading
-        runs[run.tag, run.ee_label] = load_run(run.path, run.tag).judged(qrels[run.ee_label], depth)
+    for run in config.runs:  # read to depth and judged as it loads, so no doc id outlives loading
+        runs[run.tag, run.ee_label] = load_run(run.path, run.tag, depth).judged(qrels[run.ee_label], depth)
     topics = {
         ee.label: snapshot_topics(
             qrels[ee.label], [r for (_, at), r in runs.items() if at == ee.label], ee.topics_path

@@ -73,9 +73,6 @@ class MeasureId(Record, namedtuple("MeasureId", "kind cut")):
         return self.cut or MAX_DEPTH
 
 
-P_AT_10 = MeasureId("precision_at_k", 10)
-NDCG = MeasureId("ndcg")
-BPREF = MeasureId("bpref")
 _KIND_OF = {label.lower(): kind for kind, label in _LABELS.items()}
 
 
@@ -157,7 +154,7 @@ def score_run(run: Run, measure: MeasureId, topics: TopicSet, ee_label: str = ""
     missing from the run (or entirely unjudged) score 0; results do not depend on input order."""
     if not topics:
         raise DataError("cannot score over an empty topic set")
-    if run.qrels is None or run.depth < min(measure.depth, MAX_DEPTH):
+    if run.qrels is None or (run.depth or 0) < min(measure.depth, MAX_DEPTH):
         raise TypeError(f"run {run.run_tag!r} is not judged as deep as {measure.name} reads")
     grades, judgments = run.rankings.get, run.qrels.for_topic
     scores = {t: score_topic(grades(t, ()), judgments(t), measure) for t in sorted(topics)}

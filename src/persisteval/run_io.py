@@ -10,12 +10,12 @@ Three file formats of LF-ended lines are handled, each parsed from a file's text
   with ``#`` are ignored.
 
 Parsed records are immutable and safe to share across threads. A run holds
-each topic's ranked doc ids in canonical order (score descending, then doc
-id descending) until ``Run.judged``, the one place doc ids meet qrels, turns
-them into grades and records the qrels, which the measures then read. Scores
-only set that order; ranks are validated, then ignored, so scores do not
-depend on line order. Rankings deeper than MAX_DEPTH documents are truncated
-with a warning. Qrels map topics to TopicJudgments (read-only grade maps).
+each topic's first ``depth`` doc ids (at most MAX_DEPTH; deeper rankings are
+truncated with a warning) in canonical order: score descending, then doc id
+descending. ``Run.judged``, the one place doc ids meet qrels, turns them into
+grades, never deeper than the run was read, and records the qrels, which the
+measures then read. Ranks are validated, then ignored, so scores do not
+depend on line order. Qrels map topics to TopicJudgments (read-only maps).
 
 JSON inputs (the job manifest and cells.json) are read by the typed-JSON
 readers ``json_fields``, ``json_checked`` and ``json_object``, the one place
@@ -29,7 +29,7 @@ import re
 import warnings
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from math import isfinite, log2
+from math import isfinite, isnan, log2
 from operator import itemgetter, truediv
 from pathlib import Path
 from types import MappingProxyType
@@ -48,27 +48,30 @@ MISSING = object()
 
 
 class Run(Record, namedtuple("Run", "run_tag rankings depth qrels", defaults=(None, None))):
-    """A system's ranked output: per-topic doc ids in canonical order (or, once judged
-    to ``depth`` by ``qrels``, their grades), keyed by topic and identified by a run tag."""
+    """A system's ranked output: per-topic doc ids in canonical order, read to ``depth`` (None:
+    MAX_DEPTH), or once judged to ``depth`` by ``qrels`` their grades; keyed by topic, tagged."""
 
     __slots__ = ()
 
     @classmethod
-    def from_rankings(cls, run_tag: str, rankings: Mapping[str, Mapping[str, float]]) -> "Run":
-        """Build a Run from topic -> doc_id -> score maps: sort every topic by
-        score descending, then doc id descending, and keep the doc ids. Topics
-        are stored in sorted order for deterministic emission."""
+    def from_rankings(
+        cls, run_tag: str, rankings: Mapping[str, Mapping[str, float]], depth: int = MAX_DEPTH
+    ) -> "Run":
+        """A Run of topic -> doc_id -> score maps: each topic's first ``depth`` doc ids by score,
+        then doc id, descending (a depth below MAX_DEPTH is recorded); topics in sorted order."""
+        depth = _checked_depth(run_tag, depth)
         ordered: dict[str, tuple[str, ...]] = {}
         truncated = 0
         for topic, scores in sorted(rankings.items()):
+            truncated += len(scores) > MAX_DEPTH
+            # Only a score >= the depth-th largest can rank: keep those if that drops most of the topic.
+            if len(scores) > 2 * depth and not isnan(sum(scores.values())):  # NaN has no order
+                floor = sorted(scores.values())[-depth]
+                scores = {doc: s for doc, s in scores.items() if s >= floor}
             pairs = sorted(zip(scores.values(), scores), reverse=True)  # (score, doc)
             if not pairs:
                 raise DataError(f"run {run_tag!r}: topic {topic!r} has an empty ranking")
-            docs = tuple(map(itemgetter(1), pairs))
-            if len(docs) > MAX_DEPTH:
-                docs = docs[:MAX_DEPTH]
-                truncated += 1
-            ordered[topic] = docs
+            ordered[topic] = tuple(map(itemgetter(1), pairs))[:depth]
         if truncated:
             warnings.warn(
                 f"run {run_tag!r}: {truncated} topic(s) deeper than {MAX_DEPTH} "
@@ -76,18 +79,25 @@ class Run(Record, namedtuple("Run", "run_tag rankings depth qrels", defaults=(No
                 DiagnosticWarning,
                 stacklevel=2,
             )
-        return cls(run_tag=run_tag, rankings=ordered)
+        return cls(run_tag=run_tag, rankings=ordered, depth=depth if depth < MAX_DEPTH else None)
 
     @property
     def topics(self) -> TopicSet:
         return frozenset(self.rankings)
 
     def judged(self, qrels: Qrels, depth: int = MAX_DEPTH) -> "Run":
-        """Each topic's first ``depth`` doc ids as their grades in ``qrels`` (None: unjudged)."""
+        """Each topic's first ``depth`` doc ids, no deeper than read, as grades in ``qrels``."""
         if self.qrels is not None:
             raise TypeError(f"run {self.run_tag!r} is already judged")
+        depth = min(_checked_depth(self.run_tag, depth), self.depth or MAX_DEPTH)
         judged = {t: tuple(map(qrels.for_topic(t).grades.get, d[:depth])) for t, d in self.rankings.items()}
-        return self._replace(rankings=judged, depth=min(depth, MAX_DEPTH), qrels=qrels)
+        return self._replace(rankings=judged, depth=depth, qrels=qrels)
+
+
+def _checked_depth(run_tag: str, depth: int) -> int:
+    if depth < 1:
+        raise ValueError(f"run {run_tag!r}: depth must be >= 1, got {depth}")
+    return min(depth, MAX_DEPTH)
 
 
 class TopicJudgments(Record, namedtuple("TopicJudgments", "grades ideal nonrelevant")):
@@ -125,8 +135,10 @@ class Qrels(Record, namedtuple("Qrels", "judgments")):
         return self.judgments.get(topic_id, self._UNJUDGED)
 
 
-def parse_run(text: str, expected_tag: str | None = None, *, path: str | None = None) -> Run:
-    """Parse a TREC run file's text into a Run in canonical order.
+def parse_run(
+    text: str, expected_tag: str | None = None, *, path: str | None = None, depth: int = MAX_DEPTH
+) -> Run:
+    """Parse a TREC run file's text into a Run in canonical order, to ``depth``.
 
     The run tag is taken from the records; all lines must agree, and must
     match ``expected_tag`` when one is given. Stated ranks are validated as
@@ -134,15 +146,14 @@ def parse_run(text: str, expected_tag: str | None = None, *, path: str | None = 
     """
     per_topic: dict[str, dict[str, float]] = {}
     tag: str | None = None
-    tag_line = 0
+    tag_line, last_topic = 0, None
     # The list of lines is bound to no name, so it is freed when the loop ends.
     for number, line in enumerate(text.split("\n"), start=1):
-        fields = line.split()
-        if not fields:
-            continue
-        try:
-            topic, _iteration, doc, rank_text, score_text, line_tag = fields
+        try:  # fields is bound before it is unpacked
+            fields = topic, _iteration, doc, rank_text, score_text, line_tag = line.split()
         except ValueError:
+            if not fields:
+                continue
             raise ParseError(
                 f"expected 6 fields (topic iteration doc rank score tag), got {len(fields)}",
                 line=number,
@@ -166,10 +177,9 @@ def parse_run(text: str, expected_tag: str | None = None, *, path: str | None = 
                     f"conflicting run tags {tag!r} and {line_tag!r}", line=number, path=path
                 )
             tag, tag_line = line_tag, number
-        docs = per_topic.get(topic)
-        if docs is None:
-            docs = per_topic[topic] = {}
-        elif doc in docs:
+        if topic != last_topic:  # a topic's lines are mostly listed together
+            last_topic, docs = topic, per_topic.setdefault(topic, {})
+        if doc in docs:
             raise DataError(
                 f"duplicate document {doc!r} for topic {topic!r}", line=number, path=path
             )
@@ -182,7 +192,7 @@ def parse_run(text: str, expected_tag: str | None = None, *, path: str | None = 
             line=tag_line,
             path=path,
         )
-    return Run.from_rankings(tag, per_topic)
+    return Run.from_rankings(tag, per_topic, depth)
 
 
 def parse_qrels(text: str, *, path: str | None = None) -> Qrels:
@@ -364,8 +374,8 @@ def json_fields(data: Mapping, fields: Sequence[tuple], where: str = "") -> list
     return values
 
 
-def load_run(path: str | Path, expected_tag: str | None = None) -> Run:
-    return parse_run(read_input(path), expected_tag, path=str(path))
+def load_run(path: str | Path, expected_tag: str | None = None, depth: int = MAX_DEPTH) -> Run:
+    return parse_run(read_input(path), expected_tag, path=str(path), depth=depth)
 
 
 def load_qrels(path: str | Path) -> Qrels:

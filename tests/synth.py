@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 
-from persisteval.measures import BPREF, NDCG, parse_measure, score_run
+from persisteval.measures import parse_measure, score_run
 from persisteval.persistence import PersistenceCell, persistence_cell
 from persisteval.run_io import Qrels, Run, parse_qrels
+
+NDCG, BPREF = parse_measure("ndcg"), parse_measure("bpref")
 
 
 def synthetic_environment(seed, tags=("pivot", "sys"), n_topics=8):

@@ -13,9 +13,6 @@ from hypothesis import strategies as st
 
 from persisteval.errors import DataError
 from persisteval.measures import (
-    BPREF,
-    NDCG,
-    P_AT_10,
     MeasureId,
     arp,
     bpref,
@@ -28,6 +25,8 @@ from persisteval.run_io import MAX_DEPTH, Qrels, Run, TopicJudgments, parse_qrel
 
 from oracles import oracle_bpref, oracle_ndcg, oracle_p_at_k
 from synth import judge
+
+P_AT_10, NDCG, BPREF = map(parse_measure, ("p@10", "ndcg", "bpref"))
 
 
 def random_topic(rng: random.Random, max_ranked=50, max_judged=20):
@@ -286,6 +285,13 @@ class TestScoreRun:
         with pytest.raises(TypeError, match=f"^run 'S' is not judged as deep as {measure.name} reads$"):
             score_run(run, measure, run.topics)
 
+    @pytest.mark.parametrize("measure", [P_AT_10, NDCG, BPREF], ids=lambda m: m.name)
+    def test_grades_and_a_qrels_but_no_depth_are_a_type_error(self, measure):
+        """Built by hand, so nothing says how deep its grades reach."""
+        run = Run("S", {"q1": (1,)}, None, parse_qrels("q1 0 d1 1\n"))
+        with pytest.raises(TypeError, match=f"^run 'S' is not judged as deep as {measure.name} reads$"):
+            score_run(run, measure, run.topics)
+
     def test_a_judged_run_scores_against_its_own_judgments(self):
         run = parse_run("q1 Q0 d1 1 2.0 S\nq1 Q0 d2 2 1.0 S\n")
         qrels_a = parse_qrels("q1 0 d1 2\nq1 0 d2 2\n")
@@ -326,6 +332,16 @@ class TestJudgedDepth:
         assert vector.scores == {"q1": 0.0}
         with pytest.raises(TypeError):
             score_run(run.judged(qrels, 9), P_AT_10, run.topics)
+
+    def test_a_run_read_shallow_is_never_judged_deeper(self):
+        """Judging to 1,000 a run read to depth 10 records depth 10, so nDCG,
+        which reads rank 12 here, is refused rather than scored 0."""
+        run, qrels = parse_run(self.RUN, depth=10), parse_qrels(self.QRELS)
+        judged = run.judged(qrels, MAX_DEPTH)
+        assert judged.depth == 10
+        with pytest.raises(TypeError, match="^run 'A' is not judged as deep as nDCG reads$"):
+            score_run(judged, NDCG, run.topics)
+        assert score_run(judged, P_AT_10, run.topics).scores == {"q1": 0.0}
 
     def test_depth_is_capped_at_max_depth(self):
         run, qrels = parse_run(self.RUN), parse_qrels(self.QRELS)

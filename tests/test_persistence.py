@@ -12,10 +12,7 @@ from hypothesis import strategies as st
 from persisteval import persistence
 from persisteval.errors import DataError
 from persisteval.measures import (
-    BPREF,
     KINDS,
-    NDCG,
-    P_AT_10,
     ARPValue,
     MeasureId,
     TopicScoreVector,
@@ -39,6 +36,8 @@ from persisteval.persistence import (
 from persisteval.report import table_from_json
 from oracles import oracle_mean, oracle_pooled_t, oracle_two_sided_p
 from synth import MISFITS, four_vectors, misfit, score_tags, synthetic_environment
+
+P_AT_10, NDCG, BPREF = map(parse_measure, ("p@10", "ndcg", "bpref"))
 
 
 class TestResultDelta:

@@ -10,9 +10,9 @@ import pytest
 
 import persisteval as pe
 from persisteval.errors import DataError, Record
-from persisteval.measures import BPREF, NDCG, P_AT_10
 from persisteval.report import TableCell, TableRow
 
+P_AT_10, NDCG, BPREF = map(pe.parse_measure, ("p@10", "ndcg", "bpref"))
 PAIR = pe.EEPair("t1", "t2")
 ARP = pe.ARPValue(0.25, 10)
 CELL = pe.PersistenceCell(

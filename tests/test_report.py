@@ -11,9 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from persisteval.errors import DataError, UsageError
-from persisteval.measures import (
-    BPREF, NDCG, P_AT_10, ARPValue, MeasureId, TopicScoreVector, arp,
-)
+from persisteval.measures import ARPValue, MeasureId, TopicScoreVector, arp, parse_measure
 from persisteval.persistence import EEPair, PersistenceCell, persistence_cell
 from persisteval.report import (
     PersistenceTable,
@@ -43,6 +41,8 @@ from oracles import (
 )
 from reference_table import ARP, E5_P10_LT_EFFECT_RATIO
 from synth import MISFITS, four_vectors, misfit, score_tags, synthetic_cells, synthetic_environment
+
+P_AT_10, NDCG, BPREF = map(parse_measure, ("p@10", "ndcg", "bpref"))
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import random
 import re
 import tempfile
 import warnings
@@ -172,6 +174,110 @@ class TestJudged:
         run, qrels = parse_run(self.RUN), parse_qrels(self.QRELS)
         assert run.judged(qrels, 2).rankings == {"q1": (2, None), "q2": (None,)}
         assert run.judged(qrels, 1).rankings == {"q1": (2,), "q2": (None,)}
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_a_depth_below_one_is_refused(self, depth):
+        """Slicing to -1 would drop each topic's last document and record depth -1."""
+        run, qrels = parse_run(self.RUN), parse_qrels(self.QRELS)
+        with pytest.raises(ValueError, match=f"^run 'A': depth must be >= 1, got {depth}$"):
+            run.judged(qrels, depth)
+
+    def test_a_run_read_shallow_is_judged_no_deeper(self):
+        run, qrels = parse_run(self.RUN, depth=2), parse_qrels(self.QRELS)
+        assert run.depth == 2
+        judged = run.judged(qrels)
+        assert judged.depth == 2 and judged.rankings == {"q1": (2, None), "q2": (None,)}
+        assert run.judged(qrels, 1).depth == 1
+
+
+class TestReadDepth:
+    """A run read to ``depth`` keeps, of each topic, exactly the first ``depth``
+    documents of the whole ranking, and records how deep it was read."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_the_whole_ranking_cut_to_depth(self, data):
+        rnd = random.Random(data.draw(st.integers(0, 2**32)))  # fast for thousands of draws
+        # Few distinct scores, so most documents tie; 0.0 and -0.0 compare equal.
+        palette = data.draw(
+            st.lists(st.sampled_from((-0.0, 0.0, 0.5, 1.0, -2.25)) | scores, min_size=1, max_size=4)
+        )
+        rankings = {}
+        for topic in data.draw(st.lists(tokens, min_size=1, max_size=3, unique=True)):
+            # One topic in ten is deeper than MAX_DEPTH, some deep enough to select at MAX_DEPTH.
+            deep = rnd.random() < 0.1
+            size = rnd.choice((MAX_DEPTH + 7, 2 * MAX_DEPTH + 3)) if deep else rnd.randint(1, 40)
+            docs = [f"d{i}" for i in rnd.sample(range(5 * MAX_DEPTH), size)]
+            rankings[topic] = {doc: rnd.choice(palette) for doc in docs}
+        if data.draw(st.booleans()):  # a library caller's NaN: sorted as the whole ranking is
+            topic = rnd.choice(sorted(rankings))
+            rankings[topic][rnd.choice(sorted(rankings[topic]))] = math.nan
+        longest = max(map(len, rankings.values()))
+        depth = data.draw(st.integers(1, longest + 3) | st.sampled_from((MAX_DEPTH, MAX_DEPTH + 5)))
+        with warnings.catch_warnings(record=True) as cut_warnings:
+            warnings.simplefilter("always")
+            cut = Run.from_rankings("T", rankings, depth)
+        with warnings.catch_warnings(record=True) as whole_warnings:
+            warnings.simplefilter("always")
+            whole = Run.from_rankings("T", rankings)
+        assert [str(w.message) for w in cut_warnings] == [str(w.message) for w in whole_warnings]
+        kept = min(depth, MAX_DEPTH)
+        assert cut.rankings == {topic: docs[:kept] for topic, docs in whole.rankings.items()}
+        assert list(cut.rankings) == list(whole.rankings)
+        assert cut.depth == (kept if kept < MAX_DEPTH else None)
+
+    def test_a_shallow_depth_is_recorded(self):
+        rankings = {"q1": {f"d{i}": float(i % 3) for i in range(30)}}
+        assert Run.from_rankings("A", rankings, 4).rankings == {"q1": ("d8", "d5", "d29", "d26")}
+        assert Run.from_rankings("A", rankings, 4).depth == 4
+        assert Run.from_rankings("A", rankings, MAX_DEPTH).depth is None
+        assert Run.from_rankings("A", rankings, MAX_DEPTH + 1).depth is None
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_a_depth_below_one_is_refused(self, depth):
+        with pytest.raises(ValueError, match=f"^run 'A': depth must be >= 1, got {depth}$"):
+            Run.from_rankings("A", {"q1": {"d1": 1.0}}, depth)
+        with pytest.raises(ValueError, match=f"^run 'A': depth must be >= 1, got {depth}$"):
+            parse_run("q1 Q0 d1 1 1.0 A", depth=depth)
+
+    def test_load_run_reads_to_depth(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("".join(f"q1 Q0 d{i} {i} {30 - i} A\n" for i in range(1, 30)))
+        run = load_run(path, "A", 3)
+        assert run.rankings == {"q1": ("d1", "d2", "d3")} and run.depth == 3
+
+    def test_a_topic_listed_again_later_is_checked_against_its_earlier_lines(self):
+        text = "q1 Q0 d1 1 3.0 T\nq2 Q0 d1 1 3.0 T\nq1 Q0 d2 2 2.0 T\nq2 Q0 d2 2 2.0 T\nq1 Q0 d1 3 1.0 T"
+        assert _error(parse_run, text) == ("DataError", 5, "5: duplicate document 'd1' for topic 'q1'")
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_interleaved_topics_read_as_grouped(self, data):
+        """The same records with each topic's lines together, and with the
+        topics interleaved line by line: the same run, or each file's first
+        fault at its own line (``oracle_run_error``)."""
+        rnd = data.draw(st.randoms(use_true_random=False))
+        per_topic = [
+            [(topic, f"d{rnd.randrange(12)}", repr(rnd.choice((0.5, 1.0, 2.25)))) for _ in range(rnd.randint(1, 8))]
+            for topic in ("q1", "q2", "q3")[: rnd.randint(1, 3)]
+        ]
+        grouped = [record for records in per_topic for record in records]
+        interleaved = [r for rank in zip(*(records + [None] * 8 for records in per_topic)) for r in rank if r]
+        depth = data.draw(st.integers(1, 9) | st.just(MAX_DEPTH))
+        texts = [
+            "\n".join(f"{topic} Q0 {doc} {rank} {score} T" for rank, (topic, doc, score) in enumerate(rows, 1))
+            for rows in (grouped, interleaved)
+        ]
+        parsed = []
+        for text in texts:
+            expected = oracle_run_error(text)
+            if expected is None:
+                parsed.append(parse_run(text, depth=depth))
+            else:
+                kind, line, message = expected
+                assert _error(parse_run, text) == (kind, line, str(getattr(errors, kind)(message, line=line)))
+        assert len(parsed) in (0, 2)  # the same records hold a duplicate in either order or in neither
+        assert parsed[:1] == parsed[1:]
 
 
 class TestParseTopics:
