@@ -48,8 +48,8 @@ MISSING = object()
 
 
 class Run(Record, namedtuple("Run", "run_tag rankings depth qrels", defaults=(None, None))):
-    """A system's ranked output: per-topic doc ids in canonical order, read to ``depth`` (None:
-    MAX_DEPTH), or once judged to ``depth`` by ``qrels`` their grades; keyed by topic, tagged."""
+    """A system's ranked output, keyed by topic and tagged: per-topic doc ids in canonical order,
+    read to ``depth`` (None: MAX_DEPTH), or once judged to ``depth`` by ``qrels``, their grades."""
 
     __slots__ = ()
 
@@ -86,7 +86,7 @@ class Run(Record, namedtuple("Run", "run_tag rankings depth qrels", defaults=(No
         return frozenset(self.rankings)
 
     def judged(self, qrels: Qrels, depth: int = MAX_DEPTH) -> "Run":
-        """Each topic's first ``depth`` doc ids, no deeper than read, as grades in ``qrels``."""
+        """Each topic's first ``depth`` doc ids, never deeper than read, as grades (None: unjudged)."""
         if self.qrels is not None:
             raise TypeError(f"run {self.run_tag!r} is already judged")
         depth = min(_checked_depth(self.run_tag, depth), self.depth or MAX_DEPTH)
