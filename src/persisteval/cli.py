@@ -19,7 +19,8 @@ run, conflicting records). Diagnostics go to stderr; output files are
 written deterministically so re-runs are byte-identical.
 
 The PERSISTEVAL_OUTPUT environment variable supplies the default output
-directory when neither the manifest nor --output names one.
+directory of ``score``, ``persist`` and ``report`` when neither the manifest
+nor --output names one; ``corpus-diff`` writes only with --output.
 """
 
 from __future__ import annotations
@@ -313,7 +314,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     depth = max(measure.depth for measure in measures)  # read and judged no deeper
     run, qrels = load_run(Path(args.run), None, depth), load_qrels(Path(args.qrels))
     topics = snapshot_topics(qrels, [run], args.topics or None)
-    run = run.judged(qrels, depth)
+    run = run.judged(qrels)
     files: list[tuple[str, str]] = []
     arp_payload: dict[str, dict] = {}
     for measure in measures:
@@ -345,7 +346,7 @@ def cmd_persist(args: argparse.Namespace) -> int:
     depth = max(measure.depth for measure in config.measures)
     runs = {}
     for run in config.runs:  # read to depth and judged as it loads, so no doc id outlives loading
-        runs[run.tag, run.ee_label] = load_run(run.path, run.tag, depth).judged(qrels[run.ee_label], depth)
+        runs[run.tag, run.ee_label] = load_run(run.path, run.tag, depth).judged(qrels[run.ee_label])
     topics = {
         ee.label: snapshot_topics(
             qrels[ee.label], [r for (_, at), r in runs.items() if at == ee.label], ee.topics_path

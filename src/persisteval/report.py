@@ -108,13 +108,11 @@ class TopicDeltaSeries(Record, namedtuple("TopicDeltaSeries", "system_tag measur
 _cell_sort_key = attrgetter("system_tag", "measure.name", "pair.base_label", "pair.target_label")
 
 
-def persistence_table(
-    cells: Sequence[PersistenceCell], ee_order: Sequence[str] | None = None
-) -> PersistenceTable:
+def persistence_table(cells: Sequence[PersistenceCell], ee_order: Sequence[str]) -> PersistenceTable:
     """Build the persistence table from cells sharing one pivot.
 
-    ``ee_order`` fixes the row chronology (base snapshots first); when
-    omitted it falls back to base labels then target labels, each sorted.
+    ``ee_order``, the snapshots in chronological order, fixes the row order;
+    it must name each label the cells hold, and may name others.
     DataErrors, in the order raised: zero cells; mixed pivots; per cell in
     input order, a system that is its pivot or a non-finite number (each
     naming the cell), or a repeated target; an ``ee_order`` that misses or
@@ -150,17 +148,13 @@ def persistence_table(
     places, ordered_cells = zip(*sorted(zip(places, cells)))
     measures = tuple(sorted(set(map(attrgetter("measure"), cells)), key=attrgetter("name")))
     names = [m.name for m in measures]
-    bases = {base for _, _, base, _ in places}
-    labels = bases | {target for *_, target in places}
-    if ee_order is None:
-        order = tuple(sorted(bases) + sorted(labels - bases))
-    else:
-        missing = labels - set(ee_order)
-        if missing:
-            raise DataError(f"ee_order does not cover {sorted(missing)}")
-        if len(set(ee_order)) < len(ee_order):
-            raise DataError(f"ee_order repeats a label: {json.dumps(list(ee_order))}")
-        order = tuple(label for label in ee_order if label in labels)
+    labels = {base for _, _, base, _ in places} | {target for *_, target in places}
+    missing = labels - set(ee_order)
+    if missing:
+        raise DataError(f"ee_order does not cover {sorted(missing)}")
+    if len(set(ee_order)) < len(ee_order):
+        raise DataError(f"ee_order repeats a label: {json.dumps(list(ee_order))}")
+    order = tuple(label for label in ee_order if label in labels)
 
     # Keyed by (row tag, EE, measure name): each cell fills its system's row at
     # its target, and the first cell to target an EE fills the pivot's row

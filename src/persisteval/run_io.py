@@ -12,10 +12,11 @@ Three file formats of LF-ended lines are handled, each parsed from a file's text
 Parsed records are immutable and safe to share across threads. A run holds
 each topic's first ``depth`` doc ids (at most MAX_DEPTH; deeper rankings are
 truncated with a warning) in canonical order: score descending, then doc id
-descending. ``Run.judged``, the one place doc ids meet qrels, turns them into
-grades, never deeper than the run was read, and records the qrels, which the
-measures then read. Ranks are validated, then ignored, so scores do not
-depend on line order. Qrels map topics to TopicJudgments (read-only maps).
+descending. The depth is set once, where the run is read. ``Run.judged``, the
+one place doc ids meet qrels, turns every doc id the run holds into a grade
+and records the qrels, which the measures then read. Ranks are validated, then
+ignored, so scores do not depend on line order. Qrels map topics to
+TopicJudgments (read-only maps).
 
 JSON inputs (the job manifest and cells.json) are read by the typed-JSON
 readers ``json_fields``, ``json_checked`` and ``json_object``, the one place
@@ -49,7 +50,7 @@ MISSING = object()
 
 class Run(Record, namedtuple("Run", "run_tag rankings depth qrels", defaults=(None, None))):
     """A system's ranked output, keyed by topic and tagged: per-topic doc ids in canonical order,
-    read to ``depth`` (None: MAX_DEPTH), or once judged to ``depth`` by ``qrels``, their grades."""
+    read to ``depth`` (None: MAX_DEPTH), or once judged by ``qrels``, their grades."""
 
     __slots__ = ()
 
@@ -59,7 +60,9 @@ class Run(Record, namedtuple("Run", "run_tag rankings depth qrels", defaults=(No
     ) -> "Run":
         """A Run of topic -> doc_id -> score maps: each topic's first ``depth`` doc ids by score,
         then doc id, descending (a depth below MAX_DEPTH is recorded); topics in sorted order."""
-        depth = _checked_depth(run_tag, depth)
+        if depth < 1:
+            raise ValueError(f"run {run_tag!r}: depth must be >= 1, got {depth}")
+        depth = min(depth, MAX_DEPTH)
         ordered: dict[str, tuple[str, ...]] = {}
         truncated = 0
         for topic, scores in sorted(rankings.items()):
@@ -85,19 +88,12 @@ class Run(Record, namedtuple("Run", "run_tag rankings depth qrels", defaults=(No
     def topics(self) -> TopicSet:
         return frozenset(self.rankings)
 
-    def judged(self, qrels: Qrels, depth: int = MAX_DEPTH) -> "Run":
-        """Each topic's first ``depth`` doc ids, never deeper than read, as grades (None: unjudged)."""
+    def judged(self, qrels: Qrels) -> "Run":
+        """Each topic's doc ids, as deep as the run was read, as grades (None: unjudged)."""
         if self.qrels is not None:
             raise TypeError(f"run {self.run_tag!r} is already judged")
-        depth = min(_checked_depth(self.run_tag, depth), self.depth or MAX_DEPTH)
-        judged = {t: tuple(map(qrels.for_topic(t).grades.get, d[:depth])) for t, d in self.rankings.items()}
-        return self._replace(rankings=judged, depth=depth, qrels=qrels)
-
-
-def _checked_depth(run_tag: str, depth: int) -> int:
-    if depth < 1:
-        raise ValueError(f"run {run_tag!r}: depth must be >= 1, got {depth}")
-    return min(depth, MAX_DEPTH)
+        judged = {t: tuple(map(qrels.for_topic(t).grades.get, d)) for t, d in self.rankings.items()}
+        return self._replace(rankings=judged, depth=self.depth or MAX_DEPTH, qrels=qrels)
 
 
 class TopicJudgments(Record, namedtuple("TopicJudgments", "grades ideal nonrelevant")):

@@ -9,8 +9,10 @@ TOPICS per-topic scores from a fixed seed, in two ways:
 - ``p10``: P@10-like scores k/10 (k correct of 10 at a topic's rate), so
   that many scores tie.
 
-The seeds and counts were fixed before the first run and are never changed
-to make a case pass. With REPS = 2,000, the 99.9% binomial interval of the
+The last case builds whole persistence cells from such vectors, so it
+checks the wiring of a cell's p-value as well as the t-test. The seeds and
+counts were fixed before the first run and are never changed to make a case
+pass. With REPS = 2,000, the 99.9% binomial interval of the
 rejection rate around 0.05 is INTERVAL.
 """
 
@@ -20,6 +22,8 @@ import random
 
 import pytest
 
+from persisteval.measures import TopicScoreVector, parse_measure
+from persisteval.persistence import persistence_cell
 from persisteval.stats import VARIANTS, t_test_unpaired
 
 ALPHA = 0.05
@@ -101,3 +105,40 @@ def test_pivot_test_rejects_a_true_null_at_most_at_its_level(model):
     rates = rejection_rates(f"calibration/pivot/{model}", model, shared_topics=True)
     for variant, rate in rates.items():
         assert rate <= INTERVAL[1], (variant, rate)
+
+
+def cell_rejection_rate(seed: str, model: str, variant: str) -> float:
+    """The share of REPS null persistence cells whose p_value is below ALPHA.
+
+    Each cell relates a system and a pivot, both drawn from one model with
+    no effect, in a base and a target snapshot that each have topics of
+    their own; within a snapshot the two runs share its topics."""
+    rng = random.Random(seed)
+    topics, scores = MODELS[model]
+    measure, ids = parse_measure("p@10"), [f"q{i}" for i in range(TOPICS)]
+    rejected = 0
+    for _ in range(REPS):
+        vectors = {}
+        for label in ("base", "target"):
+            difficulties = topics(rng)
+            for tag in ("sys", "pivot"):
+                values = dict(zip(ids, scores(rng, difficulties)))
+                vectors[tag, label] = TopicScoreVector(measure, tag, label, values)
+        cell = persistence_cell(
+            vectors["sys", "base"], vectors["sys", "target"],
+            vectors["pivot", "base"], vectors["pivot", "target"], t_variant=variant,
+        )
+        rejected += cell.p_value < ALPHA
+    return rejected / REPS
+
+
+@pytest.mark.parametrize("variant", sorted(set(VARIANTS.values())))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_persistence_cell_rejects_a_true_null_at_its_level(model, variant):
+    """A cell's p_value is the cross-snapshot test of the system's scores in
+    the base and the target snapshot. With no effect anywhere, the share of
+    cells with p_value < ALPHA lies in INTERVAL. A cell that reported one of
+    its within-snapshot tests against the pivot instead would reject far
+    less often, as the pivot test above shows."""
+    rate = cell_rejection_rate(f"calibration/cell/{model}/{variant}", model, variant)
+    assert INTERVAL[0] <= rate <= INTERVAL[1], rate

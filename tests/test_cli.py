@@ -866,22 +866,22 @@ class TestTypedManifest:
 
 
 class TestJudgedOnLoad:
-    """Each run is judged once, as it loads, to the deepest rank that a
-    measure of the job reads; score_run sees only judged runs."""
+    """Each run is read to the deepest rank that a measure of the job reads
+    and judged once, as it loads; score_run sees only judged runs."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """The loads, judgings and scorings of a command, in order."""
+        """The loads (with their depth), judgings and scorings of a command, in order."""
         calls = []
         load_run, judged, score_run = run_io.load_run, run_io.Run.judged, measures.score_run
 
-        def recording_load_run(path, *args):
-            calls.append(("load", Path(path).name))
-            return load_run(path, *args)
+        def recording_load_run(path, expected_tag=None, depth=run_io.MAX_DEPTH):
+            calls.append(("load", Path(path).name, depth))
+            return load_run(path, expected_tag, depth)
 
-        def recording_judged(run, qrels, depth=run_io.MAX_DEPTH):
-            result = judged(run, qrels, depth)
-            calls.append(("judge", (run.run_tag, id(qrels)), depth, result))
+        def recording_judged(run, qrels):
+            result = judged(run, qrels)
+            calls.append(("judge", (run.run_tag, id(qrels)), result))
             return result
 
         def recording_score_run(run, measure, topics, ee_label=""):
@@ -899,8 +899,8 @@ class TestJudgedOnLoad:
         # Each run is judged before the next one loads, so no doc id outlives loading.
         assert loads_and_judgings == ["load", "judge"] * 6
         judgings = [call for call in calls if call[0] == "judge"]
-        assert len({key for _, key, _, _ in judgings}) == 6
-        judged_runs = [result for _, _, _, result in judgings]
+        assert len({key for _, key, _ in judgings}) == 6
+        judged_runs = [result for _, _, result in judgings]
         scored = [run for kind, run, *_ in calls if kind == "score"]
         assert len(scored) == 6 * 3
         assert all(any(run is judged for judged in judged_runs) for run in scored)
@@ -917,7 +917,8 @@ class TestJudgedOnLoad:
             "persist", "--config", FIXTURE / "job.json", "--measures", names, "--output", tmp_path
         )
         assert code == EXIT_OK
-        assert {call[2] for call in calls if call[0] == "judge"} == {depth}
+        assert {call[2] for call in calls if call[0] == "load"} == {depth}
+        assert {call[2].depth for call in calls if call[0] == "judge"} == {depth}
         # The fixture ranks 12 documents per topic.
         kept = {len(r) for kind, run, *_ in calls if kind == "score" for r in run.rankings.values()}
         assert kept == {min(depth, 12)}
@@ -929,8 +930,8 @@ class TestJudgedOnLoad:
         )
         assert code == EXIT_OK
         assert [call[0] for call in calls] == ["load", "judge", "score", "score"]
-        _, _, depth, judged = calls[1]
-        assert depth == 7 and all(run is judged for _, run in calls[2:])
+        (_, _, depth), (_, _, judged) = calls[:2]
+        assert depth == judged.depth == 7 and all(run is judged for _, run in calls[2:])
 
 
 class TestCorpusDiffCommand:

@@ -317,7 +317,7 @@ class TestJudgedDepth:
 
     def test_a_run_judged_too_shallow_is_a_type_error(self):
         run, qrels = parse_run(self.RUN), parse_qrels(self.QRELS)
-        shallow = run.judged(qrels, 10)
+        shallow = parse_run(self.RUN, depth=10).judged(qrels)
         for measure in (BPREF, NDCG):
             with pytest.raises(TypeError, match=f"not judged as deep as {measure.name} reads"):
                 score_run(shallow, measure, run.topics)
@@ -327,25 +327,25 @@ class TestJudgedDepth:
         assert ndcg_score == pytest.approx(1 / math.log2(13))
 
     def test_a_measure_within_the_judged_depth_scores(self):
-        run, qrels = parse_run(self.RUN), parse_qrels(self.QRELS)
-        vector = score_run(run.judged(qrels, 10), P_AT_10, run.topics)
+        run, qrels = parse_run(self.RUN, depth=10), parse_qrels(self.QRELS)
+        vector = score_run(run.judged(qrels), P_AT_10, run.topics)
         assert vector.scores == {"q1": 0.0}
         with pytest.raises(TypeError):
-            score_run(run.judged(qrels, 9), P_AT_10, run.topics)
+            score_run(parse_run(self.RUN, depth=9).judged(qrels), P_AT_10, run.topics)
 
     def test_a_run_read_shallow_is_never_judged_deeper(self):
-        """Judging to 1,000 a run read to depth 10 records depth 10, so nDCG,
-        which reads rank 12 here, is refused rather than scored 0."""
+        """Judging a run read to depth 10 records depth 10, so nDCG, which
+        reads rank 12 here, is refused rather than scored 0."""
         run, qrels = parse_run(self.RUN, depth=10), parse_qrels(self.QRELS)
-        judged = run.judged(qrels, MAX_DEPTH)
+        judged = run.judged(qrels)
         assert judged.depth == 10
         with pytest.raises(TypeError, match="^run 'A' is not judged as deep as nDCG reads$"):
             score_run(judged, NDCG, run.topics)
         assert score_run(judged, P_AT_10, run.topics).scores == {"q1": 0.0}
 
     def test_depth_is_capped_at_max_depth(self):
-        run, qrels = parse_run(self.RUN), parse_qrels(self.QRELS)
-        judged = run.judged(qrels, 5000)
+        run, qrels = parse_run(self.RUN, depth=5000), parse_qrels(self.QRELS)
+        judged = run.judged(qrels)
         assert judged.depth == MAX_DEPTH
         vector = score_run(judged, parse_measure("p@5000"), run.topics)
         assert vector.scores == {"q1": 1 / 5000}
@@ -384,18 +384,18 @@ def scored_runs(draw):
     run = {t: draw(scores) for t in draw(st.lists(st.sampled_from(topics), unique=True))}
     grades = st.dictionaries(st.sampled_from(POOL), st.integers(0, 2), max_size=12)
     qrels = {t: draw(grades) for t in draw(st.lists(st.sampled_from(topics), unique=True))}
-    return Run.from_rankings("A", run), qrels
+    return run, qrels
 
 
 class TestJudgedRunsMatchTheOracles:
-    """Scores over ``run.judged(qrels, measure.depth)`` against the
-    oracles, which score the doc ids themselves."""
+    """Scores of a run read to ``measure.depth`` and judged, against the
+    oracles, which score the whole run's doc ids themselves."""
 
     @settings(max_examples=150)
     @given(scored_runs(), st.integers(1, 14), st.integers(1, 14))
     def test_each_measure(self, case, k, cutoff):
-        run, grades = case
-        qrels = Qrels(grades)
+        scores, grades = case
+        run, qrels = Run.from_rankings("A", scores), Qrels(grades)
         topics = frozenset({"q1", "q2", "q3", "q4", "q5"})
         oracles = {
             MeasureId("precision_at_k", k): lambda docs, judged: oracle_p_at_k(docs, judged, k),
@@ -404,7 +404,8 @@ class TestJudgedRunsMatchTheOracles:
             BPREF: oracle_bpref,
         }
         for measure, oracle in oracles.items():
-            vector = score_run(run.judged(qrels, measure.depth), measure, topics)
+            shallow = Run.from_rankings("A", scores, measure.depth)
+            vector = score_run(shallow.judged(qrels), measure, topics)
             for topic in sorted(topics):
                 expected = oracle(list(run.rankings.get(topic, ())), grades.get(topic, {}))
                 assert abs(vector.scores[topic] - expected) <= 1e-12
@@ -420,13 +421,16 @@ class TestJudgmentSummaries:
         rankings, grades = case
         # One more topic that the run ranks and no one judged.
         run, qrels = Run("A", {**rankings, "unjudged": ("d00",)}), Qrels(grades)
+        # Scores that descend along each ranking, so a run read from them keeps its order.
+        scores = {t: {doc: -i for i, doc in enumerate(d)} for t, d in run.rankings.items()}
         topics = frozenset(grades) | frozenset(run.rankings)
         rebuilt = (qrels, qrels._replace(), Qrels._make(qrels))
         measures = (
             MeasureId("precision_at_k", depth), NDCG, MeasureId("ndcg", depth), BPREF,
         )
         for measure in measures:
-            vectors = [score_run(run.judged(q, measure.depth), measure, topics) for q in rebuilt]
+            shallow = Run.from_rankings("A", scores, measure.depth)
+            vectors = [score_run(shallow.judged(q), measure, topics) for q in rebuilt]
             for topic in sorted(topics):
                 ranking, plain = run.rankings.get(topic, ()), dict(grades.get(topic, {}))
                 judged, summary = judge(ranking, plain)

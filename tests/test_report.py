@@ -43,6 +43,7 @@ from reference_table import ARP, E5_P10_LT_EFFECT_RATIO
 from synth import MISFITS, four_vectors, misfit, score_tags, synthetic_cells, synthetic_environment
 
 P_AT_10, NDCG, BPREF = map(parse_measure, ("p@10", "ndcg", "bpref"))
+EE_ORDER = ("t1", "t2", "t3")  # the snapshots of synthetic_cells, in chronological order
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +53,7 @@ def cells():
 
 @pytest.fixture(scope="module")
 def table(cells):
-    return persistence_table(cells, ee_order=["t1", "t2", "t3"])
+    return persistence_table(cells, EE_ORDER)
 
 
 class TestTableConstruction:
@@ -97,22 +98,22 @@ class TestTableConstruction:
 
     def test_duplicate_cells_rejected(self, cells):
         with pytest.raises(DataError, match="duplicate cell"):
-            persistence_table(list(cells) + [cells[0]])
+            persistence_table(list(cells) + [cells[0]], EE_ORDER)
 
     def test_two_cells_with_one_target_rejected(self, cells):
         other_base = cells[0]._replace(pair=EEPair("t0", cells[0].pair.target_label))
         with pytest.raises(DataError, match="duplicate cell"):
-            persistence_table(list(cells) + [other_base])
+            persistence_table(list(cells) + [other_base], ("t0", *EE_ORDER))
 
     def test_mixed_pivots_rejected(self, cells):
         other = cells[0]._replace(pivot_tag="other")
         with pytest.raises(DataError):
-            persistence_table([cells[1], other])
+            persistence_table([cells[1], other], EE_ORDER)
 
     def test_system_that_is_the_pivot_rejected(self, cells):
         as_pivot = cells[1]._replace(system_tag=cells[1].pivot_tag)
         with pytest.raises(DataError) as excinfo:
-            persistence_table([cells[0], as_pivot])
+            persistence_table([cells[0], as_pivot], EE_ORDER)
         assert str(excinfo.value) == "cells[1]: system and pivot share the tag 'pivot'"
 
     @pytest.mark.parametrize("order", list(itertools.permutations(["tag", "number", "duplicate"])))
@@ -137,7 +138,7 @@ class TestTableConstruction:
         }
         faulty = [faults[fault][0](cell) for fault, cell in zip(order, cells[1:4])]
         with pytest.raises(DataError) as excinfo:
-            persistence_table([cells[0], *faulty, *cells[4:]])
+            persistence_table([cells[0], *faulty, *cells[4:]], EE_ORDER)
         assert str(excinfo.value) == faults[order[0]][1].format("cells[1]")
 
     @pytest.mark.parametrize(
@@ -165,12 +166,12 @@ class TestTableConstruction:
     )
     def test_within_one_cell_the_tag_then_a_number_then_a_repeat(self, cells, faulty, message):
         with pytest.raises(DataError) as excinfo:
-            persistence_table([cells[0], *(edit(cells[1]) for edit in faulty), *cells[2:]])
+            persistence_table([cells[0], *(edit(cells[1]) for edit in faulty), *cells[2:]], EE_ORDER)
         assert str(excinfo.value) == message
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            persistence_table([])
+            persistence_table([], EE_ORDER)
 
     def test_inconsistent_pivot_means_rejected(self, cells):
         """beta's last bpref cell, based in t1, gives the pivot another mean
@@ -180,12 +181,8 @@ class TestTableConstruction:
         moved = last._replace(pivot_arp_base=ARPValue(0.5, 8))
         known = last.pivot_arp_base.value
         with pytest.raises(DataError) as excinfo:
-            persistence_table([*cells[:-1], moved])
+            persistence_table([*cells[:-1], moved], EE_ORDER)
         assert str(excinfo.value) == f"inconsistent pivot means for bpref in 't1': {known} vs 0.5"
-
-    def test_derived_ee_order(self, cells):
-        built = persistence_table(cells)
-        assert built.ee_order == ("t1", "t2", "t3")
 
     def test_ee_order_must_cover_labels(self, cells):
         with pytest.raises(DataError):
@@ -195,7 +192,7 @@ class TestTableConstruction:
         qrels, runs, topics = synthetic_environment(5)
         system, pivot = score_tags(runs, qrels, P_AT_10, topics, "t1")
         cell = persistence_cell(system, system, pivot, pivot)
-        built = persistence_table([cell])
+        built = persistence_table([cell], ["t1"])
         row = next(r for r in built.rows if r.system_tag == "sys")
         rendered = row.cells["P@10"]
         assert rendered.result_delta == 0.0
@@ -206,9 +203,9 @@ class TestTableConstruction:
 
 class TestRendering:
     def test_text_deterministic_and_reordering_safe(self, cells):
-        first = render_table_text(persistence_table(cells, ee_order=["t1", "t2", "t3"]))
+        first = render_table_text(persistence_table(cells, EE_ORDER))
         second = render_table_text(
-            persistence_table(list(reversed(cells)), ee_order=["t1", "t2", "t3"])
+            persistence_table(list(reversed(cells)), EE_ORDER)
         )
         assert first == second
 
@@ -252,7 +249,7 @@ class TestRendering:
         )
         assert cell.t_statistic is None and cell.degenerate_t
         assert cell.undefined_flags == ("t_statistic: non-finite (degenerate variance)",)
-        table = persistence_table([cell])
+        table = persistence_table([cell], ["t1", "t2"])
         assert table_from_json(table_to_json(table)) == table
 
     @pytest.mark.parametrize(
@@ -308,7 +305,7 @@ class TestRendering:
 
     def test_significant_arp_is_starred(self, cells):
         marked = [cells[0]._replace(p_vs_pivot_target=0.001)]
-        text = render_table_text(persistence_table(marked))
+        text = render_table_text(persistence_table(marked, EE_ORDER))
         target_label = marked[0].pair.target_label
         row = next(
             line
@@ -531,7 +528,7 @@ class TestScatter:
             ]
 
     def test_table_cells_are_sorted(self, cells):
-        table = persistence_table(list(reversed(cells)))
+        table = persistence_table(list(reversed(cells)), EE_ORDER)
         keys = [
             (c.system_tag, c.measure.name, c.pair.base_label, c.pair.target_label)
             for c in table.cells

@@ -171,23 +171,16 @@ class TestJudged:
             judged.judged(qrels)
 
     def test_depth_keeps_the_first_ranks(self):
-        run, qrels = parse_run(self.RUN), parse_qrels(self.QRELS)
-        assert run.judged(qrels, 2).rankings == {"q1": (2, None), "q2": (None,)}
-        assert run.judged(qrels, 1).rankings == {"q1": (2,), "q2": (None,)}
-
-    @pytest.mark.parametrize("depth", [0, -1])
-    def test_a_depth_below_one_is_refused(self, depth):
-        """Slicing to -1 would drop each topic's last document and record depth -1."""
-        run, qrels = parse_run(self.RUN), parse_qrels(self.QRELS)
-        with pytest.raises(ValueError, match=f"^run 'A': depth must be >= 1, got {depth}$"):
-            run.judged(qrels, depth)
+        qrels = parse_qrels(self.QRELS)
+        assert parse_run(self.RUN, depth=2).judged(qrels).rankings == {"q1": (2, None), "q2": (None,)}
+        assert parse_run(self.RUN, depth=1).judged(qrels).rankings == {"q1": (2,), "q2": (None,)}
 
     def test_a_run_read_shallow_is_judged_no_deeper(self):
         run, qrels = parse_run(self.RUN, depth=2), parse_qrels(self.QRELS)
         assert run.depth == 2
         judged = run.judged(qrels)
         assert judged.depth == 2 and judged.rankings == {"q1": (2, None), "q2": (None,)}
-        assert run.judged(qrels, 1).depth == 1
+        assert parse_run(self.RUN, depth=1).judged(qrels).depth == 1
 
 
 class TestReadDepth:
